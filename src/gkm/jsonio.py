@@ -13,13 +13,16 @@ into the data path.  A document looks like::
 
 Edge weights are read from the "from" endpoint.  Loading validates the
 graph; schema problems raise ParseError with the offending path, axiom
-failures raise ValidationError carrying the full report.
+failures raise ValidationError carrying the full report.  An integer with
+more digits than Python converts from text (``sys.get_int_max_str_digits``)
+is a schema problem too, inside a rational string or as a bare JSON number.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -31,12 +34,35 @@ from .polynomial import Vector
 _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
+class _LongInteger:
+    """A JSON integer literal too long to convert; parse_rational reports it."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: str):
+        self.digits = digits
+
+
+def _parse_json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(text)
+
+
+def _too_long(where: str, digits: str) -> ParseError:
+    return ParseError(f"{where}: integer of {len(digits.lstrip('-'))} digits exceeds "
+                      f"the conversion limit of {sys.get_int_max_str_digits()}")
+
+
 def parse_rational(value, where: str) -> Fraction:
     """Parse "a/b" / "a" strings (or JSON integers) into an exact rational."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational string, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, _LongInteger):
+        raise _too_long(where, value.digits)
     if isinstance(value, float):
         raise ParseError(f"{where}: floating-point numbers are not accepted; use strings")
     if not isinstance(value, str):
@@ -44,8 +70,11 @@ def parse_rational(value, where: str) -> Fraction:
     match = _RATIONAL.match(value.strip())
     if not match:
         raise ParseError(f"{where}: malformed rational {value!r}")
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) else 1
+    try:
+        numerator = int(match.group(1))
+        denominator = int(match.group(2)) if match.group(2) else 1
+    except ValueError:
+        raise _too_long(where, max(match.groups(""), key=len)) from None
     if denominator == 0:
         raise ParseError(f"{where}: zero denominator in {value!r}")
     return Fraction(numerator, denominator)
@@ -115,7 +144,7 @@ def document_to_graph(doc: dict) -> tuple[GkmGraph, Optional[Vector]]:
 def loads(text: str) -> tuple[GkmGraph, Optional[Vector]]:
     """Parse and validate a JSON document string."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     graph, xi = document_to_graph(doc)

@@ -11,14 +11,24 @@ degree of a homogeneous element is twice that (each variable has
 cohomological degree 2) and is exposed separately.
 
 A polynomial is a mapping from exponent tuples to nonzero coefficients.
-Term order everywhere (iteration, text form) is graded lexicographic,
+Term order everywhere (iteration, text form, hash) is graded lexicographic,
 leading terms first, so equality is structural and serialization is
-reproducible.
+reproducible.  That order is computed lazily, on the first call that needs
+it, and kept; arithmetic never sorts.
+
+Two constructors build polynomials.  The public ``Polynomial(rank, terms)``
+takes input from outside the class: it checks every exponent tuple,
+rejects float coefficients, coerces the rest to ``Fraction`` and merges
+duplicate keys.  The private ``_make`` takes the term dict exactly as the
+class's own arithmetic produced it -- exponent tuples of the right length,
+``Fraction`` coefficients -- and trusts it, only dropping zero
+coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NotDivisible, RankMismatch, ScopeError
@@ -145,12 +155,18 @@ class Polynomial:
     """Exact polynomial in ``rank`` variables with Fraction coefficients.
 
     Terms map exponent tuples to nonzero coefficients; canonical order is
-    graded-lex descending.  Instances are immutable.
+    graded-lex descending, computed on first use.  Instances are immutable.
     """
 
-    __slots__ = ("rank", "_terms", "_key")
+    __slots__ = ("rank", "_terms", "_order")
 
     def __init__(self, rank: int, terms: Mapping[tuple, Scalar] | None = None):
+        """Validating constructor for terms from outside the class.
+
+        Every exponent tuple must have ``rank`` non-negative entries;
+        coefficients are coerced to Fraction (floats raise TypeError) and
+        terms with equal exponents are summed.
+        """
         if rank < 1:
             raise ValueError("polynomial rank must be >= 1")
         clean: dict[tuple, Fraction] = {}
@@ -163,13 +179,7 @@ class Polynomial:
                 clean[e] = clean.get(e, Fraction(0)) + c
                 if clean[e] == 0:
                     del clean[e]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(
-            self,
-            "_key",
-            tuple(sorted(clean.items(), key=lambda kv: _gradedlex_key(kv[0]), reverse=True)),
-        )
+        _init(self, rank, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -195,9 +205,17 @@ class Polynomial:
 
     # -- inspection --------------------------------------------------------
 
+    def _sorted_terms(self) -> tuple:
+        order = self._order
+        if order is None:
+            order = tuple(sorted(self._terms.items(),
+                                 key=lambda kv: _gradedlex_key(kv[0]), reverse=True))
+            object.__setattr__(self, "_order", order)
+        return order
+
     def terms(self) -> Iterator[tuple[tuple, Fraction]]:
         """(exponents, coefficient) pairs in graded-lex descending order."""
-        return iter(self._key)
+        return iter(self._sorted_terms())
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exponents), Fraction(0))
@@ -234,9 +252,7 @@ class Polynomial:
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """Sum of the terms of the given total degree."""
-        return Polynomial(
-            self.rank, {e: c for e, c in self._terms.items() if sum(e) == degree}
-        )
+        return _make(self.rank, {e: c for e, c in self._terms.items() if sum(e) == degree})
 
     # -- ring structure ----------------------------------------------------
 
@@ -255,19 +271,22 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for e, c in p._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Polynomial(self.rank, out)
+            out[e] = out[e] + c if e in out else c
+        return _make(self.rank, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.rank, {e: -c for e, c in self._terms.items()})
+        return _make(self.rank, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return self + (-p)
+        out = dict(self._terms)
+        for e, c in p._terms.items():
+            out[e] = out[e] - c if e in out else -c
+        return _make(self.rank, out)
 
     def __rsub__(self, other) -> "Polynomial":
         return -(self - other)
@@ -277,11 +296,12 @@ class Polynomial:
         if p is None:
             return NotImplemented
         out: dict[tuple, Fraction] = {}
+        right = p._terms.items()
         for e1, c1 in self._terms.items():
-            for e2, c2 in p._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.rank, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return _make(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -307,7 +327,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self._key))
+        return hash((self.rank, self._sorted_terms()))
 
     # -- evaluation and division -------------------------------------------
 
@@ -330,41 +350,43 @@ class Polynomial:
 
         Raises NotDivisible when no exact quotient exists; that is the
         signal for a violated edge congruence.
+
+        One sweep: the pivot is the first variable x_j of ell, and terms are
+        bucketed by their exponent of x_j.  Reducing a term of pivot
+        exponent k by ell only creates terms of exponent k - 1, so the
+        buckets are cleared from the top down, each term once.  The
+        remainder is whatever is left in bucket 0.
         """
         if not isinstance(ell, Polynomial) or ell.rank != self.rank:
             raise RankMismatch("divisor rank mismatch")
         if ell.is_zero() or ell.homogeneous_degree != 1:
             raise ValueError("divisor must be nonzero homogeneous of degree 1")
-        # Pivot variable: first with nonzero coefficient in ell.
-        coeffs = [ell.coefficient(tuple(1 if i == j else 0 for i in range(self.rank)))
-                  for j in range(self.rank)]
-        pivot = next(j for j, c in enumerate(coeffs) if c != 0)
-        cp = coeffs[pivot]
-        work = dict(self._terms)
+        # ell's terms are unit exponent tuples; index(1) names the variable.
+        coeffs = sorted((e.index(1), c) for e, c in ell._terms.items())
+        pivot, cp = coeffs[0]
+        others = [(i, -c) for i, c in coeffs[1:]]
+        top = max((e[pivot] for e in self._terms), default=0)
+        buckets: list[dict[tuple, Fraction]] = [{} for _ in range(top + 1)]
+        for e, c in self._terms.items():
+            buckets[e[pivot]][e] = c
         quotient: dict[tuple, Fraction] = {}
-        ell_terms = list(ell._terms.items())
-        while True:
-            # Largest remaining term containing the pivot variable.
-            candidates = [e for e in work if e[pivot] > 0]
-            if not candidates:
-                break
-            e = max(candidates, key=_gradedlex_key)
-            c = work[e]
-            qe = list(e)
-            qe[pivot] -= 1
-            qe = tuple(qe)
-            qc = c / cp
-            quotient[qe] = quotient.get(qe, Fraction(0)) + qc
-            for le, lc in ell_terms:
-                te = tuple(a + b for a, b in zip(qe, le))
-                nc = work.get(te, Fraction(0)) - qc * lc
-                if nc == 0:
-                    work.pop(te, None)
-                else:
-                    work[te] = nc
-        if work:
+        for k in range(top, 0, -1):
+            lower = buckets[k - 1]
+            for e, c in buckets[k].items():
+                if not c:
+                    continue
+                qe = list(e)
+                qe[pivot] -= 1
+                qc = c / cp
+                quotient[tuple(qe)] = qc
+                for i, nc in others:
+                    qe[i] += 1
+                    te = tuple(qe)
+                    qe[i] -= 1
+                    lower[te] = lower[te] + qc * nc if te in lower else qc * nc
+        if any(buckets[0].values()):
             raise NotDivisible(f"({self}) is not divisible by ({ell})")
-        return Polynomial(self.rank, quotient)
+        return _make(self.rank, quotient)
 
     # -- text form -----------------------------------------------------------
 
@@ -373,7 +395,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for e, c in self._key:
+        for e, c in self._sorted_terms():
             factors = []
             for i, exp in enumerate(e):
                 if exp == 1:
@@ -397,15 +419,31 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _init(p: Polynomial, rank: int, terms: dict) -> None:
+    object.__setattr__(p, "rank", rank)
+    object.__setattr__(p, "_terms", terms)
+    object.__setattr__(p, "_order", None)
+
+
+def _make(rank: int, terms: dict) -> Polynomial:
+    """Trusting constructor for the class's own arithmetic.
+
+    ``terms`` must map exponent tuples of length ``rank`` to Fraction
+    coefficients; nothing is checked or coerced, only zero coefficients
+    are dropped.
+    """
+    p = object.__new__(Polynomial)
+    _init(p, rank, {e: c for e, c in terms.items() if c})
+    return p
+
+
 def lin_form(w: Vector | Sequence) -> Polynomial:
     """Embed a weight vector as the linear form sum_i w_i * x_i."""
     v = w if isinstance(w, Vector) else Vector(w)
-    if v.rank < 1:
+    rank = v.rank
+    if rank < 1:
         raise ValueError("rank must be >= 1")
-    return Polynomial(v.rank, {
-        tuple(1 if i == j else 0 for i in range(v.rank)): c
-        for j, c in enumerate(v) if c != 0
-    })
+    return _make(rank, {(0,) * j + (1,) + (0,) * (rank - 1 - j): c for j, c in enumerate(v)})
 
 
 def congruent_mod_linear(f: Polynomial, g: Polynomial, ell: Polynomial) -> bool:

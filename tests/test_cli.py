@@ -1,6 +1,7 @@
 """Document round-trips and the command surface."""
 
 import json
+import sys
 
 import pytest
 
@@ -60,6 +61,43 @@ def test_loads_rejects_invalid_graph():
         loads(json.dumps(doc))
     failed = {c.name for c in err.value.report.failures()}
     assert "moment-compatibility" in failed
+
+
+# Integers longer than Python converts from text, inside a rational string
+# and as a bare JSON number; the latter cannot go through json.dumps.
+LIMIT = 4300
+LONG = "7" * (LIMIT + 1)
+
+
+@pytest.fixture()
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(LIMIT)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _long_integer_document(bare: bool) -> str:
+    doc = graph_to_document(corpus("cp3-k4").graph)
+    doc["vertices"][1]["mu"][0] = "LONG"
+    return json.dumps(doc).replace('"LONG"', LONG if bare else f'"{LONG}/3"')
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_loads_rejects_overlong_integer(digit_limit, bare):
+    with pytest.raises(ParseError, match=r"vertices\[1\]\.mu\[0\]: integer of 4301 digits"):
+        loads(_long_integer_document(bare))
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_report_overlong_integer_exits_1(digit_limit, bare, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(_long_integer_document(bare), encoding="utf-8")
+    assert main(["report", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vertices[1].mu[0]" in captured.err
+    assert "Traceback" not in captured.err
 
 
 # -- commands -------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gkm.errors import NotDivisible, RankMismatch
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
@@ -182,3 +182,90 @@ def test_congruence_iff_difference_divisible(f, g, w):
 def test_evaluate_is_ring_homomorphism(a, b, pt):
     assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
     assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
+
+
+# -- constructors ----------------------------------------------------------------
+
+def test_constructor_rejects_float_coefficient():
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 0.5})
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 0)])
+def test_constructor_rejects_bad_exponents(exps):
+    with pytest.raises(ValueError):
+        Polynomial(2, {exps: 1})
+
+
+@settings(max_examples=60)
+@given(polys, polys, nonzero_vectors2)
+def test_arithmetic_results_are_canonical(a, b, w):
+    ell = lin_form(w)
+    results = [a + b, a - b, a * b, -a, a.homogeneous_component(2),
+               (a * ell).divide_by_linear(ell), ell]
+    for p in results:
+        rebuilt = Polynomial(p.rank, dict(p.terms()))
+        assert p == rebuilt
+        assert hash(p) == hash(rebuilt)
+        assert str(p) == str(rebuilt)
+        assert all(c != 0 for _, c in p.terms())
+
+
+# -- rank 3 division, pivot not the first variable --------------------------------
+
+exponents3 = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+polys3 = st.dictionaries(exponents3, coeffs, max_size=5).map(lambda d: Polynomial(3, d))
+nonzero_vectors3 = st.one_of(
+    st.just(Vector((0, 2, -3))),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).map(Vector),
+).filter(lambda v: not v.is_zero())
+
+
+def test_divide_rank3_pivot_second_variable():
+    y = [Polynomial.variable(3, i) for i in range(3)]
+    ell = lin_form(Vector((0, 2, -3)))
+    q = y[0] ** 2 * y[2] - 5 * y[1] + Fraction(1, 7)
+    assert (q * ell).divide_by_linear(ell) == q
+    with pytest.raises(NotDivisible):
+        (q * ell + y[0] * y[2]).divide_by_linear(ell)
+
+
+@settings(max_examples=60)
+@given(polys3, nonzero_vectors3)
+def test_divide_after_multiply_roundtrip_rank3(q, w):
+    ell = lin_form(w)
+    assert (q * ell).divide_by_linear(ell) == q
+
+
+@settings(max_examples=60)
+@given(polys3, polys3, nonzero_vectors3)
+def test_nonzero_remainder_is_not_divisible_rank3(q, r, w):
+    # A remainder free of the pivot variable (the first one ell uses) is
+    # unique, so adding a nonzero one must break divisibility.
+    ell = lin_form(w)
+    pivot = next(i for i, c in enumerate(w) if c != 0)
+    r = Polynomial(3, {e: c for e, c in r.terms() if e[pivot] == 0})
+    assume(not r.is_zero())
+    with pytest.raises(NotDivisible):
+        (q * ell + r).divide_by_linear(ell)
+
+
+# -- congruence against an evaluation oracle ----------------------------------------
+
+@settings(max_examples=80)
+@given(polys, polys, polys, nonzero_vectors2, st.booleans())
+def test_congruence_matches_evaluation_oracle(f, g, q, w, shift):
+    # ell_w vanishes exactly on the line through (w2, -w1), so ell_w divides
+    # h iff every homogeneous component of h vanishes at that point.
+    ell = lin_form(w)
+    if shift:
+        g = f + q * ell
+    h = f - g
+    point = (w[1], -w[0])
+    oracle = all(
+        h.homogeneous_component(d).evaluate(point) == 0
+        for d in range((h.total_degree or 0) + 1)
+    )
+    assert congruent_mod_linear(f, g, ell) == oracle
+    if shift:
+        assert oracle
