@@ -42,22 +42,21 @@ def _choose_xi(graph: GkmGraph, file_xi: Optional[Vector],
 
 def _cmd_validate(args) -> int:
     try:
-        graph, _ = load_graph(args.file)
+        graph, _, validation = load_graph(args.file)
     except ValidationError as exc:
         print(str(exc.report))
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    print(graph.validate())
+    print(validation)
     print(f"{len(graph.vertices)} vertices, {len(graph.edges)} edges: valid")
     return 0
 
 
 def _cmd_report(args) -> int:
     try:
-        graph, file_xi = load_graph(args.file)
-        validation = graph.validate()
+        graph, file_xi, validation = load_graph(args.file)
         override = _parse_xi_flag(args.xi) if args.xi else None
         xi, source = _choose_xi(graph, file_xi, override)
         og = orient(graph, xi)
@@ -86,7 +85,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_render(args) -> int:
     try:
-        graph, file_xi = load_graph(args.file)
+        graph, file_xi, _ = load_graph(args.file)
         override = _parse_xi_flag(args.xi) if args.xi else None
         try:
             xi, _ = _choose_xi(graph, file_xi, override)

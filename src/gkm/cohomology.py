@@ -9,8 +9,10 @@ each weight form.
 
 Thom classes are constructed by the same solver restricted to a
 reachability support, with divisibility rows for edges leaving the support
-and normalization rows at the base vertex; a zero nullspace certifies the
-uniqueness the theory promises, so the solve doubles as a verification.
+and normalization rows at the base vertex.  The elimination that yields
+the solution also yields its rank; rank equal to the column count
+certifies the uniqueness the theory promises, so the solve doubles as a
+verification.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from typing import Iterable, Mapping
 
 from . import linalg
 from .errors import (
+    DegreeError,
     Infeasible,
     NonUnique,
     NotAClass,
     NotIndexIncreasing,
+    PreconditionError,
     RankMismatch,
 )
 from .graph import Edge, GkmGraph, OrientedGkmGraph
@@ -106,11 +110,15 @@ class CohomologyElement:
     @property
     def degree(self) -> int | None:
         """Common homogeneous polynomial degree; None for the zero class."""
-        degrees = {p.homogeneous_degree for p in self.values.values() if not p.is_zero()}
+        try:
+            degrees = {p.homogeneous_degree for p in self.values.values()
+                       if not p.is_zero()}
+        except ValueError:
+            raise DegreeError("class value is not homogeneous") from None
         if not degrees:
             return None
         if len(degrees) > 1:
-            raise ValueError(f"mixed degrees {sorted(degrees)}")
+            raise DegreeError(f"mixed degrees {sorted(degrees)}")
         return degrees.pop()
 
     @property
@@ -228,10 +236,15 @@ def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
 
 
 class _System:
-    """Linear system over per-vertex monomial coefficients of one degree."""
+    """Linear system over per-vertex monomial coefficients of one degree.
 
-    def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str]):
+    Given an orientation, its store keeps the per-weight reductions.
+    """
+
+    def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str],
+                 og: OrientedGkmGraph | None = None):
         self.graph = graph
+        self.og = og
         self.degree = degree
         self.support = sorted(support)
         self.monomials = monomials(graph.rank, degree)
@@ -241,11 +254,16 @@ class _System:
         self.rhs: list[Fraction] = []
 
     def _reductions(self, weight: Vector) -> list[Polynomial]:
-        pivot, replacement = _substitution(weight)
-        return [
-            _reduce_monomial(m, pivot, replacement, self.graph.rank)
-            for m in self.monomials
-        ]
+        def compute():
+            pivot, replacement = _substitution(weight)
+            return [
+                _reduce_monomial(m, pivot, replacement, self.graph.rank)
+                for m in self.monomials
+            ]
+
+        if self.og is None:
+            return compute()
+        return self.og.derived(("reductions", weight, self.degree), compute)
 
     def _scatter(self, contributions: list[tuple[tuple[str, tuple], Polynomial]]):
         """Turn per-unknown reduced polynomials into coefficient rows."""
@@ -326,10 +344,12 @@ def thom_class(og: OrientedGkmGraph, vid: str,
         raise ValueError("direction must be 'plus' or 'minus'")
     if not og.is_index_increasing():
         raise NotIndexIncreasing("Thom classes require an index-increasing orientation")
-    cache = og._thom_cache
-    key = (vid, direction)
-    if key in cache:
-        return cache[key]
+    return og.derived(("thom", vid, direction),
+                      lambda: _solve_thom_class(og, vid, direction))
+
+
+def _solve_thom_class(og: OrientedGkmGraph, vid: str,
+                      direction: str) -> CohomologyElement:
     n = og.graph.valence
     if direction == "plus":
         support = og.ascending_reachable(vid)
@@ -339,7 +359,7 @@ def thom_class(og: OrientedGkmGraph, vid: str,
         degree = n - og.down_degree(vid)
     normalization = euler_class(og, vid, "plus" if direction == "plus" else "minus")
 
-    system = _System(og.graph, degree, support)
+    system = _System(og.graph, degree, support, og)
     for e in og.graph.edges:
         inside_first = e.first in support
         inside_second = e.second in support
@@ -351,17 +371,14 @@ def thom_class(og: OrientedGkmGraph, vid: str,
             system.add_divisibility(e.second, e.weight)
     system.add_normalization(vid, normalization)
 
-    solution = linalg.solve(system.rows, system.rhs)
+    solution, nullity = linalg.solve(system.rows, system.rhs)
     if solution is None:
         raise Infeasible(f"no class with the required support exists for {vid}")
-    kernel = linalg.nullspace(system.rows, ncols=len(system.columns))
-    if kernel:
+    if nullity:
         raise NonUnique(
-            f"Thom class of {vid} is not unique (nullspace dimension {len(kernel)})"
+            f"Thom class of {vid} is not unique (nullspace dimension {nullity})"
         )
-    element = system.element_from(solution)
-    cache[key] = element
-    return element
+    return system.element_from(solution)
 
 
 def thom_basis(og: OrientedGkmGraph, direction: str = "plus") -> dict[str, CohomologyElement]:
@@ -385,9 +402,9 @@ def scalar_multiple_of_weight(f: CohomologyElement, edge: Edge) -> Fraction:
     elif fa.is_zero():
         holder, vanished = edge.second, edge.first
     else:
-        raise ValueError(f"class vanishes at neither endpoint of {edge}")
+        raise PreconditionError(f"class vanishes at neither endpoint of {edge}")
+    if f.degree != 1:
+        raise PreconditionError("scalar extraction requires a degree-1 class")
     value = f.value(holder)
-    if value.homogeneous_degree != 1:
-        raise ValueError("scalar extraction requires a degree-1 value")
     quotient = value.divide_by_linear(lin_form(edge.weight_from(holder)))
     return quotient.coefficient((0,) * f.graph.rank)

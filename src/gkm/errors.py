@@ -10,6 +10,13 @@ class GkmError(Exception):
     """Base class for all domain-level errors raised by this package."""
 
 
+class PreconditionError(GkmError, ValueError):
+    """An argument violates a documented precondition of the operation.
+
+    Also a ValueError, the built-in class for a bad argument value.
+    """
+
+
 class RankMismatch(GkmError):
     """Operands live in polynomial rings / vector spaces of different rank."""
 

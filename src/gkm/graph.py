@@ -25,6 +25,7 @@ from .errors import (
     NonUnique,
     NotGeneric,
     NotIndexIncreasing,
+    PreconditionError,
     ScopeError,
 )
 from .polynomial import Vector
@@ -281,6 +282,9 @@ class OrientedGkmGraph:
     Every edge is directed toward increasing moment pairing; the number of
     edges arriving at a vertex is its down-degree d_v, and the Morse index
     is 2 d_v.
+
+    Data derived from the orientation is computed once and kept in the
+    store behind :meth:`derived`; a new orientation starts empty.
     """
 
     def __init__(self, graph: GkmGraph, xi: Vector):
@@ -297,7 +301,13 @@ class OrientedGkmGraph:
         self._down: dict[str, int] = {v: 0 for v in graph.vertex_ids()}
         for e in graph.edges:
             self._down[self._head[e.pair]] += 1
-        self._thom_cache: dict = {}
+        self._derived: dict = {}
+
+    def derived(self, key, compute):
+        """The value under ``key``, computed by ``compute()`` on first use."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     # -- basic queries --------------------------------------------------------
 
@@ -409,10 +419,13 @@ class OrientedGkmGraph:
         if not self.is_index_increasing():
             raise NotIndexIncreasing("ascending cycles require an index-increasing orientation")
         if self._down[p] != 1:
-            raise ValueError(f"{p} has down-degree {self._down[p]}, expected 1")
+            raise PreconditionError(f"{p} has down-degree {self._down[p]}, expected 1")
         r = self.r_vertex()
         reach = self.ascending_reachable(p)
         ups = sorted(self.up_neighbors(p), key=lambda v: (self.mu_xi(v), v))
+        if len(ups) != 2:
+            raise Mismatch(f"{p} has up-neighbors {ups}; an index-two vertex of a "
+                           "3-valent graph has exactly two")
         if r in ups:
             (q,) = [v for v in ups if v != r]
             cycle = (p, q, r)

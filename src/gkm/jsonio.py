@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ParseError, ValidationError
-from .graph import Edge, GkmGraph, Vertex
+from .graph import Edge, GkmGraph, ValidationReport, Vertex
 from .polynomial import Vector
 
 _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -141,8 +141,12 @@ def document_to_graph(doc: dict) -> tuple[GkmGraph, Optional[Vector]]:
     return graph, xi
 
 
-def loads(text: str) -> tuple[GkmGraph, Optional[Vector]]:
-    """Parse and validate a JSON document string."""
+def loads(text: str) -> tuple[GkmGraph, Optional[Vector], ValidationReport]:
+    """Parse and validate a JSON document string.
+
+    Returns the graph, the document's covector (None when absent) and the
+    validation report, which passed: a failing one raises ValidationError.
+    """
     try:
         doc = json.loads(text, parse_int=_parse_json_int)
     except json.JSONDecodeError as exc:
@@ -151,11 +155,11 @@ def loads(text: str) -> tuple[GkmGraph, Optional[Vector]]:
     report = graph.validate()
     if not report.ok:
         raise ValidationError(report)
-    return graph, xi
+    return graph, xi, report
 
 
-def load_graph(path) -> tuple[GkmGraph, Optional[Vector]]:
-    """Load and validate a graph document from a file path."""
+def load_graph(path) -> tuple[GkmGraph, Optional[Vector], ValidationReport]:
+    """Load and validate a graph document from a file path, as :func:`loads`."""
     text = Path(path).read_text(encoding="utf-8")
     return loads(text)
 

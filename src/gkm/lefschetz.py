@@ -31,6 +31,7 @@ from .errors import (
     GkmError,
     Mismatch,
     NotParallel,
+    PreconditionError,
     TypeMismatch,
 )
 from .geometry import (
@@ -77,7 +78,7 @@ def thom_coefficient(og: OrientedGkmGraph, p: str, q: str) -> Fraction:
     multiple is returned.  Zero when p and q are not adjacent.
     """
     if og.down_degree(p) != 1 or og.down_degree(q) != 2:
-        raise ValueError("expected an index-two p and an index-four q")
+        raise PreconditionError("expected an index-two p and an index-four q")
     if not og.graph.adjacent(p, q):
         return Fraction(0)
     v = below_neighbor(og, q, excluding=p)
@@ -109,21 +110,25 @@ def coefficient_pairs(og: OrientedGkmGraph) -> list[CoefficientPair]:
     """All (index-two, index-four) pairs with their coefficients.
 
     Enforces the structural biconditional: ratio > 0 iff adjacent iff
-    coefficient nonzero.
+    coefficient nonzero.  Computed once per orientation; each call returns
+    a new list.
     """
-    pairs = []
-    for p in og.vertices_of_index(1):
-        for q in og.vertices_of_index(2):
-            adjacent = og.graph.adjacent(p, q)
-            ratio = moment_ratio(og, p, q)
-            coeff = thom_coefficient(og, p, q)
-            if adjacent != (ratio > 0) or adjacent != (coeff != 0):
-                raise Mismatch(
-                    f"pair ({p}, {q}): adjacency {adjacent}, ratio {ratio}, "
-                    f"coefficient {coeff} violate the nonzero biconditional"
-                )
-            pairs.append(CoefficientPair(p, q, ratio, coeff, adjacent))
-    return pairs
+    def compute():
+        pairs = []
+        for p in og.vertices_of_index(1):
+            for q in og.vertices_of_index(2):
+                adjacent = og.graph.adjacent(p, q)
+                ratio = moment_ratio(og, p, q)
+                coeff = thom_coefficient(og, p, q)
+                if adjacent != (ratio > 0) or adjacent != (coeff != 0):
+                    raise Mismatch(
+                        f"pair ({p}, {q}): adjacency {adjacent}, ratio {ratio}, "
+                        f"coefficient {coeff} violate the nonzero biconditional"
+                    )
+                pairs.append(CoefficientPair(p, q, ratio, coeff, adjacent))
+        return pairs
+
+    return list(og.derived("coefficient_pairs", compute))
 
 
 def _shifted_thom_product(og: OrientedGkmGraph, p: str) -> CohomologyElement:
@@ -150,9 +155,15 @@ def mixed_hr2_matrix(og: OrientedGkmGraph) -> list[list[Fraction]]:
     vertices, paired through one symplectic factor.
 
     Every entry is computed twice -- full localization and the
-    single-vertex shortcut -- and the two must agree exactly.
+    single-vertex shortcut -- and the two must agree exactly.  The matrix
+    is built once per orientation; each call returns a new copy.
     """
     require_six_dim(og)
+    matrix = og.derived("mixed_hr2_matrix", lambda: _mixed_hr2_entries(og))
+    return [list(row) for row in matrix]
+
+
+def _mixed_hr2_entries(og: OrientedGkmGraph) -> list[list[Fraction]]:
     ps = og.vertices_of_index(1)
     qs = og.vertices_of_index(2)
     if len(ps) != len(qs):
@@ -267,6 +278,7 @@ def check_sign_conditions(og: OrientedGkmGraph) -> list[dict]:
     g = og.graph
     witnesses = []
     pairs = coefficient_pairs(og)
+    coefficients = {(c.p, c.q): c.thom_coefficient for c in pairs}
     for c in pairs:
         if not c.adjacent:
             continue
@@ -300,7 +312,7 @@ def check_sign_conditions(og: OrientedGkmGraph) -> list[dict]:
             for q in og.up_neighbors(p):
                 if og.down_degree(q) != 2:
                     continue
-                coeff = thom_coefficient(og, p, q)
+                coeff = coefficients[(p, q)]
                 if coeff <= 0:
                     raise ConditionViolated(
                         f"convex cycle at {p} but coefficient at {q} is {coeff}"

@@ -12,19 +12,27 @@ Matrices are plain lists of lists of Fractions (or ints).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
 
 
-def _row_to_int(row) -> tuple[list[int], int]:
-    """Scale a rational row to integers; return (row, scale factor)."""
+def _row_to_int(row, i: int) -> tuple[list[int], int]:
+    """Scale rational row ``i`` to integers; return (row, scale factor).
+
+    Only ints and Fractions are accepted: a float or a string would make
+    the elimination inexact or silently reinterpret the entry.
+    """
     scale = 1
-    for x in row:
-        f = Fraction(x)
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    return [int(Fraction(x) * scale) for x in row], scale
+    for j, x in enumerate(row):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(
+                f"matrix entry at row {i}, column {j} is {type(x).__name__} {x!r}; "
+                "expected int or Fraction"
+            )
+        scale = lcm(scale, x.denominator)
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
 class Echelon:
@@ -50,8 +58,8 @@ def echelon(matrix: Matrix, pivot_limit: Optional[int] = None) -> Echelon:
     """
     rows = []
     scales = []
-    for r in matrix:
-        ir, s = _row_to_int(r)
+    for i, r in enumerate(matrix):
+        ir, s = _row_to_int(r, i)
         rows.append(ir)
         scales.append(s)
     nrows = len(rows)
@@ -154,23 +162,30 @@ def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[list[Fraction
     return basis
 
 
-def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """A particular solution of A x = b with free variables set to 0.
+def solve(matrix: Matrix,
+          rhs: Sequence[Fraction]) -> tuple[Optional[list[Fraction]], int]:
+    """A particular solution of A x = b and the nullity of A, from one
+    elimination of the augmented matrix.
 
-    Returns None when the system is inconsistent.
+    Returns ``(x, nullity)``: ``x`` has the free variables set to 0 and is
+    None when the system is inconsistent; ``nullity`` is
+    ``ncols - rank(A)``, the dimension of the solution family (zero iff a
+    solution, when one exists, is unique).  A matrix with no rows is taken
+    to have no columns.
     """
     if len(matrix) != len(rhs):
         raise ValueError("row count mismatch between matrix and right-hand side")
     if not matrix:
-        return []
+        return [], 0
     ncols = len(matrix[0])
     augmented = [list(r) + [b] for r, b in zip(matrix, rhs)]
     ech = echelon(augmented, pivot_limit=ncols)
+    nullity = ncols - ech.rank
     # Inconsistent iff a fully reduced row still has a nonzero RHS entry.
     for i in range(ech.rank, len(ech.rows)):
         if not any(ech.rows[i][:ncols]) and ech.rows[i][ncols] != 0:
-            return None
+            return None, nullity
     pivots = set(ech.pivot_cols)
     fixed = {c: Fraction(0) for c in range(ncols) if c not in pivots}
     reduced_rhs = [Fraction(ech.rows[i][ncols]) for i in range(ech.rank)]
-    return _back_substitute(ech, ncols, fixed, rhs=reduced_rhs)
+    return _back_substitute(ech, ncols, fixed, rhs=reduced_rhs), nullity

@@ -30,24 +30,20 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    cache = getattr(og, "_euler_cache", None)
-    if cache is None:
-        cache = {}
-        og._euler_cache = cache
-    key = (vid, variant)
-    if key in cache:
-        return cache[key]
-    if variant == "full":
-        edges = og.graph.edges_at(vid)
-    elif variant == "plus":
-        edges = og.down_edges(vid)
-    else:
-        edges = og.up_edges(vid)
-    result = Polynomial.constant(og.graph.rank, 1)
-    for e in edges:
-        result = result * lin_form(e.weight_from(vid))
-    cache[key] = result
-    return result
+
+    def compute():
+        if variant == "full":
+            edges = og.graph.edges_at(vid)
+        elif variant == "plus":
+            edges = og.down_edges(vid)
+        else:
+            edges = og.up_edges(vid)
+        result = Polynomial.constant(og.graph.rank, 1)
+        for e in edges:
+            result = result * lin_form(e.weight_from(vid))
+        return result
+
+    return og.derived(("euler", vid, variant), compute)
 
 
 def _values_of(f) -> Mapping[str, Polynomial]:
@@ -75,32 +71,29 @@ def _class_degree(values: Mapping[str, Polynomial]) -> int | None:
     return degrees.pop()
 
 
-def _complement_products(og: OrientedGkmGraph) -> list[Polynomial]:
-    """prod_{w != v} nu_w for each v (prefix/suffix products, cached)."""
-    cached = getattr(og, "_complement_cache", None)
-    if cached is not None:
-        return cached
-    ids = og.graph.vertex_ids()
-    eulers = [euler_class(og, v) for v in ids]
-    rank = og.graph.rank
-    one = Polynomial.constant(rank, 1)
-    prefix = [one]
-    for nu in eulers:
-        prefix.append(prefix[-1] * nu)
-    suffix = [one]
-    for nu in reversed(eulers):
-        suffix.append(suffix[-1] * nu)
-    suffix.reverse()
-    products = [prefix[i] * suffix[i + 1] for i in range(len(ids))]
-    og._complement_cache = products
-    return products
+def _products(og: OrientedGkmGraph) -> tuple[list[Polynomial], Polynomial]:
+    """prod_{w != v} nu_w for each v, and prod_v nu_v (prefix/suffix
+    products, stored per orientation)."""
+    def compute():
+        eulers = [euler_class(og, v) for v in og.graph.vertex_ids()]
+        one = Polynomial.constant(og.graph.rank, 1)
+        prefix = [one]
+        for nu in eulers:
+            prefix.append(prefix[-1] * nu)
+        suffix = [one]
+        for nu in reversed(eulers):
+            suffix.append(suffix[-1] * nu)
+        suffix.reverse()
+        return [prefix[i] * suffix[i + 1] for i in range(len(eulers))], prefix[-1]
+
+    return og.derived("localization_products", compute)
 
 
 def _numerator(og: OrientedGkmGraph, values: Mapping[str, Polynomial]) -> Polynomial:
     """sum_v f(v) * prod_{w != v} nu_w."""
     ids = og.graph.vertex_ids()
     rank = og.graph.rank
-    products = _complement_products(og)
+    products, _ = _products(og)
     total = Polynomial.zero(rank)
     for i, vid in enumerate(ids):
         fv = values.get(vid, Polynomial.zero(rank))
@@ -126,12 +119,7 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
     numerator = _numerator(og, values)
     if numerator.is_zero():
         return Fraction(0)
-    denominator = getattr(og, "_denominator_cache", None)
-    if denominator is None:
-        denominator = Polynomial.constant(og.graph.rank, 1)
-        for vid in og.graph.vertex_ids():
-            denominator = denominator * euler_class(og, vid)
-        og._denominator_cache = denominator
+    _, denominator = _products(og)
     lead_exps, lead_coeff = next(denominator.terms())
     constant = numerator.coefficient(lead_exps) / lead_coeff
     if numerator != denominator * constant:

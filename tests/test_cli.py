@@ -44,8 +44,9 @@ def test_parse_rational_rejects_floats_and_garbage():
 def test_round_trip_document():
     inst = corpus("flag-su3")
     doc = graph_to_document(inst.graph, inst.xi)
-    graph, xi = loads(json.dumps(doc))
+    graph, xi, report = loads(json.dumps(doc))
     assert graph_to_document(graph, xi) == doc
+    assert report.ok
 
 
 def test_loads_rejects_missing_keys():
@@ -106,6 +107,21 @@ def test_validate_command(cp3_file, capsys):
     assert main(["validate", str(cp3_file)]) == 0
     out = capsys.readouterr().out
     assert "valid" in out
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["report", "--json"]])
+def test_commands_validate_the_graph_once(cp3_file, argv, monkeypatch, capsys):
+    from gkm.graph import GkmGraph
+
+    calls = []
+    validate = GkmGraph.validate
+    monkeypatch.setattr(GkmGraph, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    assert main([argv[0], str(cp3_file), *argv[1:]]) == 0
+    assert len(calls) == 1
+    if argv[0] == "report":
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["validation"] == validate(calls[0]).to_jsonable()
 
 
 def test_report_command_text(cp3_file, capsys):

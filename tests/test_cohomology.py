@@ -18,7 +18,7 @@ from gkm.cohomology import (
     zero_class,
 )
 from gkm.corpus import corpus, enabled_instances
-from gkm.errors import NotAClass
+from gkm.errors import GkmError, NotAClass
 from gkm.graph import orient
 from gkm.localization import euler_class
 from gkm.polynomial import Polynomial, Vector, lin_form
@@ -232,6 +232,24 @@ def test_scalar_multiple_requires_a_vanishing_endpoint(cp3_oriented):
     edge = cp3_oriented.graph.edge_between("A", "B")
     with pytest.raises(ValueError):
         scalar_multiple_of_weight(shifted, edge)
+    with pytest.raises(GkmError, match="vanishes at neither endpoint"):
+        scalar_multiple_of_weight(shifted, edge)
+
+
+def test_scalar_multiple_requires_a_degree_one_class(cp3_oriented):
+    tau_top = thom_class(cp3_oriented, "C", "plus")  # degree 3, vanishes at A
+    edge = cp3_oriented.graph.edge_between("A", "C")
+    with pytest.raises(GkmError, match="degree-1"):
+        scalar_multiple_of_weight(tau_top, edge)
+
+
+def test_degree_of_inhomogeneous_assignment_is_a_gkm_error(cp3):
+    mixed = CohomologyElement(cp3, {"A": x1, "B": x1 * x2}, check=False)
+    with pytest.raises(GkmError, match="mixed degrees"):
+        mixed.degree
+    lumpy = CohomologyElement(cp3, {"A": x1 + x1 * x2}, check=False)
+    with pytest.raises(GkmError, match="not homogeneous"):
+        lumpy.degree
 
 
 def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):

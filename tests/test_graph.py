@@ -3,7 +3,7 @@
 import pytest
 
 from gkm.corpus import corpus, enabled_instances
-from gkm.errors import NotGeneric, ScopeError
+from gkm.errors import GkmError, NotGeneric, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.polynomial import Vector
 
@@ -194,6 +194,33 @@ def test_cycle_scope_error():
     og = orient(g, Vector((1, 1)))
     with pytest.raises(ScopeError):
         og.ascending_cycle("a")
+
+
+def test_cycle_of_a_vertex_that_is_not_index_two_is_a_gkm_error():
+    inst = corpus("tol-d")
+    og = orient(inst.graph, inst.xi)
+    with pytest.raises(GkmError, match="expected 1"):
+        og.ascending_cycle(og.o_vertex())
+
+
+def three_up_edges_graph():
+    """Unvalidated 3-valent-by-declaration graph whose single index-two
+    vertex p has three ascending edges (p and o have degree 4)."""
+    pos = {"o": (0, 0), "p": (1, 0), "q1": (2, 1), "q2": (2, 2), "q3": (2, 3),
+           "r": (3, 0)}
+    pairs = [("o", "p"), ("o", "q1"), ("o", "q2"), ("o", "q3"), ("p", "q1"),
+             ("p", "q2"), ("p", "q3"), ("q1", "r"), ("q2", "r"), ("q3", "r")]
+    edges = [Edge(a, b, Vector(tuple(y - x for x, y in zip(pos[a], pos[b]))))
+             for a, b in pairs]
+    vertices = [Vertex(v, Vector(m)) for v, m in pos.items()]
+    return orient(GkmGraph(2, 3, vertices, edges), Vector((1, 0)))
+
+
+def test_cycle_with_three_up_edges_is_a_gkm_error():
+    og = three_up_edges_graph()
+    assert og.is_index_increasing() and og.down_degree("p") == 1
+    with pytest.raises(GkmError, match="exactly two"):
+        og.ascending_cycle("p")
 
 
 # -- covector search ---------------------------------------------------------------

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from gkm import linalg
+from gkm import lefschetz, linalg
 from gkm.corpus import corpus, enabled_instances
-from gkm.errors import DegreeError, TypeMismatch
+from gkm.errors import DegreeError, GkmError, TypeMismatch
 from gkm.graph import find_index_increasing_xi, orient
 from gkm.lefschetz import (
     check_column_independence,
@@ -47,6 +47,11 @@ def flag():
 def test_cp3_ratio_and_coefficient(cp3):
     assert moment_ratio(cp3, "A", "B") == 1
     assert thom_coefficient(cp3, "A", "B") == 1
+
+
+def test_thom_coefficient_with_swapped_indices_is_a_gkm_error(cp3):
+    with pytest.raises(GkmError, match="index-two p and an index-four q"):
+        thom_coefficient(cp3, "B", "A")
 
 
 def test_nonadjacent_pairs_give_zeros():
@@ -277,3 +282,56 @@ def test_report_degrades_gracefully_without_index_increasing():
     assert not report.ok
     assert not report.index_increasing
     assert report.hard_lefschetz is None
+
+
+def test_report_turns_helper_errors_into_failing_checks():
+    from test_graph import three_up_edges_graph
+
+    report = hard_lefschetz_report(three_up_edges_graph())
+    failed = {c["name"]: c["detail"] for c in report.checks if not c["ok"]}
+    assert "exactly two" in failed["cycle-shapes"]
+    assert not report.ok
+
+
+# -- each per-orientation quantity is computed once --------------------------------
+
+
+def _counted(counter: list, fn):
+    def wrapper(*args, **kwargs):
+        counter.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("name", ["cube-g", "tol-d"])
+def test_report_solves_each_thom_class_once_and_builds_mixed_matrix_once(
+        name, monkeypatch):
+    solves, nullspaces, bodies, requested = [], [], [], []
+    monkeypatch.setattr(linalg, "solve", _counted(solves, linalg.solve))
+    monkeypatch.setattr(linalg, "nullspace", _counted(nullspaces, linalg.nullspace))
+    monkeypatch.setattr(lefschetz, "_mixed_hr2_entries",
+                        _counted(bodies, lefschetz._mixed_hr2_entries))
+    monkeypatch.setattr(lefschetz, "thom_class",
+                        _counted(requested, lefschetz.thom_class))
+    og = oriented(name)
+    assert hard_lefschetz_report(og).ok
+    distinct = {(vid, direction) for _, vid, direction in requested}
+    assert len(requested) > len(distinct) == 2 * len(og.graph.vertices)
+    assert len(solves) == len(distinct)
+    # Only the slice bases of the low-degree sweep use a nullspace.
+    assert len(nullspaces) == og.graph.valence
+    assert len(bodies) == 1
+    # A new orientation of the same graph starts with an empty store.
+    assert hard_lefschetz_report(oriented(name)).ok
+    assert len(solves) == 2 * len(distinct) and len(bodies) == 2
+
+
+def test_stored_pairing_data_is_handed_out_as_copies(tol):
+    matrix = mixed_hr2_matrix(tol)
+    matrix[0][0] = 99
+    matrix.append([])
+    pairs = coefficient_pairs(tol)
+    pairs.clear()
+    fresh = oriented("tol-d")
+    assert mixed_hr2_matrix(tol) == mixed_hr2_matrix(fresh)
+    assert coefficient_pairs(tol) == coefficient_pairs(fresh) != []

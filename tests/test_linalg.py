@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkm import linalg
@@ -58,14 +59,41 @@ def test_solve_reproduces_known_solution(m, data):
     ncols = len(m[0])
     x = [data.draw(entries) for _ in range(ncols)]
     b = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in m]
-    sol = linalg.solve(m, b)
+    sol, _ = linalg.solve(m, b)
     assert sol is not None
     for row, bi in zip(m, b):
         assert sum(Fraction(a) * v for a, v in zip(row, sol)) == bi
 
 
 def test_solve_detects_inconsistency():
-    assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
+    assert linalg.solve([[1, 1], [2, 2]], [1, 3]) == (None, 1)
+
+
+@settings(max_examples=60)
+@given(matrix_any, st.data())
+def test_solve_nullity_and_consistency_from_one_elimination(m, data):
+    # Half the right-hand sides lie in the column space by construction;
+    # the others are random and mostly make tall systems inconsistent.
+    if data.draw(st.booleans()):
+        x = [data.draw(entries) for _ in m[0]]
+        b = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in m]
+    else:
+        b = [data.draw(entries) for _ in m]
+    sol, nullity = linalg.solve(m, b)
+    assert nullity == len(linalg.nullspace(m))
+    augmented = [list(row) + [bi] for row, bi in zip(m, b)]
+    assert (sol is None) == (linalg.rank(augmented) > linalg.rank(m))
+    if sol is not None:
+        for row, bi in zip(m, b):
+            assert sum(Fraction(a) * v for a, v in zip(row, sol)) == bi
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_inexact_entries_raise_type_error_naming_the_cell(bad):
+    with pytest.raises(TypeError, match=r"row 1, column 0 .*expected int or Fraction"):
+        linalg.echelon([[1, 2], [bad, 3]])
+    with pytest.raises(TypeError, match=r"row 0, column 1 "):
+        linalg.solve([[1, bad]], [1])
 
 
 def test_singular_determinant_is_zero():
