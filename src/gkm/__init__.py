@@ -3,79 +3,26 @@
 Validation of the GKM axioms, graph cohomology with Thom classes,
 fixed-point localization integrals, moment-image classification, and the
 hard Lefschetz verdict -- all over exact rationals.
+
+The package re-exports the names the demos use; everything else is
+imported from its module (``gkm.cohomology``, ``gkm.geometry``, ...).
 """
 
-from .cohomology import (
-    CohomologyElement,
-    basis,
-    equivariant_symplectic_class,
-    is_class,
-    scalar_multiple_of_weight,
-    slice_dimension,
-    thom_basis,
-    thom_class,
-    unity,
-    zero_class,
-)
-from .corpus import CorpusInstance, corpus, corpus_names, enabled_instances
+from .cohomology import equivariant_symplectic_class, thom_class
+from .corpus import corpus, corpus_names
 from .errors import GkmError
-from .geometry import (
-    CycleShape,
-    MomentImageType,
-    classify_tetragon,
-    classify_type,
-    convex_hull,
-    cycle_shape,
-    is_interior_vertex,
-    same_side,
-)
-from .graph import (
-    Edge,
-    GkmGraph,
-    OrientedGkmGraph,
-    Vertex,
-    find_index_increasing_xi,
-    orient,
-)
-from .jsonio import graph_to_document, load_graph, loads
-from .lefschetz import (
-    CoefficientPair,
-    LefschetzReport,
-    check_column_independence,
-    check_pairing_identity,
-    check_sign_conditions,
-    coefficient_pairs,
-    hard_lefschetz_report,
-    hr_matrix,
-    mixed_hr2_matrix,
-    moment_ratio,
-    thom_coefficient,
-)
-from .localization import (
-    check_low_degree_vanishing,
-    euler_class,
-    evaluation_points,
-    integrate,
-    sum_at_point,
-)
+from .graph import Edge, GkmGraph, Vertex, orient
+from .lefschetz import hard_lefschetz_report
+from .localization import euler_class, evaluation_points, integrate, sum_at_point
 from .polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
 from .render import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohomologyElement", "CoefficientPair", "CorpusInstance", "CycleShape",
-    "Edge", "GkmError", "GkmGraph", "LefschetzReport", "MomentImageType",
-    "OrientedGkmGraph", "Polynomial", "Vector", "Vertex",
-    "basis", "check_column_independence", "check_low_degree_vanishing",
-    "check_pairing_identity", "check_sign_conditions", "classify_tetragon",
-    "classify_type", "coefficient_pairs", "congruent_mod_linear",
-    "convex_hull", "corpus", "corpus_names", "cycle_shape",
-    "enabled_instances", "equivariant_symplectic_class", "euler_class",
-    "evaluation_points", "find_index_increasing_xi", "graph_to_document",
-    "hard_lefschetz_report", "hr_matrix", "integrate", "is_class",
-    "is_interior_vertex", "lin_form", "load_graph", "loads",
-    "mixed_hr2_matrix", "moment_ratio", "orient", "render_svg", "same_side",
-    "scalar_multiple_of_weight", "slice_dimension", "sum_at_point",
-    "thom_basis", "thom_class", "thom_coefficient", "unity", "zero_class",
+    "Edge", "GkmError", "GkmGraph", "Polynomial", "Vector", "Vertex",
+    "congruent_mod_linear", "corpus", "corpus_names",
+    "equivariant_symplectic_class", "euler_class", "evaluation_points",
+    "hard_lefschetz_report", "integrate", "lin_form", "orient", "render_svg",
+    "sum_at_point", "thom_class",
 ]

@@ -57,7 +57,7 @@ def _cmd_validate(args) -> int:
 def _cmd_report(args) -> int:
     try:
         graph, file_xi, validation = load_graph(args.file)
-        override = _parse_xi_flag(args.xi) if args.xi else None
+        override = _parse_xi_flag(args.xi) if args.xi is not None else None
         xi, source = _choose_xi(graph, file_xi, override)
         og = orient(graph, xi)
         report = hard_lefschetz_report(og)
@@ -86,7 +86,7 @@ def _cmd_report(args) -> int:
 def _cmd_render(args) -> int:
     try:
         graph, file_xi, _ = load_graph(args.file)
-        override = _parse_xi_flag(args.xi) if args.xi else None
+        override = _parse_xi_flag(args.xi) if args.xi is not None else None
         try:
             xi, _ = _choose_xi(graph, file_xi, override)
             og = orient(graph, xi)
@@ -96,7 +96,11 @@ def _cmd_render(args) -> int:
     except GkmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    Path(args.output).write_text(svg, encoding="utf-8")
+    try:
+        Path(args.output).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     print(f"wrote {args.output}")
     return 0
 

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping
 
 from . import linalg
 from .errors import (
-    DegreeError,
     Infeasible,
     NonUnique,
     NotAClass,
@@ -31,7 +30,7 @@ from .errors import (
     RankMismatch,
 )
 from .graph import Edge, GkmGraph, OrientedGkmGraph
-from .localization import euler_class
+from .localization import class_degree, euler_class
 from .polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
 
 
@@ -110,21 +109,7 @@ class CohomologyElement:
     @property
     def degree(self) -> int | None:
         """Common homogeneous polynomial degree; None for the zero class."""
-        try:
-            degrees = {p.homogeneous_degree for p in self.values.values()
-                       if not p.is_zero()}
-        except ValueError:
-            raise DegreeError("class value is not homogeneous") from None
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise DegreeError(f"mixed degrees {sorted(degrees)}")
-        return degrees.pop()
-
-    @property
-    def cohomological_degree(self) -> int | None:
-        d = self.degree
-        return None if d is None else 2 * d
+        return class_degree(self.values)
 
     # -- ring operations (pointwise; closure is re-checked, not assumed) ------
 
@@ -312,20 +297,24 @@ class _System:
         return CohomologyElement(self.graph, values)
 
 
-def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
-    """A basis of the homogeneous degree-d slice, by exact nullspace."""
+def _slice_system(graph: GkmGraph, degree: int) -> _System:
+    """The congruence system of the homogeneous degree-d slice."""
     system = _System(graph, degree, graph.vertex_ids())
     for e in graph.edges:
         system.add_congruence(e)
+    return system
+
+
+def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
+    """A basis of the homogeneous degree-d slice, by exact nullspace."""
+    system = _slice_system(graph, degree)
     vectors = linalg.nullspace(system.rows, ncols=len(system.columns))
     return [system.element_from(v) for v in vectors]
 
 
 def slice_dimension(graph: GkmGraph, degree: int) -> int:
     """dim of the degree-d slice without materializing basis elements."""
-    system = _System(graph, degree, graph.vertex_ids())
-    for e in graph.edges:
-        system.add_congruence(e)
+    system = _slice_system(graph, degree)
     if not system.rows:
         return len(system.columns)
     return len(system.columns) - linalg.rank(system.rows)
@@ -379,11 +368,6 @@ def _solve_thom_class(og: OrientedGkmGraph, vid: str,
             f"Thom class of {vid} is not unique (nullspace dimension {nullity})"
         )
     return system.element_from(solution)
-
-
-def thom_basis(og: OrientedGkmGraph, direction: str = "plus") -> dict[str, CohomologyElement]:
-    """All Thom classes of one direction, keyed by vertex."""
-    return {v: thom_class(og, v, direction) for v in og.graph.vertex_ids()}
 
 
 def scalar_multiple_of_weight(f: CohomologyElement, edge: Edge) -> Fraction:

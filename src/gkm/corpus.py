@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import gcd
-from typing import Optional
 
 from .errors import UnknownInstance
 from .graph import Edge, GkmGraph, Vertex
@@ -51,7 +50,6 @@ class CorpusInstance:
     expected_type: str
     expected_betti: tuple[int, ...]
     expected_hl: bool
-    enabled: bool = True
     notes: dict = field(default_factory=dict)
 
 
@@ -218,10 +216,8 @@ def corpus_names() -> list[str]:
     return list(_BUILDERS)
 
 
-def corpus(name: Optional[str] = None):
-    """All instance names, or the named instance materialized."""
-    if name is None:
-        return corpus_names()
+def corpus(name: str) -> CorpusInstance:
+    """The named instance, materialized."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -229,12 +225,3 @@ def corpus(name: Optional[str] = None):
             f"unknown corpus instance {name!r}; available: {', '.join(_BUILDERS)}"
         ) from None
     return builder()
-
-
-def enabled_instances() -> list[CorpusInstance]:
-    out = []
-    for builder in _BUILDERS.values():
-        inst = builder()
-        if inst.enabled:
-            out.append(inst)
-    return out

@@ -41,13 +41,6 @@ def same_side(a: Vector, b: Vector, line_dir: Vector) -> bool:
     return a.dot(v0) * b.dot(v0) >= 0
 
 
-def strictly_same_side(a: Vector, b: Vector, line_dir: Vector) -> bool:
-    if line_dir.is_zero():
-        raise ValueError("line direction must be nonzero")
-    v0 = line_dir.perp()
-    return a.dot(v0) * b.dot(v0) > 0
-
-
 def convex_hull(points: Sequence[Vector]) -> list[Vector]:
     """Extreme points in counterclockwise order (monotone chain).
 
@@ -139,14 +132,13 @@ def cycle_shape(og: OrientedGkmGraph, p: str) -> CycleShape:
     return CycleShape(cycle, "tetragonal", label)
 
 
-def is_interior_vertex(graph_like, vid: str) -> bool:
+def is_interior_vertex(graph: GkmGraph, vid: str) -> bool:
     """Does the positive span of the outward weights at vid cover the plane?
 
     Equivalently: the weights do not fit in any closed half-plane.  This is
     the weight-cone characterization of interiority; it agrees with the
     hull-boundary test on validated instances.
     """
-    graph: GkmGraph = getattr(graph_like, "graph", graph_like)
     if graph.rank != 2:
         raise ScopeError("interiority test is planar (rank 2)")
     weights = [e.weight_from(vid) for e in graph.edges_at(vid)]

@@ -154,9 +154,6 @@ class GkmGraph:
     def mu(self, vid: str) -> Vector:
         return self._by_id[vid].mu
 
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self._by_id
-
     def edges_at(self, vid: str) -> list[Edge]:
         return list(self._adjacent[vid])
 
@@ -268,14 +265,6 @@ class GkmGraph:
 # -- orientation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MorseProfile:
-    down_degree: dict[str, int]
-    morse_index: dict[str, int]
-    betti: tuple[int, ...]
-    six_dim_b2_ok: Optional[bool]
-
-
 class OrientedGkmGraph:
     """A graph plus the orientation induced by a generic covector.
 
@@ -321,15 +310,8 @@ class OrientedGkmGraph:
     def tail(self, e: Edge) -> str:
         return e.other(self._head[e.pair])
 
-    def ascending_weight(self, e: Edge) -> Vector:
-        """The weight of e read in the ascending direction."""
-        return e.weight_from(self.tail(e))
-
     def down_degree(self, vid: str) -> int:
         return self._down[vid]
-
-    def morse_index(self, vid: str) -> int:
-        return 2 * self._down[vid]
 
     def down_edges(self, vid: str) -> list[Edge]:
         """Edges that descend when read from vid (ascending head is vid)."""
@@ -368,18 +350,6 @@ class OrientedGkmGraph:
                 f"expected a unique down-degree-{self.graph.valence} vertex, found {highs}"
             )
         return highs[0]
-
-    def morse_profile(self) -> MorseProfile:
-        betti = self.betti()
-        six_dim_ok = None
-        if self.graph.valence == 3:
-            six_dim_ok = betti[1] == len(self.graph.vertices) // 2 - 1
-        return MorseProfile(
-            down_degree=dict(self._down),
-            morse_index={v: 2 * d for v, d in self._down.items()},
-            betti=betti,
-            six_dim_b2_ok=six_dim_ok,
-        )
 
     def is_index_increasing(self) -> bool:
         return all(

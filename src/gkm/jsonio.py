@@ -159,8 +159,16 @@ def loads(text: str) -> tuple[GkmGraph, Optional[Vector], ValidationReport]:
 
 
 def load_graph(path) -> tuple[GkmGraph, Optional[Vector], ValidationReport]:
-    """Load and validate a graph document from a file path, as :func:`loads`."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Load and validate a graph document from a file path, as :func:`loads`.
+
+    A path that cannot be read as UTF-8 text is a ParseError naming it.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return loads(text)
 
 

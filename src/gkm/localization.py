@@ -11,9 +11,9 @@ evaluating the sum at generic rational points.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Mapping
 
 from .errors import DegreeError, NonConstant, NonZero
 from .graph import OrientedGkmGraph
@@ -47,14 +47,12 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
 
 
 def _values_of(f) -> Mapping[str, Polynomial]:
-    from collections.abc import Mapping as AbcMapping
-
-    if isinstance(f, AbcMapping):
+    if isinstance(f, Mapping):
         return f
     return f.values
 
 
-def _class_degree(values: Mapping[str, Polynomial]) -> int | None:
+def class_degree(values: Mapping[str, Polynomial]) -> int | None:
     """Common homogeneous degree of the nonzero values; None if all zero."""
     degrees = set()
     for poly in values.values():
@@ -111,7 +109,7 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
     """
     values = _values_of(f)
     n = og.graph.valence
-    degree = _class_degree(values)
+    degree = class_degree(values)
     if degree is None:
         return Fraction(0)
     if degree != n:
@@ -131,7 +129,7 @@ def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> bool:
     """Assert the exact numerator sum vanishes for a class of degree < n."""
     values = _values_of(f)
     n = og.graph.valence
-    degree = _class_degree(values)
+    degree = class_degree(values)
     if degree is None:
         return True
     if degree >= n:

@@ -8,7 +8,7 @@ determinant test stays decidable.
 
 Degree convention: we store plain polynomial degree; the cohomological
 degree of a homogeneous element is twice that (each variable has
-cohomological degree 2) and is exposed separately.
+cohomological degree 2).
 
 A polynomial is a mapping from exponent tuples to nonzero coefficients.
 Term order everywhere (iteration, text form, hash) is graded lexicographic,
@@ -230,10 +230,6 @@ class Polynomial:
             return None
         return max(sum(e) for e in self._terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._terms}
-        return len(degrees) <= 1
-
     @property
     def homogeneous_degree(self) -> int | None:
         """Degree if homogeneous and nonzero, None for zero, error otherwise."""
@@ -243,12 +239,6 @@ class Polynomial:
         if len(degrees) > 1:
             raise ValueError("polynomial is not homogeneous")
         return degrees.pop()
-
-    @property
-    def cohomological_degree(self) -> int | None:
-        """Twice the polynomial degree (each variable has degree 2)."""
-        d = self.homogeneous_degree
-        return None if d is None else 2 * d
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """Sum of the terms of the given total degree."""

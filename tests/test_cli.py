@@ -2,11 +2,12 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from gkm.cli import main
-from gkm.corpus import corpus
+from gkm.corpus import corpus, corpus_names
 from gkm.errors import ParseError, ValidationError
 from gkm.jsonio import dumps, graph_to_document, loads, parse_rational
 
@@ -192,6 +193,61 @@ def test_corpus_materialize_round_trip(tmp_path, capsys):
 def test_corpus_unknown_name(capsys):
     assert main(["corpus", "nope"]) == 1
     assert "unknown" in capsys.readouterr().err
+
+
+def _unreadable_path(tmp_path, kind: str) -> Path:
+    if kind == "missing":
+        return tmp_path / "absent.json"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"rank": 2, "note": "\xe9"}')
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "render"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_document_exits_1(command, kind, tmp_path, capsys):
+    path = _unreadable_path(tmp_path, kind)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "error" in err and "Traceback" not in err
+
+
+def test_render_unwritable_output_exits_1(cp3_file, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.svg"
+    assert main(["render", str(cp3_file), "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}")
+
+
+@pytest.mark.parametrize("command", ["report", "render"])
+def test_empty_xi_flag_is_a_parse_error(command, cp3_file, tmp_path, capsys):
+    extra = ["-o", str(tmp_path / "x.svg")] if command == "render" else []
+    assert main([command, str(cp3_file), "--xi", "", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--xi component 0: malformed rational ''" in captured.err
+
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_report_json_matches_reference(name, tmp_path, capsys):
+    """`gkm report --json` at the document covector, byte for byte against
+    the recorded reference output (the document path aside)."""
+    inst = corpus(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(inst.graph, inst.xi), encoding="utf-8")
+    xi = ",".join(str(c) for c in inst.xi)
+    assert main(["report", str(path), "--xi", xi, "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((_REFERENCE / f"{name}.json").read_text(encoding="utf-8"))
+    del got["file"], want["file"]
+    assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
 
 
 def test_validate_reports_failures(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkm.corpus import corpus, enabled_instances
+from gkm.corpus import corpus, corpus_names
 from gkm.errors import Degenerate, ScopeError
 from gkm.geometry import (
     classify_tetragon,
@@ -133,7 +133,7 @@ def test_hull_drops_edge_midpoints():
 
 
 def test_interior_matches_hull_boundary_on_corpus():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         g = inst.graph
         hull = convex_hull([g.mu(v) for v in g.vertex_ids()])
         for vid in g.vertex_ids():
@@ -196,7 +196,7 @@ def test_eight_vertex_cycles_all_tetragonal_convex():
 # -- classification -------------------------------------------------------------------------
 
 def test_corpus_types_match_expectations():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         t = classify_type(og)
         assert t.label == inst.expected_type, inst.name
@@ -221,7 +221,7 @@ def test_classification_details_cube():
 
 
 def test_index_two_count_is_half_vertices_minus_one():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         assert len(og.vertices_of_index(1)) == len(inst.graph.vertices) // 2 - 1
 

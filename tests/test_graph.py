@@ -2,7 +2,7 @@
 
 import pytest
 
-from gkm.corpus import corpus, enabled_instances
+from gkm.corpus import corpus, corpus_names
 from gkm.errors import GkmError, NotGeneric, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.polynomial import Vector
@@ -45,7 +45,7 @@ def test_construction_rejects_loops_and_zero_weights():
 # -- validate -------------------------------------------------------------------
 
 def test_corpus_instances_validate():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         report = inst.graph.validate()
         assert report.ok, f"{inst.name}:\n{report}"
 
@@ -100,7 +100,7 @@ def test_cp3_not_generic_xi(cp3):
 
 
 def test_orientation_reversal_flips_down_degrees():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         rev = orient(inst.graph, -inst.xi)
         n = inst.graph.valence
@@ -109,20 +109,20 @@ def test_orientation_reversal_flips_down_degrees():
         assert og.is_index_increasing() == rev.is_index_increasing()
 
 
-def test_morse_profiles_and_betti():
-    expected = {inst.name: inst.expected_betti for inst in enabled_instances()}
-    for inst in enabled_instances():
+def test_betti_numbers_and_down_degrees():
+    expected = {inst.name: inst.expected_betti for inst in map(corpus, corpus_names())}
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
-        profile = og.morse_profile()
-        assert profile.betti == expected[inst.name], inst.name
-        assert sum(profile.betti) == len(inst.graph.vertices)
-        assert profile.six_dim_b2_ok
-        for v, d in profile.down_degree.items():
-            assert profile.morse_index[v] == 2 * d
+        betti = og.betti()
+        assert betti == expected[inst.name], inst.name
+        assert sum(betti) == len(inst.graph.vertices)
+        assert betti[1] == len(inst.graph.vertices) // 2 - 1
+        for d, count in enumerate(betti):
+            assert sum(og.down_degree(v) == d for v in inst.graph.vertex_ids()) == count
 
 
 def test_corpus_is_index_increasing():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         assert og.is_index_increasing(), inst.name
 
@@ -137,7 +137,7 @@ def test_index_increasing_fails_for_bad_xi():
 # -- structural invariants for 6-dimensional instances ---------------------------
 
 def test_at_most_eight_vertices_and_adjacency_structure():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         assert len(inst.graph.vertices) <= 8
         o, r = og.o_vertex(), og.r_vertex()
@@ -158,7 +158,7 @@ def test_reachability_extremes(cp3):
 
 
 def test_reachability_monotone_in_mu_xi():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         for v in inst.graph.vertex_ids():
             base = og.mu_xi(v)
@@ -226,7 +226,7 @@ def test_cycle_with_three_up_edges_is_a_gkm_error():
 # -- covector search ---------------------------------------------------------------
 
 def test_find_xi_returns_index_increasing_choices():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         choices = find_index_increasing_xi(inst.graph, count=3)
         assert len(choices) == 3, inst.name
         for xi in choices:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gkm import lefschetz, linalg
-from gkm.corpus import corpus, enabled_instances
+from gkm.corpus import corpus, corpus_names
 from gkm.errors import DegreeError, GkmError, TypeMismatch
 from gkm.graph import find_index_increasing_xi, orient
 from gkm.lefschetz import (
@@ -123,7 +123,7 @@ def test_flag_mixed_matrix_matches_hand_computation(flag):
 
 
 def test_pairing_identity_on_all_instances():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         witnesses = check_pairing_identity(og)
         assert witnesses, inst.name
@@ -132,7 +132,7 @@ def test_pairing_identity_on_all_instances():
 
 
 def test_entry_zero_iff_nonadjacent():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         ps = og.vertices_of_index(1)
         qs = og.vertices_of_index(2)
@@ -167,7 +167,7 @@ def test_flag_hr2_two_by_two_nonsingular(flag):
 
 
 def test_hr2_and_mixed_nonsingularity_agree():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         det_mixed = linalg.determinant(mixed_hr2_matrix(og))
         det_plus = linalg.determinant(hr_matrix(og, 2))
@@ -192,7 +192,7 @@ def test_column_independence_type_mismatch(cp3):
 # -- sign conditions --------------------------------------------------------------------------
 
 def test_sign_conditions_hold_everywhere():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         witnesses = check_sign_conditions(og)
         assert witnesses, inst.name
@@ -210,7 +210,7 @@ def test_tol_d_side_criterion_detects_negative(tol):
 # -- the report ---------------------------------------------------------------------------------
 
 def test_reports_on_all_instances():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
         report = hard_lefschetz_report(og)
         assert report.ok, f"{inst.name}:\n{report.to_text()}"
@@ -240,7 +240,7 @@ def test_type_g_determinant_negative():
 
 
 def test_report_identical_across_xi_choices():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         keys = []
         for xi in find_index_increasing_xi(inst.graph, count=3):
             report = hard_lefschetz_report(orient(inst.graph, xi))
@@ -252,7 +252,7 @@ def test_report_identical_across_xi_choices():
 def test_report_ok_under_reversed_covector():
     # Reversing the covector swaps the roles of the extremes; the verdict
     # and the (palindromic) Betti numbers survive.
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         base = hard_lefschetz_report(orient(inst.graph, inst.xi))
         flipped = hard_lefschetz_report(orient(inst.graph, -inst.xi))
         assert flipped.ok, inst.name
@@ -262,7 +262,7 @@ def test_report_ok_under_reversed_covector():
 
 
 def test_report_invariant_under_positive_scaling():
-    for inst in enabled_instances():
+    for inst in map(corpus, corpus_names()):
         a = hard_lefschetz_report(orient(inst.graph, inst.xi))
         b = hard_lefschetz_report(orient(inst.graph, inst.xi * Fraction(7, 3)))
         assert a.to_jsonable() == b.to_jsonable(), inst.name
