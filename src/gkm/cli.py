@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -106,7 +107,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if not args.name:
+    if args.name is None:
         print(f"{'name':<12} {'type':<5} {'vertices':<9} title")
         for name in corpus_names():
             inst = corpus(name)
@@ -155,7 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`gkm corpus | head -1`).  Point
+        # stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 An element assigns a polynomial to every vertex so that across each edge
 the two values are congruent modulo the edge's weight form.  Degree slices
 are finite-dimensional rational vector spaces; bases come from an exact
-linear solve whose unknowns are the vertex-polynomial coefficients and
-whose equations encode the congruences by eliminating one variable of
-each weight form.
+linear solve whose unknowns are the vertex-polynomial coefficients.  The
+systems are built in rank 2, the paper's setting (other ranks get a
+ScopeError): there a binary form is divisible by <w, x> exactly when it
+vanishes at w's perpendicular, so each congruence is one equation, the
+monomials of the slice's degree evaluated at that point.
 
 Thom classes are constructed by the same solver restricted to a
 reachability support, with divisibility rows for edges leaving the support
@@ -18,6 +20,7 @@ verification.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping
 
 from . import linalg
@@ -50,29 +53,6 @@ def monomials(rank: int, degree: int) -> list[tuple]:
     fill([], degree, rank)
     out.sort(reverse=True)
     return out
-
-
-def _substitution(weight: Vector) -> tuple[int, Polynomial]:
-    """Pivot index and the degree-1 polynomial replacing the pivot variable.
-
-    On the hyperplane <weight, x> = 0 the pivot variable equals this
-    polynomial in the remaining variables.
-    """
-    pivot = next(i for i, c in enumerate(weight) if c != 0)
-    rest = Vector(tuple(-c / weight[pivot] if i != pivot else Fraction(0)
-                        for i, c in enumerate(weight)))
-    return pivot, lin_form(rest) if not rest.is_zero() else Polynomial.zero(len(weight))
-
-
-def _reduce_monomial(exponents: tuple, pivot: int, replacement: Polynomial,
-                     rank: int) -> Polynomial:
-    """The monomial with the pivot variable substituted away."""
-    base_exps = tuple(0 if i == pivot else e for i, e in enumerate(exponents))
-    result = Polynomial(rank, {base_exps: 1})
-    k = exponents[pivot]
-    if k:
-        result = result * replacement**k
-    return result
 
 
 class CohomologyElement:
@@ -223,14 +203,13 @@ def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
 class _System:
     """Linear system over per-vertex monomial coefficients of one degree.
 
-    Given an orientation, its store keeps the per-weight reductions.
+    In rank 2 a binary form g of degree d is divisible by <w, x> exactly
+    when g(w.perp()) = 0, so each congruence or divisibility condition is
+    one row: the degree-d monomials evaluated at w.perp().
     """
 
-    def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str],
-                 og: OrientedGkmGraph | None = None):
+    def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str]):
         self.graph = graph
-        self.og = og
-        self.degree = degree
         self.support = sorted(support)
         self.monomials = monomials(graph.rank, degree)
         self.columns = [(v, m) for v in self.support for m in self.monomials]
@@ -238,45 +217,24 @@ class _System:
         self.rows: list[list[Fraction]] = []
         self.rhs: list[Fraction] = []
 
-    def _reductions(self, weight: Vector) -> list[Polynomial]:
-        def compute():
-            pivot, replacement = _substitution(weight)
-            return [
-                _reduce_monomial(m, pivot, replacement, self.graph.rank)
-                for m in self.monomials
-            ]
-
-        if self.og is None:
-            return compute()
-        return self.og.derived(("reductions", weight, self.degree), compute)
-
-    def _scatter(self, contributions: list[tuple[tuple[str, tuple], Polynomial]]):
-        """Turn per-unknown reduced polynomials into coefficient rows."""
-        keys: set[tuple] = set()
-        for _, poly in contributions:
-            keys.update(e for e, _ in poly.terms())
-        for key in sorted(keys, reverse=True):
-            row = [Fraction(0)] * len(self.columns)
-            for (col, poly) in contributions:
-                c = poly.coefficient(key)
-                if c:
-                    row[self.index[col]] += c
-            self.rows.append(row)
-            self.rhs.append(Fraction(0))
+    def _add_row(self, weight: Vector, signs: list[tuple[str, int]]):
+        """One row: sign * m(weight.perp()) at (vertex, m), per (vertex, sign)."""
+        point = weight.perp()
+        row = [Fraction(0)] * len(self.columns)
+        for m in self.monomials:
+            value = prod(c**e for c, e in zip(point, m))
+            for vid, sign in signs:
+                row[self.index[(vid, m)]] = sign * value
+        self.rows.append(row)
+        self.rhs.append(Fraction(0))
 
     def add_congruence(self, edge: Edge):
-        """f(first) - f(second) must vanish on the weight hyperplane."""
-        reductions = self._reductions(edge.weight)
-        contributions = []
-        for m, red in zip(self.monomials, reductions):
-            contributions.append(((edge.first, m), red))
-            contributions.append(((edge.second, m), -red))
-        self._scatter(contributions)
+        """f(first) - f(second) must vanish at the weight's perpendicular."""
+        self._add_row(edge.weight, [(edge.first, 1), (edge.second, -1)])
 
     def add_divisibility(self, vid: str, weight: Vector):
-        """f(vid) must vanish on the weight hyperplane (outside edge)."""
-        reductions = self._reductions(weight)
-        self._scatter([((vid, m), red) for m, red in zip(self.monomials, reductions)])
+        """f(vid) must vanish at the weight's perpendicular (outside edge)."""
+        self._add_row(weight, [(vid, 1)])
 
     def add_normalization(self, vid: str, target: Polynomial):
         for m in self.monomials:
@@ -315,8 +273,6 @@ def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
 def slice_dimension(graph: GkmGraph, degree: int) -> int:
     """dim of the degree-d slice without materializing basis elements."""
     system = _slice_system(graph, degree)
-    if not system.rows:
-        return len(system.columns)
     return len(system.columns) - linalg.rank(system.rows)
 
 
@@ -348,7 +304,7 @@ def _solve_thom_class(og: OrientedGkmGraph, vid: str,
         degree = n - og.down_degree(vid)
     normalization = euler_class(og, vid, "plus" if direction == "plus" else "minus")
 
-    system = _System(og.graph, degree, support, og)
+    system = _System(og.graph, degree, support)
     for e in og.graph.edges:
         inside_first = e.first in support
         inside_second = e.second in support

@@ -1,11 +1,11 @@
 """Planar geometry of moment images.
 
 Everything here is decided by exact sign predicates on rational
-coordinates: side-of-line tests, orientation determinants, convex hulls of
-moment positions, the convex/concave/crossed trichotomy for tetragons,
-interiority of vertices via the positive span of their weights, and the
-classification of six-dimensional index-increasing instances into the
-seven moment-image types (a)-(g).
+coordinates: orientation determinants, convex hulls of moment positions,
+the convex/concave/crossed trichotomy for tetragons, interiority of
+vertices via the positive span of their weights, and the classification
+of six-dimensional index-increasing instances into the seven moment-image
+types (a)-(g).
 """
 
 from __future__ import annotations
@@ -28,17 +28,6 @@ def orientation_sign(p: Vector, q: Vector, r: Vector) -> int:
     """Sign of the turn p -> q -> r: +1 left, -1 right, 0 collinear."""
     cross = (q - p).cross(r - p)
     return (cross > 0) - (cross < 0)
-
-
-def same_side(a: Vector, b: Vector, line_dir: Vector) -> bool:
-    """Are a and b on the same closed side of the line R * line_dir?
-
-    Points on the line count as being on both sides.
-    """
-    if line_dir.is_zero():
-        raise ValueError("line direction must be nonzero")
-    v0 = line_dir.perp()
-    return a.dot(v0) * b.dot(v0) >= 0
 
 
 def convex_hull(points: Sequence[Vector]) -> list[Vector]:

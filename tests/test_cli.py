@@ -1,6 +1,8 @@
 """Document round-trips and the command surface."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -190,9 +192,27 @@ def test_corpus_materialize_round_trip(tmp_path, capsys):
     assert payload["report"]["type"]["label"] == "f"
 
 
-def test_corpus_unknown_name(capsys):
-    assert main(["corpus", "nope"]) == 1
-    assert "unknown" in capsys.readouterr().err
+@pytest.mark.parametrize("name", ["nope", ""])
+def test_corpus_unknown_name(name, capsys):
+    assert main(["corpus", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown" in captured.err
+
+
+def test_corpus_listing_closed_pipe_has_no_traceback():
+    """`gkm corpus | head -1`: the reader leaves after one line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "gkm.cli", "corpus"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"name")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1)
+    assert "Traceback" not in err and "Error" not in err
 
 
 def _unreadable_path(tmp_path, kind: str) -> Path:

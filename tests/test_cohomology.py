@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkm.cohomology import (
     CohomologyElement,
@@ -18,10 +19,10 @@ from gkm.cohomology import (
     zero_class,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError, NotAClass
-from gkm.graph import orient
+from gkm.errors import GkmError, NotAClass, ScopeError
+from gkm.graph import Edge, GkmGraph, Vertex, orient
 from gkm.localization import euler_class
-from gkm.polynomial import Polynomial, Vector, lin_form
+from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
 
 x1 = Polynomial.variable(2, 0)
 x2 = Polynomial.variable(2, 1)
@@ -269,3 +270,35 @@ def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):
 def test_monomials_graded_lex_order():
     assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomials(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+# -- rank-2 rows: divisibility is vanishing at the perpendicular ----------------------
+
+binary_forms = st.integers(0, 3).flatmap(
+    lambda d: st.lists(st.integers(-4, 4), min_size=d + 1, max_size=d + 1).map(
+        lambda cs: Polynomial(2, {(d - i, i): c for i, c in enumerate(cs)})))
+nonzero_weights = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(Vector).filter(
+    lambda v: not v.is_zero())
+
+
+@settings(max_examples=80)
+@given(binary_forms, nonzero_weights, st.booleans())
+def test_divisible_iff_vanishes_at_perpendicular(h, w, times_weight):
+    g = lin_form(w) * h if times_weight else h
+    assert congruent_mod_linear(g, 0, lin_form(w)) == (g.evaluate(w.perp()) == 0)
+
+
+def test_systems_outside_rank_two_are_a_scope_error():
+    # CP^3 with its standard T^3 action: a valid rank-3 moment graph.
+    mu = {"A": (0, 0, 0), "B": (1, 0, 0), "C": (0, 1, 0), "D": (0, 0, 1)}
+    names = sorted(mu)
+    edges = [Edge(u, v, Vector(b - a for a, b in zip(mu[u], mu[v])))
+             for i, u in enumerate(names) for v in names[i + 1:]]
+    g = GkmGraph(3, 3, [Vertex(v, Vector(p)) for v, p in mu.items()], edges)
+    assert g.validate().ok
+    og = orient(g, Vector((1, 2, 4)))
+    assert og.is_index_increasing()
+    with pytest.raises(ScopeError):
+        basis(g, 1)
+    with pytest.raises(ScopeError):
+        thom_class(og, "B", "plus")

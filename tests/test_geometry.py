@@ -14,7 +14,6 @@ from gkm.geometry import (
     cycle_shape,
     is_interior_vertex,
     on_hull_boundary,
-    same_side,
 )
 from gkm.graph import orient
 from gkm.polynomial import Vector
@@ -27,21 +26,6 @@ def V(*cs):
 def oriented(name):
     inst = corpus(name)
     return orient(inst.graph, inst.xi)
-
-
-# -- same_side ---------------------------------------------------------------------
-
-def test_same_side_above():
-    assert same_side(V(1, 1), V(2, 3), V(1, 0))
-
-
-def test_same_side_split():
-    assert not same_side(V(1, 1), V(1, -1), V(1, 0))
-
-
-def test_same_side_on_line_counts_as_closure():
-    assert same_side(V(3, 0), V(1, -5), V(1, 0))
-    assert same_side(V(3, 0), V(1, 5), V(1, 0))
 
 
 # -- tetragon trichotomy --------------------------------------------------------------
