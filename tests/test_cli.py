@@ -192,9 +192,15 @@ def test_corpus_materialize_round_trip(tmp_path, capsys):
     assert payload["report"]["type"]["label"] == "f"
 
 
-@pytest.mark.parametrize("name", ["nope", ""])
-def test_corpus_unknown_name(name, capsys):
-    assert main(["corpus", name]) == 1
+def test_corpus_unknown_name(capsys):
+    assert main(["corpus", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown" in captured.err
+
+
+def test_corpus_empty_name_is_unknown(capsys):
+    assert main(["corpus", ""]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown" in captured.err
