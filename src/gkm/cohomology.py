@@ -3,11 +3,13 @@
 An element assigns a polynomial to every vertex so that across each edge
 the two values are congruent modulo the edge's weight form.  Degree slices
 are finite-dimensional rational vector spaces; bases come from an exact
-linear solve whose unknowns are the vertex-polynomial coefficients.  The
-systems are built in rank 2, the paper's setting (other ranks get a
-ScopeError): there a binary form is divisible by <w, x> exactly when it
-vanishes at w's perpendicular, so each congruence is one equation, the
-monomials of the slice's degree evaluated at that point.
+linear solve whose unknowns are the vertex-polynomial coefficients.  All
+of it is rank 2, the paper's setting (other ranks get a ScopeError): there
+<w, x> divides a polynomial exactly when each homogeneous part vanishes at
+w's primitive perpendicular, the integer point ``GkmGraph.edge_points``
+keeps per edge.  So a congruence is tested by evaluating both values there,
+degree by degree, and in a linear system it is one integer row, the
+monomials of the system's degree evaluated at that point.
 
 Thom classes are constructed by the same solver restricted to a
 reachability support, with divisibility rows for edges leaving the support
@@ -34,7 +36,8 @@ from .errors import (
 )
 from .graph import Edge, GkmGraph, OrientedGkmGraph
 from .localization import class_degree, euler_class
-from .polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
+# congruent_mod_linear is unused here; perfbench's tracer self-test expects it.
+from .polynomial import Polynomial, congruent_mod_linear, lin_form  # noqa: F401
 
 
 def monomials(rank: int, degree: int) -> list[tuple]:
@@ -70,12 +73,12 @@ class CohomologyElement:
             complete[vid] = poly
         extra = set(values) - set(complete)
         if extra:
-            raise KeyError(f"values for unknown vertices: {sorted(extra)}")
+            raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
         self.values = complete
         if check:
-            bad = _first_violated_edge(graph, complete)
+            bad = _first_violation(graph, complete)
             if bad is not None:
-                raise NotAClass(f"edge congruence fails across {bad}")
+                raise NotAClass(bad)
 
     def value(self, vid: str) -> Polynomial:
         return self.values[vid]
@@ -96,7 +99,7 @@ class CohomologyElement:
     def _lift(self, other) -> "CohomologyElement | None":
         if isinstance(other, CohomologyElement):
             if other.graph is not self.graph:
-                raise ValueError("elements live on different graphs")
+                raise PreconditionError("elements live on different graphs")
             return other
         if isinstance(other, (int, Fraction, Polynomial)):
             if isinstance(other, Polynomial) and other.rank != self.graph.rank:
@@ -166,11 +169,15 @@ class CohomologyElement:
         return {v: str(p) for v, p in sorted(self.values.items())}
 
 
-def _first_violated_edge(graph: GkmGraph, values: Mapping[str, Polynomial]):
-    for e in graph.edges:
-        ell = lin_form(e.weight)
-        if not congruent_mod_linear(values[e.first], values[e.second], ell):
-            return e
+def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
+    """The first failing edge congruence and its witness, as text, or None."""
+    for e, point in zip(graph.edges, graph.edge_points()):
+        f, h = values[e.first], values[e.second]
+        if f.graded_values(point) != h.graded_values(point):
+            diff = (f - h).graded_values(point)
+            d = min(diff)
+            return (f"edge congruence fails across {e}: the degree-{d} part of "
+                    f"f({e.first}) - f({e.second}) is {diff[d]} at {point}, not 0")
     return None
 
 
@@ -178,7 +185,7 @@ def is_class(graph: GkmGraph, values: Mapping[str, Polynomial]) -> bool:
     """True iff every edge congruence holds for a complete assignment."""
     zero = Polynomial.zero(graph.rank)
     complete = {vid: values.get(vid, zero) for vid in graph.vertex_ids()}
-    return _first_violated_edge(graph, complete) is None
+    return _first_violation(graph, complete) is None
 
 
 def unity(graph: GkmGraph) -> CohomologyElement:
@@ -203,9 +210,10 @@ def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
 class _System:
     """Linear system over per-vertex monomial coefficients of one degree.
 
-    In rank 2 a binary form g of degree d is divisible by <w, x> exactly
-    when g(w.perp()) = 0, so each congruence or divisibility condition is
-    one row: the degree-d monomials evaluated at w.perp().
+    A binary form g of degree d is divisible by <w, x> exactly when it
+    vanishes at w's primitive perpendicular, so each congruence or
+    divisibility condition is one integer row: the degree-d monomials
+    evaluated at that point.
     """
 
     def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str]):
@@ -214,32 +222,31 @@ class _System:
         self.monomials = monomials(graph.rank, degree)
         self.columns = [(v, m) for v in self.support for m in self.monomials]
         self.index = {col: i for i, col in enumerate(self.columns)}
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.rhs: list[Fraction] = []
 
-    def _add_row(self, weight: Vector, signs: list[tuple[str, int]]):
-        """One row: sign * m(weight.perp()) at (vertex, m), per (vertex, sign)."""
-        point = weight.perp()
-        row = [Fraction(0)] * len(self.columns)
+    def _add_row(self, point: tuple[int, int], signs: list[tuple[str, int]]):
+        """One row: sign * m(point) at (vertex, m), per (vertex, sign)."""
+        row = [0] * len(self.columns)
         for m in self.monomials:
-            value = prod(c**e for c, e in zip(point, m))
+            value = prod(map(pow, point, m))
             for vid, sign in signs:
                 row[self.index[(vid, m)]] = sign * value
         self.rows.append(row)
         self.rhs.append(Fraction(0))
 
-    def add_congruence(self, edge: Edge):
-        """f(first) - f(second) must vanish at the weight's perpendicular."""
-        self._add_row(edge.weight, [(edge.first, 1), (edge.second, -1)])
+    def add_congruence(self, edge: Edge, point: tuple[int, int]):
+        """f(first) - f(second) must vanish at the edge's point."""
+        self._add_row(point, [(edge.first, 1), (edge.second, -1)])
 
-    def add_divisibility(self, vid: str, weight: Vector):
-        """f(vid) must vanish at the weight's perpendicular (outside edge)."""
-        self._add_row(weight, [(vid, 1)])
+    def add_divisibility(self, vid: str, point: tuple[int, int]):
+        """f(vid) must vanish at an outside edge's point."""
+        self._add_row(point, [(vid, 1)])
 
     def add_normalization(self, vid: str, target: Polynomial):
         for m in self.monomials:
-            row = [Fraction(0)] * len(self.columns)
-            row[self.index[(vid, m)]] = Fraction(1)
+            row = [0] * len(self.columns)
+            row[self.index[(vid, m)]] = 1
             self.rows.append(row)
             self.rhs.append(target.coefficient(m))
 
@@ -258,8 +265,8 @@ class _System:
 def _slice_system(graph: GkmGraph, degree: int) -> _System:
     """The congruence system of the homogeneous degree-d slice."""
     system = _System(graph, degree, graph.vertex_ids())
-    for e in graph.edges:
-        system.add_congruence(e)
+    for e, point in zip(graph.edges, graph.edge_points()):
+        system.add_congruence(e, point)
     return system
 
 
@@ -305,15 +312,12 @@ def _solve_thom_class(og: OrientedGkmGraph, vid: str,
     normalization = euler_class(og, vid, "plus" if direction == "plus" else "minus")
 
     system = _System(og.graph, degree, support)
-    for e in og.graph.edges:
-        inside_first = e.first in support
-        inside_second = e.second in support
-        if inside_first and inside_second:
-            system.add_congruence(e)
-        elif inside_first:
-            system.add_divisibility(e.first, e.weight)
-        elif inside_second:
-            system.add_divisibility(e.second, e.weight)
+    for e, point in zip(og.graph.edges, og.graph.edge_points()):
+        inside = [v for v in (e.first, e.second) if v in support]
+        if len(inside) == 2:
+            system.add_congruence(e, point)
+        elif inside:
+            system.add_divisibility(inside[0], point)
     system.add_normalization(vid, normalization)
 
     solution, nullity = linalg.solve(system.rows, system.rhs)

@@ -145,6 +145,7 @@ class GkmGraph:
                 raise ValueError(f"edge {e} has zero weight")
             self._adjacent[e.first].append(e)
             self._adjacent[e.second].append(e)
+        self._edge_points: tuple[tuple[int, int], ...] | None = None
 
     # -- access -------------------------------------------------------------
 
@@ -168,6 +169,12 @@ class GkmGraph:
 
     def degree(self, vid: str) -> int:
         return len(self._adjacent[vid])
+
+    def edge_points(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's ``weight.primitive_perp()`` in ``edges`` order, on first use."""
+        if self._edge_points is None:
+            self._edge_points = tuple(e.weight.primitive_perp() for e in self.edges)
+        return self._edge_points
 
     # -- validation ----------------------------------------------------------
 

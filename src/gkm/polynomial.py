@@ -28,6 +28,7 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -124,6 +125,14 @@ class Vector:
         if len(self) != 2:
             raise ScopeError("perp requires rank 2")
         return Vector((-self[1], self[0]))
+
+    def primitive_perp(self) -> tuple[int, int]:
+        """perp() scaled by a positive rational to coprime integers."""
+        a, b = self.perp()
+        scale = lcm(a.denominator, b.denominator)
+        a, b = int(a * scale), int(b * scale)
+        g = gcd(a, b)
+        return a // g, b // g
 
     def parallel_ratio(self, other: "Vector") -> Fraction | None:
         """Return r with self == r * other, or None if no such rational exists.
@@ -334,6 +343,16 @@ class Polynomial:
                     val *= base**exp
             total += val
         return total
+
+    def graded_values(self, point: Sequence[int]) -> dict[int, Fraction]:
+        """Each nonzero homogeneous part's value at an integer point, by degree
+        (summed as integer numerator/denominator pairs, for speed)."""
+        sums: dict[int, tuple[int, int]] = {}
+        for e, c in self._terms.items():
+            d, n, q = sum(e), c.numerator * prod(map(pow, point, e)), c.denominator
+            sn, sq = sums.get(d, (0, q))
+            sums[d] = (sn + n, q) if sq == q else (sn * q + n * sq, sq * q)
+        return {d: Fraction(n, q) for d, (n, q) in sums.items() if n}
 
     def divide_by_linear(self, ell: "Polynomial") -> "Polynomial":
         """Exact quotient self / ell for a nonzero degree-1 homogeneous ell.

@@ -1,7 +1,8 @@
 """Graph cohomology: membership, degree slices, Thom classes."""
 
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from gkm.cohomology import (
     zero_class,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError, NotAClass, ScopeError
+from gkm.errors import GkmError, NotAClass, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, orient
 from gkm.localization import euler_class
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
@@ -60,6 +61,109 @@ def test_single_vertex_linear_value_is_not_class(cp3):
     assert not is_class(cp3, values)
     with pytest.raises(NotAClass):
         CohomologyElement(cp3, values)
+
+
+def test_not_a_class_names_edge_degree_and_value(cp3):
+    # omega plus x2^2 at A: the degree-1 parts still agree on every edge,
+    # the degree-2 part at A is b^2 at the edge's point (a, b).
+    values = dict(equivariant_symplectic_class(cp3).values)
+    values["A"] = values["A"] + x2 * x2
+    e, (a, b) = next((e, p) for e, p in zip(cp3.edges, cp3.edge_points())
+                     if "A" in (e.first, e.second))
+    sign = 1 if e.first == "A" else -1
+    assert b != 0
+    with pytest.raises(NotAClass) as info:
+        CohomologyElement(cp3, values)
+    assert str(info.value) == (
+        f"edge congruence fails across {e}: the degree-2 part of "
+        f"f({e.first}) - f({e.second}) is {sign * b * b} at {(a, b)}, not 0")
+
+
+def test_values_at_unknown_vertices_are_a_precondition_error(cp3):
+    with pytest.raises(PreconditionError, match="unknown vertices"):
+        CohomologyElement(cp3, {"A": x1, "Z": x2})
+
+
+def test_elements_on_different_graphs_do_not_combine(cp3):
+    other = GkmGraph(cp3.rank, cp3.valence, cp3.vertices, cp3.edges)
+    with pytest.raises(PreconditionError, match="different graphs"):
+        equivariant_symplectic_class(cp3) + equivariant_symplectic_class(other)
+
+
+# -- the congruence test agrees with division -------------------------------------
+
+@lru_cache(maxsize=None)
+def corpus_classes(name):
+    """Thom classes (both directions), omega and unity of an instance."""
+    og = oriented(name)
+    g = og.graph
+    taus = [thom_class(og, v, d) for v in g.vertex_ids() for d in ("plus", "minus")]
+    return g, taus + [equivariant_symplectic_class(g), unity(g)]
+
+
+small_forms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4,
+).map(lambda d: Polynomial(2, d))
+
+
+@st.composite
+def perturbed_assignments(draw, name):
+    """A sum of corpus classes of several degrees (so values are mixed and
+    non-homogeneous), with some vertex values moved by a multiple of one
+    incident weight, which keeps that edge and may break the others, or
+    by an arbitrary form."""
+    g, classes = corpus_classes(name)
+    picks = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+    values = dict(sum(picks[1:], picks[0]).values)
+    for vid in draw(st.lists(st.sampled_from(g.vertex_ids()), max_size=3)):
+        extra = draw(small_forms)
+        if draw(st.booleans()):
+            e = draw(st.sampled_from(g.edges_at(vid)))
+            extra = lin_form(e.weight) * extra
+        values[vid] = values[vid] + extra
+    return g, values
+
+
+@pytest.mark.parametrize("name", corpus_names())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_point_test_agrees_with_division(name, data):
+    g, values = data.draw(perturbed_assignments(name))
+    failing = []
+    for e, point in zip(g.edges, g.edge_points()):
+        f, h = values[e.first], values[e.second]
+        holds = congruent_mod_linear(f, h, lin_form(e.weight))
+        assert (f.graded_values(point) == h.graded_values(point)) == holds
+        if not holds:
+            failing.append(e)
+    assert is_class(g, values) == (not failing)
+    if failing:
+        with pytest.raises(NotAClass, match=f"across {failing[0]}:"):
+            CohomologyElement(g, values)
+
+
+def test_edge_points_are_primitive_perpendiculars():
+    contents = set()
+    for inst in map(corpus, corpus_names()):
+        g = inst.graph
+        for e, (a, b) in zip(g.edges, g.edge_points()):
+            perp = e.weight.perp()
+            assert gcd(a, b) == 1
+            ratio = Vector((a, b)).parallel_ratio(perp)
+            assert ratio is not None and ratio > 0
+            contents.add(1 / ratio)
+    assert {2, 3, 5, 6} <= contents  # tol-d's weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(corpus_names()), st.data())
+def test_sums_differences_and_products_of_classes_are_classes(name, data):
+    g, classes = corpus_classes(name)
+    f, h = data.draw(st.lists(st.sampled_from(classes), min_size=2, max_size=2))
+    k = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    for result in (f + h, f - h, f * h, k * f + h, f * (h - k)):
+        assert is_class(g, result.values)
 
 
 # -- pointwise operations ---------------------------------------------------------
@@ -118,7 +222,7 @@ def test_no_degree_two_class_supported_on_one_vertex():
 
             system = _System(g, 2, [vid])
             for w in weights:
-                system.add_divisibility(vid, w)
+                system.add_divisibility(vid, w.primitive_perp())
             from gkm import linalg
 
             assert linalg.nullspace(system.rows, ncols=len(system.columns)) == []
@@ -302,3 +406,5 @@ def test_systems_outside_rank_two_are_a_scope_error():
         basis(g, 1)
     with pytest.raises(ScopeError):
         thom_class(og, "B", "plus")
+    with pytest.raises(ScopeError):
+        equivariant_symplectic_class(g)
