@@ -293,7 +293,7 @@ def thom_class(og: OrientedGkmGraph, vid: str,
     hypothesis; both are impossible on validated index-increasing data.
     """
     if direction not in ("plus", "minus"):
-        raise ValueError("direction must be 'plus' or 'minus'")
+        raise PreconditionError(f"direction must be 'plus' or 'minus', got {direction!r}")
     if not og.is_index_increasing():
         raise NotIndexIncreasing("Thom classes require an index-increasing orientation")
     return og.derived(("thom", vid, direction),

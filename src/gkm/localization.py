@@ -15,7 +15,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DegreeError, NonConstant, NonZero
+from .errors import DegreeError, NonConstant, NonZero, PreconditionError
 from .graph import OrientedGkmGraph
 from .polynomial import Polynomial, Vector, lin_form
 
@@ -29,7 +29,7 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
     edges only; the full class is their product.
     """
     if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
+        raise PreconditionError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
     def compute():
         if variant == "full":

@@ -188,7 +188,7 @@ def test_degree_zero_slice_is_constants(cp3):
     assert b[0].degree == 0
 
 
-@pytest.mark.parametrize("name", ["cp3-k4", "flag-su3"])
+@pytest.mark.parametrize("name", corpus_names())
 def test_hilbert_series_dimensions(name):
     og = oriented(name)
     g = og.graph
@@ -243,6 +243,11 @@ def test_thom_class_at_top_vertex(cp3_oriented):
     tau = thom_class(cp3_oriented, r, "plus")
     assert tau.support() == {r}
     assert tau.value(r) == euler_class(cp3_oriented, r, "plus")
+
+
+def test_thom_class_unknown_direction_is_a_gkm_error(cp3_oriented):
+    with pytest.raises(GkmError, match="direction must be 'plus' or 'minus', got 'up'"):
+        thom_class(cp3_oriented, "A", "up")
 
 
 def test_thom_postconditions_everywhere():

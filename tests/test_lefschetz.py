@@ -7,7 +7,7 @@ import pytest
 from gkm import lefschetz, linalg
 from gkm.corpus import corpus, corpus_names
 from gkm.errors import DegreeError, GkmError, TypeMismatch
-from gkm.graph import find_index_increasing_xi, orient
+from gkm.graph import Edge, GkmGraph, find_index_increasing_xi, orient
 from gkm.lefschetz import (
     check_column_independence,
     check_pairing_identity,
@@ -318,12 +318,55 @@ def test_report_solves_each_thom_class_once_and_builds_mixed_matrix_once(
     distinct = {(vid, direction) for _, vid, direction in requested}
     assert len(requested) > len(distinct) == 2 * len(og.graph.vertices)
     assert len(solves) == len(distinct)
-    # Only the slice bases of the low-degree sweep use a nullspace.
-    assert len(nullspaces) == og.graph.valence
+    # No nullspace: low-degree vanishing is certified on the stored Thom
+    # classes, and the slice dimensions it compares with come from ranks.
+    assert len(nullspaces) == 0
     assert len(bodies) == 1
     # A new orientation of the same graph starts with an empty store.
     assert hard_lefschetz_report(oriented(name)).ok
     assert len(solves) == 2 * len(distinct) and len(bodies) == 2
+
+
+@pytest.mark.parametrize("name", ["flag-su3", "cube-g"])
+def test_report_classifies_and_shapes_cycles_once(name, monkeypatch):
+    # flag-su3 (type f) also runs column-independence, cube-g (type g) the
+    # type-g determinant; both run the sign conditions.
+    types, shapes = [], []
+    monkeypatch.setattr(lefschetz, "classify_type",
+                        _counted(types, lefschetz.classify_type))
+    monkeypatch.setattr(lefschetz, "cycle_shape", _counted(shapes, lefschetz.cycle_shape))
+    og = oriented(name)
+    assert hard_lefschetz_report(og).ok
+    assert len(types) == 1
+    assert len(shapes) == len(og.vertices_of_index(1))
+
+
+# -- low-degree vanishing is certified on the Thom classes --------------------------
+
+def test_broken_weight_fails_low_degree_vanishing_at_a_vertex():
+    # Doubling one weight keeps moment compatibility and every congruence
+    # (the perpendicular is the same), but the Euler classes change, so a
+    # Thom class's localization numerator no longer vanishes.
+    inst = corpus("cp3-square")
+    g = inst.graph
+    first = g.edges[0]
+    edges = [Edge(first.first, first.second, first.weight * 2), *g.edges[1:]]
+    broken = GkmGraph(g.rank, g.valence, g.vertices, edges)
+    report = hard_lefschetz_report(orient(broken, inst.xi))
+    failed = {c["name"]: c["detail"] for c in report.checks if not c["ok"]}
+    detail = failed["low-degree-vanishing"]
+    vertex, _, rest = detail.removeprefix("tau_").partition("^+: ")
+    assert vertex in g.vertex_ids()
+    assert rest.startswith("numerator sum is ") and rest.endswith(", expected 0")
+
+
+def test_low_degree_count_failure_names_its_degree(monkeypatch):
+    monkeypatch.setattr(lefschetz, "slice_dimension", lambda graph, d: 2)
+    report = hard_lefschetz_report(oriented("cp3-k4"))
+    failed = {c["name"]: c["detail"] for c in report.checks if not c["ok"]}
+    assert failed == {
+        "low-degree-vanishing": "degree 0: 1 Thom products but slice dimension 2"
+    }
 
 
 def test_stored_pairing_data_is_handed_out_as_copies(tol):

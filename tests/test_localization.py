@@ -11,7 +11,7 @@ from gkm.cohomology import (
     unity,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import DegreeError, NonZero
+from gkm.errors import DegreeError, GkmError, NonZero
 from gkm.graph import orient
 from gkm.localization import (
     check_low_degree_vanishing,
@@ -48,6 +48,11 @@ def test_euler_class_at_D_matches_outward_weights(cp3):
         * lin_form(Vector((1, 3)))
     )
     assert euler_class(cp3, "D", "full") == expected
+
+
+def test_euler_class_unknown_variant_is_a_gkm_error(cp3):
+    with pytest.raises(GkmError, match="got 'half'"):
+        euler_class(cp3, "A", "half")
 
 
 def test_euler_factorization_everywhere():
