@@ -37,7 +37,8 @@ from .errors import (
 from .graph import Edge, GkmGraph, OrientedGkmGraph
 from .localization import class_degree, euler_class
 # congruent_mod_linear is unused here; perfbench's tracer self-test expects it.
-from .polynomial import Polynomial, congruent_mod_linear, lin_form  # noqa: F401
+from .polynomial import (  # noqa: F401
+    Polynomial, _from_fractions, congruent_mod_linear, lin_form)
 
 
 def monomials(rank: int, degree: int) -> list[tuple]:
@@ -173,7 +174,9 @@ def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
     """The first failing edge congruence and its witness, as text, or None."""
     for e, point in zip(graph.edges, graph.edge_points()):
         f, h = values[e.first], values[e.second]
-        if f.graded_values(point) != h.graded_values(point):
+        fs, fd = f.graded_numerators(point)
+        hs, hd = h.graded_numerators(point)
+        if fs.keys() != hs.keys() or any(s * hd != hs[d] * fd for d, s in fs.items()):
             diff = (f - h).graded_values(point)
             d = min(diff)
             return (f"edge congruence fails across {e}: the degree-{d} part of "
@@ -251,14 +254,9 @@ class _System:
             self.rhs.append(target.coefficient(m))
 
     def element_from(self, coeffs: list[Fraction]) -> CohomologyElement:
-        values = {}
-        for v in self.support:
-            terms = {}
-            for m in self.monomials:
-                c = coeffs[self.index[(v, m)]]
-                if c:
-                    terms[m] = c
-            values[v] = Polynomial(self.graph.rank, terms)
+        rank, index = self.graph.rank, self.index
+        values = {v: _from_fractions(rank, {m: coeffs[index[(v, m)]] for m in self.monomials})
+                  for v in self.support}
         return CohomologyElement(self.graph, values)
 
 

@@ -2,9 +2,10 @@
 
 Fraction-free Gaussian elimination (Bareiss): each row is first scaled to
 integers, then eliminated with the two-by-two determinant update whose
-divisions are exact.  Pivoting picks the first row with a nonzero entry --
-there is no magnitude pivoting to do in exact arithmetic -- which makes
-echelon forms, and everything derived from them, deterministic.
+divisions are exact; back-substitution is fraction-free too.  Pivoting
+picks the first row with a nonzero entry -- there is no magnitude pivoting
+to do in exact arithmetic -- which makes echelon forms, and everything
+derived from them, deterministic.
 
 Matrices are plain lists of lists of Fractions (or ints).
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
+
+from .errors import GkmError
 
 Matrix = Sequence[Sequence[Fraction]]
 
@@ -121,26 +124,33 @@ def determinant(matrix: Matrix) -> Fraction:
     return Fraction(ech.swap_sign * det_int, total_scale)
 
 
-def _back_substitute(ech: Echelon, ncols: int,
-                     fixed: dict[int, Fraction],
-                     rhs: Optional[list[Fraction]] = None) -> list[Fraction]:
-    """Solve the echelon system for the pivot variables.
+def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int],
+                     rhs: Optional[list[int]] = None) -> list[Fraction]:
+    """Solve the echelon system for the pivot variables, fraction-free.
 
-    ``fixed`` assigns the free variables; ``rhs`` is the (already reduced)
-    right-hand side per pivot row, defaulting to zero.
+    ``fixed`` assigns integers to the free variables; ``rhs`` is the
+    (already reduced) right-hand side per pivot row, defaulting to zero.
+    With D the last Bareiss pivot, Cramer's rule makes y = D * x integral,
+    so each step is an exact integer division; a remainder is a GkmError
+    naming the row.
     """
-    x = [Fraction(0)] * ncols
+    pivots = ech.pivot_cols
+    d = ech.rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * ncols
     for col, val in fixed.items():
-        x[col] = val
-    for i in range(len(ech.pivot_cols) - 1, -1, -1):
-        pc = ech.pivot_cols[i]
+        y[col] = d * val
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
         row = ech.rows[i]
-        acc = rhs[i] if rhs is not None else Fraction(0)
+        acc = d * rhs[i] if rhs is not None else 0
         for j in range(pc + 1, ncols):
             if row[j]:
-                acc -= row[j] * x[j]
-        x[pc] = acc / row[pc]
-    return x
+                acc -= row[j] * y[j]
+        y[pc], rem = divmod(acc, row[pc])
+        if rem:
+            raise GkmError(f"back-substitution at pivot row {i} (column {pc}) is not "
+                           f"exact: {acc} is not a multiple of the pivot {row[pc]}")
+    return [Fraction(v, d) for v in y]
 
 
 def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[list[Fraction]]:
@@ -157,7 +167,7 @@ def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[list[Fraction
     for free in range(ncols):
         if free in pivots:
             continue
-        fixed = {c: Fraction(int(c == free)) for c in range(ncols) if c not in pivots}
+        fixed = {c: int(c == free) for c in range(ncols) if c not in pivots}
         basis.append(_back_substitute(ech, ncols, fixed))
     return basis
 
@@ -186,6 +196,6 @@ def solve(matrix: Matrix,
         if not any(ech.rows[i][:ncols]) and ech.rows[i][ncols] != 0:
             return None, nullity
     pivots = set(ech.pivot_cols)
-    fixed = {c: Fraction(0) for c in range(ncols) if c not in pivots}
-    reduced_rhs = [Fraction(ech.rows[i][ncols]) for i in range(ech.rank)]
+    fixed = {c: 0 for c in range(ncols) if c not in pivots}
+    reduced_rhs = [ech.rows[i][ncols] for i in range(ech.rank)]
     return _back_substitute(ech, ncols, fixed, rhs=reduced_rhs), nullity

@@ -2,9 +2,10 @@
 
 Polynomials in k variables x1..xk represent the symmetric algebra on the
 dual Lie algebra of a rank-k torus; linear forms are the images of weight
-vectors.  Coefficients are ``fractions.Fraction`` throughout -- floats are
-rejected on construction so that every downstream divisibility and
-determinant test stays decidable.
+vectors.  Coefficients are stored as integer numerators over one positive
+denominator, in lowest terms; ``fractions.Fraction`` appears only at the
+API boundary.  Floats are rejected on construction so that every
+downstream divisibility and determinant test stays decidable.
 
 Degree convention: we store plain polynomial degree; the cohomological
 degree of a homogeneous element is twice that (each variable has
@@ -19,10 +20,10 @@ it, and kept; arithmetic never sorts.
 Two constructors build polynomials.  The public ``Polynomial(rank, terms)``
 takes input from outside the class: it checks every exponent tuple,
 rejects float coefficients, coerces the rest to ``Fraction`` and merges
-duplicate keys.  The private ``_make`` takes the term dict exactly as the
-class's own arithmetic produced it -- exponent tuples of the right length,
-``Fraction`` coefficients -- and trusts it, only dropping zero
-coefficients.
+duplicate keys.  The private ``_make`` takes integer numerators and a
+denominator exactly as the class's own arithmetic produced them --
+exponent tuples of the right length -- and trusts them, only dropping zero
+numerators and dividing out one gcd.
 """
 
 from __future__ import annotations
@@ -161,13 +162,14 @@ class Vector:
 
 
 class Polynomial:
-    """Exact polynomial in ``rank`` variables with Fraction coefficients.
+    """Exact polynomial in ``rank`` variables with rational coefficients.
 
-    Terms map exponent tuples to nonzero coefficients; canonical order is
-    graded-lex descending, computed on first use.  Instances are immutable.
+    Terms map exponent tuples to nonzero integer numerators over one
+    positive denominator; canonical order is graded-lex descending,
+    computed on first use.  Instances are immutable.
     """
 
-    __slots__ = ("rank", "_terms", "_order")
+    __slots__ = ("rank", "_num", "_den", "_order")
 
     def __init__(self, rank: int, terms: Mapping[tuple, Scalar] | None = None):
         """Validating constructor for terms from outside the class.
@@ -183,12 +185,9 @@ class Polynomial:
             e = tuple(int(x) for x in exps)
             if len(e) != rank or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {exps!r} for rank {rank}")
-            c = _frac(coeff)
-            if c != 0:
-                clean[e] = clean.get(e, Fraction(0)) + c
-                if clean[e] == 0:
-                    del clean[e]
-        _init(self, rank, clean)
+            clean[e] = clean.get(e, 0) + _frac(coeff)
+        p = _from_fractions(rank, clean)
+        _init(self, rank, p._num, p._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -217,41 +216,42 @@ class Polynomial:
     def _sorted_terms(self) -> tuple:
         order = self._order
         if order is None:
-            order = tuple(sorted(self._terms.items(),
+            order = tuple(sorted(self._num.items(),
                                  key=lambda kv: _gradedlex_key(kv[0]), reverse=True))
             object.__setattr__(self, "_order", order)
         return order
 
     def terms(self) -> Iterator[tuple[tuple, Fraction]]:
         """(exponents, coefficient) pairs in graded-lex descending order."""
-        return iter(self._sorted_terms())
+        return ((e, Fraction(n, self._den)) for e, n in self._sorted_terms())
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._num.get(tuple(exponents), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def total_degree(self) -> int | None:
         """Maximal term degree, or None for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return None
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._num)
 
     @property
     def homogeneous_degree(self) -> int | None:
         """Degree if homogeneous and nonzero, None for zero, error otherwise."""
-        if not self._terms:
+        if not self._num:
             return None
-        degrees = {sum(e) for e in self._terms}
+        degrees = {sum(e) for e in self._num}
         if len(degrees) > 1:
             raise ValueError("polynomial is not homogeneous")
         return degrees.pop()
 
     def homogeneous_component(self, degree: int) -> "Polynomial":
         """Sum of the terms of the given total degree."""
-        return _make(self.rank, {e: c for e, c in self._terms.items() if sum(e) == degree})
+        return _make(self.rank, {e: c for e, c in self._num.items() if sum(e) == degree},
+                     self._den)
 
     # -- ring structure ----------------------------------------------------
 
@@ -268,24 +268,24 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in p._terms.items():
-            out[e] = out[e] + c if e in out else c
-        return _make(self.rank, out)
+        d1, d2 = self._den, p._den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        out = {e: c * s1 for e, c in self._num.items()} if s1 != 1 else dict(self._num)
+        for e, c in p._num.items():
+            out[e] = out[e] + s2 * c if e in out else s2 * c
+        return _make(self.rank, out, d1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _make(self.rank, {e: -c for e, c in self._terms.items()})
+        return _make(self.rank, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in p._terms.items():
-            out[e] = out[e] - c if e in out else -c
-        return _make(self.rank, out)
+        return self + -p
 
     def __rsub__(self, other) -> "Polynomial":
         return -(self - other)
@@ -294,13 +294,13 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
-        right = p._terms.items()
-        for e1, c1 in self._terms.items():
+        out: dict[tuple, int] = {}
+        right = p._num.items()
+        for e1, c1 in self._num.items():
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return _make(self.rank, out)
+        return _make(self.rank, out, self._den * p._den)
 
     __rmul__ = __mul__
 
@@ -322,11 +322,12 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.rank == other.rank
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self._sorted_terms()))
+        return hash((self.rank, self._den, self._sorted_terms()))
 
     # -- evaluation and division -------------------------------------------
 
@@ -335,24 +336,22 @@ class Polynomial:
         pt = [_frac(c) for c in point]
         if len(pt) != self.rank:
             raise RankMismatch(f"point has {len(pt)} coords, polynomial rank {self.rank}")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            val = c
-            for base, exp in zip(pt, e):
-                if exp:
-                    val *= base**exp
-            total += val
-        return total
+        return Fraction(sum(c * prod(map(pow, pt, e)) for e, c in self._num.items()),
+                        self._den)
+
+    def graded_numerators(self, point: Sequence[int]) -> tuple[dict[int, int], int]:
+        """``graded_values`` as integer numerators by degree, and the one
+        denominator they share."""
+        sums: dict[int, int] = {}
+        for e, c in self._num.items():
+            d = sum(e)
+            sums[d] = sums.get(d, 0) + c * prod(map(pow, point, e))
+        return {d: s for d, s in sums.items() if s}, self._den
 
     def graded_values(self, point: Sequence[int]) -> dict[int, Fraction]:
-        """Each nonzero homogeneous part's value at an integer point, by degree
-        (summed as integer numerator/denominator pairs, for speed)."""
-        sums: dict[int, tuple[int, int]] = {}
-        for e, c in self._terms.items():
-            d, n, q = sum(e), c.numerator * prod(map(pow, point, e)), c.denominator
-            sn, sq = sums.get(d, (0, q))
-            sums[d] = (sn + n, q) if sq == q else (sn * q + n * sq, sq * q)
-        return {d: Fraction(n, q) for d, (n, q) in sums.items() if n}
+        """Each nonzero homogeneous part's value at an integer point, by degree."""
+        sums, den = self.graded_numerators(point)
+        return {d: Fraction(s, den) for d, s in sums.items()}
 
     def divide_by_linear(self, ell: "Polynomial") -> "Polynomial":
         """Exact quotient self / ell for a nonzero degree-1 homogeneous ell.
@@ -364,21 +363,25 @@ class Polynomial:
         bucketed by their exponent of x_j.  Reducing a term of pivot
         exponent k by ell only creates terms of exponent k - 1, so the
         buckets are cleared from the top down, each term once.  The
-        remainder is whatever is left in bucket 0.
+        remainder is whatever is left in bucket 0.  Numerators are first
+        scaled by ell's denominator and by |c|^top (c the pivot coefficient,
+        top the highest pivot exponent): bucket k then holds multiples of
+        c^k, and each division by c is exact.
         """
         if not isinstance(ell, Polynomial) or ell.rank != self.rank:
             raise RankMismatch("divisor rank mismatch")
         if ell.is_zero() or ell.homogeneous_degree != 1:
             raise ValueError("divisor must be nonzero homogeneous of degree 1")
         # ell's terms are unit exponent tuples; index(1) names the variable.
-        coeffs = sorted((e.index(1), c) for e, c in ell._terms.items())
+        coeffs = sorted((e.index(1), c) for e, c in ell._num.items())
         pivot, cp = coeffs[0]
         others = [(i, -c) for i, c in coeffs[1:]]
-        top = max((e[pivot] for e in self._terms), default=0)
-        buckets: list[dict[tuple, Fraction]] = [{} for _ in range(top + 1)]
-        for e, c in self._terms.items():
-            buckets[e[pivot]][e] = c
-        quotient: dict[tuple, Fraction] = {}
+        top = max((e[pivot] for e in self._num), default=0)
+        scale = abs(cp) ** top
+        buckets: list[dict[tuple, int]] = [{} for _ in range(top + 1)]
+        for e, c in self._num.items():
+            buckets[e[pivot]][e] = c * scale * ell._den
+        quotient: dict[tuple, int] = {}
         for k in range(top, 0, -1):
             lower = buckets[k - 1]
             for e, c in buckets[k].items():
@@ -386,7 +389,7 @@ class Polynomial:
                     continue
                 qe = list(e)
                 qe[pivot] -= 1
-                qc = c / cp
+                qc = c // cp
                 quotient[tuple(qe)] = qc
                 for i, nc in others:
                     qe[i] += 1
@@ -395,16 +398,16 @@ class Polynomial:
                     lower[te] = lower[te] + qc * nc if te in lower else qc * nc
         if any(buckets[0].values()):
             raise NotDivisible(f"({self}) is not divisible by ({ell})")
-        return _make(self.rank, quotient)
+        return _make(self.rank, quotient, self._den * scale)
 
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
         """Signed sum of terms like ``x1^2 - 2*x1*x2 + 1/3``, graded-lex order."""
-        if not self._terms:
+        if not self._num:
             return "0"
         pieces: list[str] = []
-        for e, c in self._sorted_terms():
+        for e, c in self.terms():
             factors = []
             for i, exp in enumerate(e):
                 if exp == 1:
@@ -428,22 +431,36 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _init(p: Polynomial, rank: int, terms: dict) -> None:
+def _init(p: Polynomial, rank: int, num: dict, den: int) -> None:
     object.__setattr__(p, "rank", rank)
-    object.__setattr__(p, "_terms", terms)
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_den", den)
     object.__setattr__(p, "_order", None)
 
 
-def _make(rank: int, terms: dict) -> Polynomial:
+def _make(rank: int, num: dict, den: int) -> Polynomial:
     """Trusting constructor for the class's own arithmetic.
 
-    ``terms`` must map exponent tuples of length ``rank`` to Fraction
-    coefficients; nothing is checked or coerced, only zero coefficients
-    are dropped.
+    ``num`` must map exponent tuples of length ``rank`` to int numerators
+    over the positive int ``den``; nothing is checked or coerced.  Zero
+    numerators are dropped and one gcd brings the rest to lowest terms.
     """
+    num = {e: c for e, c in num.items() if c}
+    g = gcd(den, *num.values()) if den != 1 else 1  # no terms: g = den, den -> 1
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
     p = object.__new__(Polynomial)
-    _init(p, rank, {e: c for e, c in terms.items() if c})
+    _init(p, rank, num, den)
     return p
+
+
+def _from_fractions(rank: int, terms: Mapping[tuple, Fraction]) -> Polynomial:
+    """Trusting constructor from Fraction coefficients, over one lcm of
+    their denominators; exponent tuples are not checked."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return _make(rank, {e: c.numerator * (den // c.denominator) for e, c in terms.items()},
+                 den)
 
 
 def lin_form(w: Vector | Sequence) -> Polynomial:
@@ -452,7 +469,8 @@ def lin_form(w: Vector | Sequence) -> Polynomial:
     rank = v.rank
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    return _make(rank, {(0,) * j + (1,) + (0,) * (rank - 1 - j): c for j, c in enumerate(v)})
+    return _from_fractions(rank, {(0,) * j + (1,) + (0,) * (rank - 1 - j): c
+                                  for j, c in enumerate(v)})
 
 
 def congruent_mod_linear(f: Polynomial, g: Polynomial, ell: Polynomial) -> bool:

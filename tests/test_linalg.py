@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkm import linalg
+from gkm.errors import GkmError
 
 
 def brute_det(m):
@@ -111,3 +113,56 @@ def test_empty_constraints_nullspace_is_full():
 
 def test_determinant_of_empty_matrix_is_one():
     assert linalg.determinant([]) == 1
+
+
+# -- back-substitution on integers of the size the thom benchmark meets -----------
+
+def ref_rank(m):
+    """Rank by plain Fraction Gaussian elimination (oracle)."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+big = st.integers(-2**16, 2**16)
+big_matrix = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(big, min_size=n, max_size=n), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=60)
+@given(big_matrix, st.data())
+def test_solve_and_nullspace_on_large_integer_matrices(m, data):
+    if len(m) > 1 and data.draw(st.booleans()):  # a dependent row lowers the rank
+        k = data.draw(big)
+        m = m + [[a + k * b for a, b in zip(m[0], m[1])]]
+    ncols = len(m[0])
+    x = [data.draw(big) for _ in range(ncols)]
+    b = [sum(a * v for a, v in zip(row, x)) for row in m]
+    sol, nullity = linalg.solve(m, b)
+    basis = linalg.nullspace(m)
+    assert nullity == len(basis) == ncols - ref_rank(m)
+    for row, bi in zip(m, b):
+        assert sum(a * v for a, v in zip(row, sol)) == bi
+        for v in basis:
+            assert sum(a * c for a, c in zip(row, v)) == 0
+    for v in sol + [c for vec in basis for c in vec]:
+        assert type(v) is Fraction and v.denominator > 0
+        assert gcd(v.numerator, v.denominator) == 1
+
+
+def test_corrupted_echelon_fails_back_substitution_naming_the_row():
+    ech = linalg.echelon([[1, 1], [1, -1]])
+    assert ech.rows == [[1, 1], [0, -2]]
+    ech.rows[0][0] = 4  # no longer a Bareiss form: row 0 cannot be solved exactly
+    with pytest.raises(GkmError, match=r"pivot row 0 \(column 0\)"):
+        linalg._back_substitute(ech, 2, {}, rhs=[1, 1])

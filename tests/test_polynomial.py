@@ -1,6 +1,7 @@
 """Exact polynomial ring: examples, ring axioms, division properties."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -269,3 +270,146 @@ def test_congruence_matches_evaluation_oracle(f, g, q, w, shift):
     assert congruent_mod_linear(f, g, ell) == oracle
     if shift:
         assert oracle
+
+
+# -- floats are rejected on every way in -----------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: Polynomial.constant(2, 0.5),
+    lambda: Polynomial(2, {(1, 0): 0.5}),
+    lambda: x1 * 0.5,
+    lambda: x1 + 0.5,
+], ids=["constant", "constructor", "multiply", "add"])
+def test_floats_are_rejected_on_every_way_in(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+# -- every operation against a dict-of-Fraction reference ---------------------------
+#
+# The reference keeps each polynomial as a plain {exponents: Fraction} dict
+# with no zero values and implements each operation the textbook way.
+
+def ref_clean(a):
+    return {e: c for e, c in a.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_value(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        for x, k in zip(point, e):
+            c *= Fraction(x) ** k
+        total += c
+    return total
+
+
+def ref_component(a, degree):
+    return {e: c for e, c in a.items() if sum(e) == degree}
+
+
+def ref_graded_values(a, point):
+    values = {d: ref_value(ref_component(a, d), point) for d in {sum(e) for e in a}}
+    return {d: v for d, v in values.items() if v}
+
+
+def ref_order(a):
+    return sorted(a.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def ref_str(a):
+    out = ""
+    for e, c in ref_order(a):
+        names = [f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}" for i, k in enumerate(e) if k]
+        body = "*".join(names if abs(c) == 1 and names else [str(abs(c))] + names)
+        if not out:
+            out = body if c > 0 else "-" + body
+        else:
+            out += (" + " if c > 0 else " - ") + body
+    return out or "0"
+
+
+def assert_matches(p, ref):
+    # Canonical form: integer numerators, none zero, over one positive
+    # denominator in lowest terms, which is 1 for the zero polynomial.
+    assert isinstance(p._den, int) and p._den > 0
+    assert all(isinstance(c, int) and c != 0 for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+    terms = list(p.terms())
+    assert terms == ref_order(ref)
+    assert all(type(c) is Fraction for _, c in terms)
+    for e, c in ref.items():
+        assert p.coefficient(e) == c
+    constant = (0,) * p.rank
+    assert p.coefficient(constant) == ref.get(constant, 0)
+    assert str(p) == ref_str(ref)
+    rebuilt = Polynomial(p.rank, ref)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+rationals = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.integers(-2**40, 2**40).map(Fraction),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    rank = draw(st.integers(1, 3))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * rank), rationals, max_size=5)
+    a, b, q, r = draw(polys), draw(polys), draw(polys), draw(polys)
+    w = draw(st.tuples(*[st.fractions(-4, 4, max_denominator=5)] * rank).filter(any))
+    pivot = next(i for i, c in enumerate(w) if c)
+    # A remainder free of ell's pivot variable is unique, so a nonzero one
+    # makes q * ell + r indivisible.
+    r = ref_clean({e: c for e, c in r.items() if e[pivot] == 0})
+    return (rank, ref_clean(a), ref_clean(b), ref_clean(q), r, w,
+            draw(st.tuples(*[st.integers(-4, 4)] * rank)),
+            draw(st.tuples(*[rationals] * rank)),
+            draw(st.integers(0, 3)), draw(st.integers(0, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+def test_every_operation_matches_the_fraction_reference(case):
+    rank, a, b, q, r, w, int_point, point, n, degree = case
+    pa, pb = Polynomial(rank, a), Polynomial(rank, b)
+    assert_matches(pa, a)
+    assert_matches(pa + pb, ref_add(a, b))
+    assert_matches(pa - pb, ref_add(a, b, -1))
+    assert_matches(pa * pb, ref_mul(a, b))
+    assert_matches(-pa, ref_add({}, a, -1))
+    power = {(0,) * rank: Fraction(1)}
+    for _ in range(n):
+        power = ref_mul(power, a)
+    assert_matches(pa**n, power)
+    assert_matches(pa.homogeneous_component(degree), ref_component(a, degree))
+    assert pa.evaluate(point) == ref_value(a, point)
+    assert pa.graded_values(int_point) == ref_graded_values(a, int_point)
+    assert (pa == pb) == (a == b)
+    assert (pa == pb) <= (hash(pa) == hash(pb))
+
+    ell = lin_form(Vector(w))
+    assert_matches(ell, ref_clean({tuple(int(i == j) for j in range(rank)): c
+                                   for i, c in enumerate(w)}))
+    f = Polynomial(rank, ref_add(ref_mul(q, dict(ell.terms())), r))
+    if r:
+        with pytest.raises(NotDivisible):
+            f.divide_by_linear(ell)
+    else:
+        assert_matches(f.divide_by_linear(ell), q)
