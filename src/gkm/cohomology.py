@@ -11,6 +11,11 @@ keeps per edge.  So a congruence is tested by evaluating both values there,
 degree by degree, and in a linear system it is one integer row, the
 monomials of the system's degree evaluated at that point.
 
+Classes are checked once, where values enter: the constructor,
+``equivariant_symplectic_class`` and solver output.  Pointwise sums and
+products of classes are classes, as f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v))
++ g(v)(f(u) - f(v)), so ring operations do not re-check; tests prove it.
+
 Thom classes are constructed by the same solver restricted to a
 reachability support, with divisibility rows for edges leaving the support
 and normalization rows at the base vertex.  The elimination that yields
@@ -60,10 +65,10 @@ def monomials(rank: int, degree: int) -> list[tuple]:
 
 
 class CohomologyElement:
-    """A vertex assignment satisfying every edge congruence."""
+    """A vertex assignment satisfying every edge congruence, checked on
+    construction; ring operations build their results by ``_element``."""
 
-    def __init__(self, graph: GkmGraph, values: Mapping[str, Polynomial],
-                 check: bool = True):
+    def __init__(self, graph: GkmGraph, values: Mapping[str, Polynomial]):
         self.graph = graph
         zero = Polynomial.zero(graph.rank)
         complete: dict[str, Polynomial] = {}
@@ -76,10 +81,9 @@ class CohomologyElement:
         if extra:
             raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
         self.values = complete
-        if check:
-            bad = _first_violation(graph, complete)
-            if bad is not None:
-                raise NotAClass(bad)
+        bad = _first_violation(graph, complete)
+        if bad is not None:
+            raise NotAClass(bad)
 
     def value(self, vid: str) -> Polynomial:
         return self.values[vid]
@@ -95,7 +99,7 @@ class CohomologyElement:
         """Common homogeneous polynomial degree; None for the zero class."""
         return class_degree(self.values)
 
-    # -- ring operations (pointwise; closure is re-checked, not assumed) ------
+    # -- ring operations (pointwise; closure is tested, not re-checked) -------
 
     def _lift(self, other) -> "CohomologyElement | None":
         if isinstance(other, CohomologyElement):
@@ -105,29 +109,21 @@ class CohomologyElement:
         if isinstance(other, (int, Fraction, Polynomial)):
             if isinstance(other, Polynomial) and other.rank != self.graph.rank:
                 raise RankMismatch("polynomial scalar has wrong rank")
-            return CohomologyElement(
-                self.graph,
-                {v: Polynomial.constant(self.graph.rank, other)
-                 if not isinstance(other, Polynomial) else other
-                 for v in self.graph.vertex_ids()},
-                check=False,
-            )
+            if not isinstance(other, Polynomial):
+                other = Polynomial.constant(self.graph.rank, other)
+            return _element(self.graph, {v: other for v in self.graph.vertex_ids()})
         return None
 
     def __add__(self, other) -> "CohomologyElement":
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CohomologyElement(
-            self.graph, {v: self.values[v] + o.values[v] for v in self.values}
-        )
+        return _element(self.graph, {v: self.values[v] + o.values[v] for v in self.values})
 
     __radd__ = __add__
 
     def __neg__(self) -> "CohomologyElement":
-        return CohomologyElement(
-            self.graph, {v: -p for v, p in self.values.items()}, check=False
-        )
+        return _element(self.graph, {v: -p for v, p in self.values.items()})
 
     def __sub__(self, other) -> "CohomologyElement":
         o = self._lift(other)
@@ -142,9 +138,7 @@ class CohomologyElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CohomologyElement(
-            self.graph, {v: self.values[v] * o.values[v] for v in self.values}
-        )
+        return _element(self.graph, {v: self.values[v] * o.values[v] for v in self.values})
 
     __rmul__ = __mul__
 
@@ -170,6 +164,14 @@ class CohomologyElement:
         return {v: str(p) for v, p in sorted(self.values.items())}
 
 
+def _element(graph: GkmGraph, values: dict[str, Polynomial]) -> CohomologyElement:
+    """A class from complete values the ring itself produced: no check."""
+    element = object.__new__(CohomologyElement)
+    element.graph = graph
+    element.values = values
+    return element
+
+
 def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
     """The first failing edge congruence and its witness, as text, or None."""
     for e, point in zip(graph.edges, graph.edge_points()):
@@ -193,11 +195,7 @@ def is_class(graph: GkmGraph, values: Mapping[str, Polynomial]) -> bool:
 
 def unity(graph: GkmGraph) -> CohomologyElement:
     one = Polynomial.constant(graph.rank, 1)
-    return CohomologyElement(graph, {v: one for v in graph.vertex_ids()}, check=False)
-
-
-def zero_class(graph: GkmGraph) -> CohomologyElement:
-    return CohomologyElement(graph, {}, check=False)
+    return _element(graph, {v: one for v in graph.vertex_ids()})
 
 
 def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
@@ -226,7 +224,7 @@ class _System:
         self.columns = [(v, m) for v in self.support for m in self.monomials]
         self.index = {col: i for i, col in enumerate(self.columns)}
         self.rows: list[list[int]] = []
-        self.rhs: list[Fraction] = []
+        self.rhs: list[int | Fraction] = []
 
     def _add_row(self, point: tuple[int, int], signs: list[tuple[str, int]]):
         """One row: sign * m(point) at (vertex, m), per (vertex, sign)."""
@@ -236,7 +234,7 @@ class _System:
             for vid, sign in signs:
                 row[self.index[(vid, m)]] = sign * value
         self.rows.append(row)
-        self.rhs.append(Fraction(0))
+        self.rhs.append(0)
 
     def add_congruence(self, edge: Edge, point: tuple[int, int]):
         """f(first) - f(second) must vanish at the edge's point."""

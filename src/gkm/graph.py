@@ -279,8 +279,9 @@ class OrientedGkmGraph:
     edges arriving at a vertex is its down-degree d_v, and the Morse index
     is 2 d_v.
 
-    Data derived from the orientation is computed once and kept in the
-    store behind :meth:`derived`; a new orientation starts empty.
+    Whether the orientation is index-increasing is decided on construction.
+    Data derived from it is computed once and kept in the store behind
+    :meth:`derived`; a new orientation starts empty.
     """
 
     def __init__(self, graph: GkmGraph, xi: Vector):
@@ -297,6 +298,8 @@ class OrientedGkmGraph:
         self._down: dict[str, int] = {v: 0 for v in graph.vertex_ids()}
         for e in graph.edges:
             self._down[self._head[e.pair]] += 1
+        self._index_increasing = all(
+            self._down[self.tail(e)] < self._down[self.head(e)] for e in graph.edges)
         self._derived: dict = {}
 
     def derived(self, key, compute):
@@ -335,8 +338,9 @@ class OrientedGkmGraph:
 
     def vertices_of_index(self, d: int) -> list[str]:
         """Vertices with down-degree d, sorted by moment pairing then id."""
-        found = [v for v in self.graph.vertex_ids() if self._down[v] == d]
-        return sorted(found, key=lambda v: (self.mu_xi(v), v))
+        order = self.derived("vertex_order", lambda: sorted(
+            self.graph.vertex_ids(), key=lambda v: (self.mu_xi(v), v)))
+        return [v for v in order if self._down[v] == d]
 
     def betti(self) -> tuple[int, ...]:
         counts = [0] * (self.graph.valence + 1)
@@ -359,10 +363,7 @@ class OrientedGkmGraph:
         return highs[0]
 
     def is_index_increasing(self) -> bool:
-        return all(
-            self._down[self.tail(e)] < self._down[self.head(e)]
-            for e in self.graph.edges
-        )
+        return self._index_increasing
 
     # -- reachability and cycles ----------------------------------------------
 

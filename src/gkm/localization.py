@@ -90,12 +90,11 @@ def _products(og: OrientedGkmGraph) -> tuple[list[Polynomial], Polynomial]:
 def _numerator(og: OrientedGkmGraph, values: Mapping[str, Polynomial]) -> Polynomial:
     """sum_v f(v) * prod_{w != v} nu_w."""
     ids = og.graph.vertex_ids()
-    rank = og.graph.rank
     products, _ = _products(og)
-    total = Polynomial.zero(rank)
+    total = Polynomial.zero(og.graph.rank)
     for i, vid in enumerate(ids):
-        fv = values.get(vid, Polynomial.zero(rank))
-        if not fv.is_zero():
+        fv = values.get(vid)
+        if fv is not None and not fv.is_zero():
             total = total + fv * products[i]
     return total
 
@@ -171,8 +170,8 @@ def sum_at_point(og: OrientedGkmGraph, f, point: Vector) -> Fraction:
     values = _values_of(f)
     total = Fraction(0)
     for vid in og.graph.vertex_ids():
-        fv = values.get(vid, Polynomial.zero(og.graph.rank))
-        if fv.is_zero():
+        fv = values.get(vid)
+        if fv is None or fv.is_zero():
             continue
         nu = euler_class(og, vid).evaluate(point)
         if nu == 0:

@@ -7,6 +7,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkm import cohomology
 from gkm.cohomology import (
     CohomologyElement,
     basis,
@@ -17,7 +18,6 @@ from gkm.cohomology import (
     slice_dimension,
     thom_class,
     unity,
-    zero_class,
 )
 from gkm.corpus import corpus, corpus_names
 from gkm.errors import GkmError, NotAClass, PreconditionError, ScopeError
@@ -82,6 +82,44 @@ def test_not_a_class_names_edge_degree_and_value(cp3):
 def test_values_at_unknown_vertices_are_a_precondition_error(cp3):
     with pytest.raises(PreconditionError, match="unknown vertices"):
         CohomologyElement(cp3, {"A": x1, "Z": x2})
+
+
+def test_every_way_in_checks_once_and_ring_operations_never(monkeypatch):
+    og = oriented("cp3-k4")  # a fresh orientation: no Thom class is stored yet
+    g = og.graph
+    checks = []
+    real = cohomology._first_violation
+    monkeypatch.setattr(cohomology, "_first_violation",
+                        lambda *args: checks.append(args) or real(*args))
+    f = equivariant_symplectic_class(g)
+    assert len(checks) == 1
+    assert CohomologyElement(g, f.values) == f
+    assert len(checks) == 2
+    h = thom_class(og, og.vertices_of_index(1)[0], "plus")
+    assert len(checks) == 3
+    thom_class(og, og.vertices_of_index(1)[0], "plus")  # stored, not solved again
+    thom_class(og, og.r_vertex(), "minus")
+    assert len(checks) == 4
+    checks.clear()
+    p = x1 * x2 + 3
+    for result in (f + h, f - h, -f, f * h, 2 * f, Fraction(1, 3) * f, f * p,
+                   f ** 2, unity(g), f + 1, 1 - f):
+        assert isinstance(result, CohomologyElement)
+    assert checks == []
+
+
+def test_equivariant_symplectic_class_and_solver_output_are_checked():
+    # A moment image that the edge weight does not follow.
+    g = GkmGraph(2, 1, [Vertex("a", Vector((0, 0))), Vertex("b", Vector((1, 1)))],
+                 [Edge("a", "b", Vector((1, 0)))])
+    with pytest.raises(NotAClass, match="across a-b: the degree-1 part"):
+        equivariant_symplectic_class(g)
+    cp3 = corpus("cp3-k4").graph
+    system = cohomology._slice_system(cp3, 1)
+    coeffs = [Fraction(0)] * len(system.columns)
+    coeffs[system.index[("A", (1, 0))]] = Fraction(1)  # x1 at A only
+    with pytest.raises(NotAClass, match="across A-"):
+        system.element_from(coeffs)
 
 
 def test_elements_on_different_graphs_do_not_combine(cp3):
@@ -161,8 +199,11 @@ def test_edge_points_are_primitive_perpendiculars():
 def test_sums_differences_and_products_of_classes_are_classes(name, data):
     g, classes = corpus_classes(name)
     f, h = data.draw(st.lists(st.sampled_from(classes), min_size=2, max_size=2))
-    k = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
-    for result in (f + h, f - h, f * h, k * f + h, f * (h - k)):
+    k = data.draw(st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5,
+                                                   max_denominator=6))
+    p = data.draw(small_forms)
+    for result in (f + h, f - h, f * h, k * f + h, f * (h - k), -f, f ** 2,
+                   p * f, f + p, k - f):
         assert is_class(g, result.values)
 
 
@@ -170,7 +211,7 @@ def test_sums_differences_and_products_of_classes_are_classes(name, data):
 
 def test_additive_and_multiplicative_identities(cp3):
     om = equivariant_symplectic_class(cp3)
-    assert om + zero_class(cp3) == om
+    assert om + 0 == om
     assert unity(cp3) * om == om
 
 
@@ -353,11 +394,13 @@ def test_scalar_multiple_requires_a_degree_one_class(cp3_oriented):
         scalar_multiple_of_weight(tau_top, edge)
 
 
-def test_degree_of_inhomogeneous_assignment_is_a_gkm_error(cp3):
-    mixed = CohomologyElement(cp3, {"A": x1, "B": x1 * x2}, check=False)
+def test_degree_of_inhomogeneous_assignment_is_a_gkm_error(cp3_oriented):
+    og, g = cp3_oriented, cp3_oriented.graph
+    p = og.vertices_of_index(1)[0]
+    mixed = thom_class(og, p, "minus") + thom_class(og, og.r_vertex(), "plus")
     with pytest.raises(GkmError, match="mixed degrees"):
         mixed.degree
-    lumpy = CohomologyElement(cp3, {"A": x1 + x1 * x2}, check=False)
+    lumpy = unity(g) + equivariant_symplectic_class(g)
     with pytest.raises(GkmError, match="not homogeneous"):
         lumpy.degree
 
