@@ -1,8 +1,10 @@
 """Tour of the exact polynomial layer.
 
-Everything downstream rests on being able to decide divisibility by linear
-forms exactly: an edge congruence either holds or it does not, with no
-tolerance knob anywhere.
+Every decision downstream is exact, with no tolerance knob anywhere. Edge
+congruences are tested by evaluation at each weight's primitive
+perpendicular; integrals, pairing shortcuts and weight multiples are read
+with ``parallel_ratio``; exact division by a linear form stays as the
+reference that ``congruent_mod_linear`` uses.
 """
 
 from fractions import Fraction
@@ -23,6 +25,11 @@ print("f =", f)
 # Division by a linear form either succeeds exactly or raises.
 g = (x1 - x2) * (x1 + 5 * x2)
 print("g / (x1 - x2) =", g.divide_by_linear(x1 - x2))
+
+# One polynomial as an exact rational multiple of another, or None.
+ratio = (3 * x1**2 - 6 * x2**2).parallel_ratio(x1**2 - 2 * x2**2)
+print("(3*x1^2 - 6*x2^2) / (x1^2 - 2*x2^2) =", ratio)
+print("x1*x2 a multiple of x1^2?", (x1 * x2).parallel_ratio(x1**2))
 
 # The congruence that defines graph cohomology: f == g mod a weight form.
 print("x1^2 == x2^2 mod (x1 - x2)?", congruent_mod_linear(x1**2, x2**2, x1 - x2))

@@ -35,6 +35,7 @@ from .errors import (
     Infeasible,
     NonUnique,
     NotAClass,
+    NotDivisible,
     NotIndexIncreasing,
     PreconditionError,
     RankMismatch,
@@ -345,6 +346,7 @@ def scalar_multiple_of_weight(f: CohomologyElement, edge: Edge) -> Fraction:
         raise PreconditionError(f"class vanishes at neither endpoint of {edge}")
     if f.degree != 1:
         raise PreconditionError("scalar extraction requires a degree-1 class")
-    value = f.value(holder)
-    quotient = value.divide_by_linear(lin_form(edge.weight_from(holder)))
-    return quotient.coefficient((0,) * f.graph.rank)
+    ratio = f.value(holder).parallel_ratio(lin_form(edge.weight_from(holder)))
+    if ratio is None:
+        raise NotDivisible(f"value at {holder} is no multiple of the weight of {edge}")
+    return ratio

@@ -430,9 +430,12 @@ def orient(graph: GkmGraph, xi: Vector | Iterable) -> OrientedGkmGraph:
     return OrientedGkmGraph(graph, v)
 
 
-def xi_candidates(max_sum: int = 120) -> Iterator[Vector]:
+_XI_MAX_SUM = 120  # covector candidates (a, b) have |a| + |b| <= this
+
+
+def xi_candidates() -> Iterator[Vector]:
     """Deterministic stream of primitive rank-2 covector candidates."""
-    for s in range(1, max_sum + 1):
+    for s in range(1, _XI_MAX_SUM + 1):
         for a in range(0, s + 1):
             b = s - a
             if gcd(a, b) != 1:
@@ -442,13 +445,12 @@ def xi_candidates(max_sum: int = 120) -> Iterator[Vector]:
                 yield Vector((a, -b))
 
 
-def find_index_increasing_xi(graph: GkmGraph, count: int = 1,
-                             max_sum: int = 120) -> list[Vector]:
+def find_index_increasing_xi(graph: GkmGraph, count: int = 1) -> list[Vector]:
     """First ``count`` candidates that are generic and index-increasing."""
     if graph.rank != 2:
         raise ScopeError("covector search is implemented for rank 2 only")
     found: list[Vector] = []
-    for xi in xi_candidates(max_sum):
+    for xi in xi_candidates():
         try:
             og = orient(graph, xi)
         except NotGeneric:

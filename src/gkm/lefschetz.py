@@ -43,8 +43,8 @@ from .geometry import (
     require_six_dim,
 )
 from .graph import OrientedGkmGraph
-from .localization import check_low_degree_vanishing, integrate
-from .polynomial import Polynomial, lin_form
+from .localization import check_low_degree_vanishing, euler_class, integrate
+from .polynomial import lin_form
 
 
 def moment_ratio(og: OrientedGkmGraph, p: str, q: str) -> Fraction:
@@ -139,17 +139,6 @@ def _shifted_thom_product(og: OrientedGkmGraph, p: str) -> CohomologyElement:
     return thom_class(og, p, "plus") * (omega - shift)
 
 
-def _localized_entry(og: OrientedGkmGraph, value: Polynomial, q: str) -> Fraction:
-    """value / nu_q^+ as an exact scalar (divide out both descending forms)."""
-    quotient = value
-    for e in og.down_edges(q):
-        quotient = quotient.divide_by_linear(lin_form(e.weight_from(q)))
-    constant = quotient.coefficient((0,) * og.graph.rank)
-    if quotient != Polynomial.constant(og.graph.rank, constant):
-        raise Mismatch("localized shortcut did not reduce to a scalar")
-    return constant
-
-
 def mixed_hr2_matrix(og: OrientedGkmGraph) -> list[list[Fraction]]:
     """Degree-2 pairing matrix: rows = descending Thom classes of the
     index-four vertices, columns = ascending Thom classes of the index-two
@@ -174,9 +163,12 @@ def _mixed_hr2_entries(og: OrientedGkmGraph) -> list[list[Fraction]]:
     for q in qs:
         row = []
         tau_q = thom_class(og, q, "minus")
+        nu_q = euler_class(og, q, "plus")
         for p in ps:
             via_integral = integrate(og, products[p] * tau_q)
-            via_shortcut = _localized_entry(og, products[p].value(q), q)
+            via_shortcut = products[p].value(q).parallel_ratio(nu_q)
+            if via_shortcut is None:
+                raise Mismatch(f"entry ({q}, {p}): shortcut value is no multiple of nu_q^+")
             if via_integral != via_shortcut:
                 raise Mismatch(
                     f"entry ({q}, {p}): localization gives {via_integral}, "

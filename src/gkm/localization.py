@@ -3,10 +3,10 @@
 The Euler class of a vertex is the product of the linear forms of all its
 outward edge weights; its descending ("plus") and ascending ("minus")
 factors multiply to it.  A homogeneous class of top polynomial degree n
-integrates to the constant value of sum_v f(v) / nu_v, computed exactly
-over the common denominator prod_v nu_v; classes of lower degree must make
-the numerator vanish identically, and both facts are cross-checkable by
-evaluating the sum at generic rational points.
+integrates to the constant value of sum_v f(v) / nu_v, the exact ratio of
+its numerator to the common denominator prod_v nu_v; classes of lower
+degree must make the numerator vanish identically, and both facts are
+cross-checkable by evaluating the sum at generic rational points.
 """
 
 from __future__ import annotations
@@ -113,13 +113,9 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
         return Fraction(0)
     if degree != n:
         raise DegreeError(f"integrand has polynomial degree {degree}, expected {n}")
-    numerator = _numerator(og, values)
-    if numerator.is_zero():
-        return Fraction(0)
     _, denominator = _products(og)
-    lead_exps, lead_coeff = next(denominator.terms())
-    constant = numerator.coefficient(lead_exps) / lead_coeff
-    if numerator != denominator * constant:
+    constant = _numerator(og, values).parallel_ratio(denominator)
+    if constant is None:
         raise NonConstant("localization sum did not reduce to a constant")
     return constant
 

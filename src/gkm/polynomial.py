@@ -11,11 +11,10 @@ Degree convention: we store plain polynomial degree; the cohomological
 degree of a homogeneous element is twice that (each variable has
 cohomological degree 2).
 
-A polynomial is a mapping from exponent tuples to nonzero coefficients.
-Term order everywhere (iteration, text form, hash) is graded lexicographic,
-leading terms first, so equality is structural and serialization is
-reproducible.  That order is computed lazily, on the first call that needs
-it, and kept; arithmetic never sorts.
+A polynomial maps exponent tuples to nonzero coefficients, compared and
+hashed as that mapping; no term order is stored, so ``terms()`` and the
+text form sort graded-lex, leading terms first.  ``parallel_ratio`` tells,
+by integer cross-multiplication, whether one is a rational multiple of another.
 
 Two constructors build polynomials.  The public ``Polynomial(rank, terms)``
 takes input from outside the class: it checks every exponent tuple,
@@ -43,10 +42,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floating-point values are not allowed in exact arithmetic")
     return Fraction(x)
-
-
-def _gradedlex_key(exponents: tuple) -> tuple:
-    return (sum(exponents), exponents)
 
 
 class Vector:
@@ -154,10 +149,6 @@ class Vector:
                     ratio = r
                 elif ratio != r:
                     return None
-        # Components of `other` that are zero force the matching components
-        # of self to zero, checked above; remaining ratio is consistent.
-        if ratio is None:  # other nonzero guarantees at least one b != 0
-            raise AssertionError("unreachable")
         return ratio
 
 
@@ -165,11 +156,11 @@ class Polynomial:
     """Exact polynomial in ``rank`` variables with rational coefficients.
 
     Terms map exponent tuples to nonzero integer numerators over one
-    positive denominator; canonical order is graded-lex descending,
-    computed on first use.  Instances are immutable.
+    positive denominator; ``terms()`` lists them graded-lex descending.
+    Instances are immutable.
     """
 
-    __slots__ = ("rank", "_num", "_den", "_order")
+    __slots__ = ("rank", "_num", "_den")
 
     def __init__(self, rank: int, terms: Mapping[tuple, Scalar] | None = None):
         """Validating constructor for terms from outside the class.
@@ -196,11 +187,15 @@ class Polynomial:
 
     @classmethod
     def zero(cls, rank: int) -> "Polynomial":
-        return cls(rank, {})
+        if rank < 1:
+            raise ValueError("polynomial rank must be >= 1")
+        return _make(rank, {}, 1)
 
     @classmethod
     def constant(cls, rank: int, value: Scalar) -> "Polynomial":
-        return cls(rank, {(0,) * rank: _frac(value)})
+        if rank < 1:
+            raise ValueError("polynomial rank must be >= 1")
+        return _from_fractions(rank, {(0,) * rank: _frac(value)})
 
     @classmethod
     def variable(cls, rank: int, index: int) -> "Polynomial":
@@ -213,17 +208,10 @@ class Polynomial:
 
     # -- inspection --------------------------------------------------------
 
-    def _sorted_terms(self) -> tuple:
-        order = self._order
-        if order is None:
-            order = tuple(sorted(self._num.items(),
-                                 key=lambda kv: _gradedlex_key(kv[0]), reverse=True))
-            object.__setattr__(self, "_order", order)
-        return order
-
     def terms(self) -> Iterator[tuple[tuple, Fraction]]:
         """(exponents, coefficient) pairs in graded-lex descending order."""
-        return ((e, Fraction(n, self._den)) for e, n in self._sorted_terms())
+        order = sorted(self._num, key=lambda e: (sum(e), e), reverse=True)
+        return ((e, Fraction(self._num[e], self._den)) for e in order)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return Fraction(self._num.get(tuple(exponents), 0), self._den)
@@ -327,7 +315,27 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self._den, self._sorted_terms()))
+        return hash((self.rank, self._den, frozenset(self._num.items())))
+
+    def parallel_ratio(self, other: "Polynomial") -> Fraction | None:
+        """Return r with self == r * other, or None if no such rational exists.
+
+        ``other`` must be nonzero.  Supports must agree, and each term's
+        numerators s, o must satisfy s*b == a*o, a and b those of one term.
+        """
+        if other.rank != self.rank:
+            raise RankMismatch(f"polynomial ranks differ: {self.rank} vs {other.rank}")
+        if not other._num:
+            raise ValueError("parallel_ratio against the zero polynomial")
+        if not self._num:
+            return Fraction(0)
+        if self._num.keys() != other._num.keys():
+            return None
+        first, b = next(iter(other._num.items()))
+        a = self._num[first]
+        if any(c * b != a * other._num[e] for e, c in self._num.items()):
+            return None
+        return Fraction(a * other._den, b * self._den)
 
     # -- evaluation and division -------------------------------------------
 
@@ -435,7 +443,6 @@ def _init(p: Polynomial, rank: int, num: dict, den: int) -> None:
     object.__setattr__(p, "rank", rank)
     object.__setattr__(p, "_num", num)
     object.__setattr__(p, "_den", den)
-    object.__setattr__(p, "_order", None)
 
 
 def _make(rank: int, num: dict, den: int) -> Polynomial:

@@ -19,7 +19,7 @@ from gkm.lefschetz import (
     moment_ratio,
     thom_coefficient,
 )
-from gkm.polynomial import Vector
+from gkm.polynomial import Polynomial, Vector
 
 
 def oriented(name):
@@ -367,6 +367,20 @@ def test_low_degree_count_failure_names_its_degree(monkeypatch):
     assert failed == {
         "low-degree-vanishing": "degree 0: 1 Thom products but slice dimension 2"
     }
+
+
+def test_shortcut_failure_names_its_entry(monkeypatch):
+    # A degree-3 stand-in for nu_q^+ divides no nonzero degree-2 value, so
+    # the first adjacent pair (a nonzero entry) has no shortcut ratio.
+    monkeypatch.setattr(lefschetz, "euler_class",
+                        lambda og, vid, variant="full": Polynomial.variable(2, 0) ** 3)
+    og = oriented("cp3-k4")
+    report = hard_lefschetz_report(og)
+    failed = {c["name"]: c["detail"] for c in report.checks if not c["ok"]}
+    q, p = next((q, p) for q in og.vertices_of_index(2) for p in og.vertices_of_index(1)
+                if og.graph.adjacent(p, q))
+    assert failed["pairing-identity"] == (
+        f"entry ({q}, {p}): shortcut value is no multiple of nu_q^+")
 
 
 def test_stored_pairing_data_is_handed_out_as_copies(tol):

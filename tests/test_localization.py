@@ -11,7 +11,7 @@ from gkm.cohomology import (
     unity,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import DegreeError, GkmError, NonZero
+from gkm.errors import DegreeError, GkmError, NonConstant, NonZero
 from gkm.graph import orient
 from gkm.localization import (
     check_low_degree_vanishing,
@@ -112,6 +112,14 @@ def test_integrate_degree_error(cp3):
     om = equivariant_symplectic_class(cp3.graph)
     with pytest.raises(DegreeError):
         integrate(cp3, om)
+
+
+def test_integrate_rejects_a_sum_that_is_not_constant(cp3):
+    # A top-degree assignment that is no class: its localization numerator
+    # is no rational multiple of prod_v nu_v.
+    x1 = Polynomial.variable(2, 0)
+    with pytest.raises(NonConstant):
+        integrate(cp3, {"A": x1**3})
 
 
 def test_integrate_agrees_with_point_evaluation():

@@ -285,6 +285,16 @@ def test_floats_are_rejected_on_every_way_in(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Polynomial.zero(0),
+    lambda: Polynomial.constant(0, 1),
+    lambda: Polynomial(0, {}),
+], ids=["zero", "constant", "constructor"])
+def test_rank_below_one_is_rejected(make):
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        make()
+
+
 # -- every operation against a dict-of-Fraction reference ---------------------------
 #
 # The reference keeps each polynomial as a plain {exponents: Fraction} dict
@@ -326,6 +336,15 @@ def ref_component(a, degree):
 def ref_graded_values(a, point):
     values = {d: ref_value(ref_component(a, d), point) for d in {sum(e) for e in a}}
     return {d: v for d, v in values.items() if v}
+
+
+def ref_ratio(a, b):
+    if not a:
+        return Fraction(0)
+    if a.keys() != b.keys():
+        return None
+    ratios = {a[e] / b[e] for e in a}
+    return ratios.pop() if len(ratios) == 1 else None
 
 
 def ref_order(a):
@@ -381,15 +400,17 @@ def oracle_cases(draw):
     return (rank, ref_clean(a), ref_clean(b), ref_clean(q), r, w,
             draw(st.tuples(*[st.integers(-4, 4)] * rank)),
             draw(st.tuples(*[rationals] * rank)),
-            draw(st.integers(0, 3)), draw(st.integers(0, 6)))
+            draw(st.integers(0, 3)), draw(st.integers(0, 6)), draw(rationals))
 
 
 @settings(max_examples=60, deadline=None)
 @given(oracle_cases())
 def test_every_operation_matches_the_fraction_reference(case):
-    rank, a, b, q, r, w, int_point, point, n, degree = case
+    rank, a, b, q, r, w, int_point, point, n, degree, s = case
     pa, pb = Polynomial(rank, a), Polynomial(rank, b)
     assert_matches(pa, a)
+    assert_matches(Polynomial.zero(rank), {})
+    assert_matches(Polynomial.constant(rank, s), ref_clean({(0,) * rank: s}))
     assert_matches(pa + pb, ref_add(a, b))
     assert_matches(pa - pb, ref_add(a, b, -1))
     assert_matches(pa * pb, ref_mul(a, b))
@@ -403,6 +424,19 @@ def test_every_operation_matches_the_fraction_reference(case):
     assert pa.graded_values(int_point) == ref_graded_values(a, int_point)
     assert (pa == pb) == (a == b)
     assert (pa == pb) <= (hash(pa) == hash(pb))
+
+    # parallel_ratio against b: a itself, s * b, s * b with one coefficient
+    # moved (same support and no multiple when b has two terms and s != -1),
+    # and zero.
+    if b:
+        multiple = ref_mul(b, {(0,) * rank: s})
+        moved = ref_add(multiple, dict([next(iter(b.items()))]))
+        for left in (a, multiple, moved, {}):
+            ratio = Polynomial(rank, left).parallel_ratio(pb)
+            assert ratio == ref_ratio(left, b)
+            assert ratio is None or type(ratio) is Fraction  # never a float
+    with pytest.raises(ValueError):
+        pa.parallel_ratio(Polynomial.zero(rank))
 
     ell = lin_form(Vector(w))
     assert_matches(ell, ref_clean({tuple(int(i == j) for j in range(rank)): c
