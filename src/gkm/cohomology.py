@@ -18,10 +18,13 @@ products of classes are classes, as f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v))
 
 Thom classes are constructed by the same solver restricted to a
 reachability support, with divisibility rows for edges leaving the support
-and normalization rows at the base vertex.  The elimination that yields
-the solution also yields its rank; rank equal to the column count
-certifies the uniqueness the theory promises, so the solve doubles as a
-verification.
+and normalization rows at the base vertex.  Every system is built in
+integers, and its solution comes back from ``linalg`` as integer
+numerators over one positive denominator, which is how ``Polynomial``
+stores coefficients; so no rational number is formed between the
+elimination and the class.  The elimination that yields the solution also
+yields its rank; rank equal to the column count certifies the uniqueness
+the theory promises, so the solve doubles as a verification.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .graph import Edge, GkmGraph, OrientedGkmGraph
 from .localization import class_degree, euler_class
 # congruent_mod_linear is unused here; perfbench's tracer self-test expects it.
 from .polynomial import (  # noqa: F401
-    Polynomial, _from_fractions, congruent_mod_linear, lin_form)
+    Polynomial, _make, congruent_mod_linear, lin_form)
 
 
 def monomials(rank: int, degree: int) -> list[tuple]:
@@ -215,7 +218,7 @@ class _System:
     A binary form g of degree d is divisible by <w, x> exactly when it
     vanishes at w's primitive perpendicular, so each congruence or
     divisibility condition is one integer row: the degree-d monomials
-    evaluated at that point.
+    evaluated at that point.  Rows and right-hand sides are all integers.
     """
 
     def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str]):
@@ -225,7 +228,7 @@ class _System:
         self.columns = [(v, m) for v in self.support for m in self.monomials]
         self.index = {col: i for i, col in enumerate(self.columns)}
         self.rows: list[list[int]] = []
-        self.rhs: list[int | Fraction] = []
+        self.rhs: list[int] = []
 
     def _add_row(self, point: tuple[int, int], signs: list[tuple[str, int]]):
         """One row: sign * m(point) at (vertex, m), per (vertex, sign)."""
@@ -246,16 +249,22 @@ class _System:
         self._add_row(point, [(vid, 1)])
 
     def add_normalization(self, vid: str, target: Polynomial):
+        """f(vid) must equal target: per monomial, the coefficient's
+        denominator at (vid, m) and its numerator on the right."""
         for m in self.monomials:
+            c = target.coefficient(m)
             row = [0] * len(self.columns)
-            row[self.index[(vid, m)]] = 1
+            row[self.index[(vid, m)]] = c.denominator
             self.rows.append(row)
-            self.rhs.append(target.coefficient(m))
+            self.rhs.append(c.numerator)
 
-    def element_from(self, coeffs: list[Fraction]) -> CohomologyElement:
-        rank, index = self.graph.rank, self.index
-        values = {v: _from_fractions(rank, {m: coeffs[index[(v, m)]] for m in self.monomials})
-                  for v in self.support}
+    def element_from(self, y: list[int], d: int) -> CohomologyElement:
+        """The class with coefficients y / d (int numerators, d > 0),
+        checked on construction."""
+        rank, monomials = self.graph.rank, self.monomials
+        n = len(monomials)
+        values = {v: _make(rank, dict(zip(monomials, y[k * n:(k + 1) * n])), d)
+                  for k, v in enumerate(self.support)}
         return CohomologyElement(self.graph, values)
 
 
@@ -271,7 +280,7 @@ def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
     """A basis of the homogeneous degree-d slice, by exact nullspace."""
     system = _slice_system(graph, degree)
     vectors = linalg.nullspace(system.rows, ncols=len(system.columns))
-    return [system.element_from(v) for v in vectors]
+    return [system.element_from(y, d) for y, d in vectors]
 
 
 def slice_dimension(graph: GkmGraph, degree: int) -> int:
@@ -297,8 +306,8 @@ def thom_class(og: OrientedGkmGraph, vid: str,
                       lambda: _solve_thom_class(og, vid, direction))
 
 
-def _solve_thom_class(og: OrientedGkmGraph, vid: str,
-                      direction: str) -> CohomologyElement:
+def _thom_system(og: OrientedGkmGraph, vid: str, direction: str) -> _System:
+    """The linear system whose unique solution is the Thom class of vid."""
     n = og.graph.valence
     if direction == "plus":
         support = og.ascending_reachable(vid)
@@ -316,7 +325,12 @@ def _solve_thom_class(og: OrientedGkmGraph, vid: str,
         elif inside:
             system.add_divisibility(inside[0], point)
     system.add_normalization(vid, normalization)
+    return system
 
+
+def _solve_thom_class(og: OrientedGkmGraph, vid: str,
+                      direction: str) -> CohomologyElement:
+    system = _thom_system(og, vid, direction)
     solution, nullity = linalg.solve(system.rows, system.rhs)
     if solution is None:
         raise Infeasible(f"no class with the required support exists for {vid}")
@@ -324,7 +338,7 @@ def _solve_thom_class(og: OrientedGkmGraph, vid: str,
         raise NonUnique(
             f"Thom class of {vid} is not unique (nullspace dimension {nullity})"
         )
-    return system.element_from(solution)
+    return system.element_from(*solution)
 
 
 def scalar_multiple_of_weight(f: CohomologyElement, edge: Edge) -> Fraction:

@@ -1,32 +1,43 @@
 """Exact linear algebra over the rationals.
 
-Fraction-free Gaussian elimination (Bareiss): each row is first scaled to
-integers, then eliminated with the two-by-two determinant update whose
-divisions are exact; back-substitution is fraction-free too.  Pivoting
-picks the first row with a nonzero entry -- there is no magnitude pivoting
-to do in exact arithmetic -- which makes echelon forms, and everything
-derived from them, deterministic.
+Fraction-free Gaussian elimination (Bareiss): each row enters as integers
+-- an int row as it is, any other row scaled by the lcm of its
+denominators -- and is eliminated with the two-by-two determinant update
+whose divisions are exact; back-substitution is fraction-free too.
+Pivoting picks the first row with a nonzero entry -- there is no magnitude
+pivoting to do in exact arithmetic -- which makes echelon forms, and
+everything derived from them, deterministic.
 
-Matrices are plain lists of lists of Fractions (or ints).
+Matrices are plain lists of lists of ints or Fractions; any other entry
+(a float, a string) is a TypeError naming its cell.  Exact solutions come
+back as integers over one denominator: a pair ``(y, d)`` of int numerators
+and an int ``d > 0`` stands for the rational vector ``y / d``, so that
+``A·y == d·b`` for ``solve`` and ``A·y == 0`` for ``nullspace``.
+``determinant`` returns a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import GkmError
 
-Matrix = Sequence[Sequence[Fraction]]
+Matrix = Sequence[Sequence[Union[int, Fraction]]]
+Solution = tuple[list[int], int]
 
 
 def _row_to_int(row, i: int) -> tuple[list[int], int]:
-    """Scale rational row ``i`` to integers; return (row, scale factor).
+    """Row ``i`` as a new list of ints and the factor it was scaled by.
 
-    Only ints and Fractions are accepted: a float or a string would make
-    the elimination inexact or silently reinterpret the entry.
+    An int row is copied unscaled.  Otherwise only ints and Fractions are
+    accepted -- a float or a string would make the elimination inexact or
+    silently reinterpret the entry -- and the row is scaled by the lcm of
+    its denominators.
     """
+    if {int}.issuperset(map(type, row)):
+        return list(row), 1
     scale = 1
     for j, x in enumerate(row):
         if not isinstance(x, (int, Fraction)):
@@ -58,6 +69,11 @@ def echelon(matrix: Matrix, pivot_limit: Optional[int] = None) -> Echelon:
 
     ``pivot_limit`` restricts pivot columns to indices below it (used for
     augmented systems, where the right-hand side must never pivot).
+
+    Below the pivot row, every column left of the pivot column is already
+    zero, so the update runs over the pivot column and to its right only.
+    A row that is zero at the pivot column is just rescaled by piv / prev,
+    which is exact as every Bareiss division is.
     """
     rows = []
     scales = []
@@ -84,13 +100,17 @@ def echelon(matrix: Matrix, pivot_limit: Optional[int] = None) -> Echelon:
             rows[pr], rows[found] = rows[found], rows[pr]
             scales[pr], scales[found] = scales[found], scales[pr]
             sign = -sign
+        pivot_tail = rows[pr][pc + 1:]
         piv = rows[pr][pc]
         for i in range(pr + 1, nrows):
-            if all(x == 0 for x in rows[i]):
-                continue
-            factor = rows[i][pc]
-            for j in range(ncols):
-                rows[i][j] = (rows[i][j] * piv - factor * rows[pr][j]) // prev
+            row = rows[i]
+            factor = row[pc]
+            if factor:
+                row[pc] = 0
+                row[pc + 1:] = [(a * piv - factor * b) // prev
+                                for a, b in zip(row[pc + 1:], pivot_tail)]
+            else:
+                row[pc + 1:] = [a * piv // prev if a else 0 for a in row[pc + 1:]]
         prev = piv
         pivot_cols.append(pc)
         pr += 1
@@ -125,14 +145,14 @@ def determinant(matrix: Matrix) -> Fraction:
 
 
 def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int],
-                     rhs: Optional[list[int]] = None) -> list[Fraction]:
+                     rhs: Optional[list[int]] = None) -> Solution:
     """Solve the echelon system for the pivot variables, fraction-free.
 
     ``fixed`` assigns integers to the free variables; ``rhs`` is the
     (already reduced) right-hand side per pivot row, defaulting to zero.
     With D the last Bareiss pivot, Cramer's rule makes y = D * x integral,
     so each step is an exact integer division; a remainder is a GkmError
-    naming the row.
+    naming the row.  Returns ``(y, d)`` with ``x = y / d`` and ``d = |D|``.
     """
     pivots = ech.pivot_cols
     d = ech.rows[len(pivots) - 1][pivots[-1]] if pivots else 1
@@ -150,17 +170,22 @@ def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int],
         if rem:
             raise GkmError(f"back-substitution at pivot row {i} (column {pc}) is not "
                            f"exact: {acc} is not a multiple of the pivot {row[pc]}")
-    return [Fraction(v, d) for v in y]
+    if d < 0:
+        return [-v for v in y], -d
+    return y, d
 
 
-def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[list[Fraction]]:
-    """Basis of the kernel, one vector per free column, deterministic."""
+def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[Solution]:
+    """Basis of the kernel, one ``(y, d)`` per free column, deterministic.
+
+    Each basis vector is ``y / d`` with ``A·y == 0`` and ``d > 0``.
+    """
     if ncols is None:
         if not matrix:
             raise ValueError("cannot infer column count of an empty matrix")
         ncols = len(matrix[0])
     if not matrix:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+        return [([int(i == j) for j in range(ncols)], 1) for i in range(ncols)]
     ech = echelon(matrix)
     pivots = set(ech.pivot_cols)
     basis = []
@@ -173,20 +198,21 @@ def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[list[Fraction
 
 
 def solve(matrix: Matrix,
-          rhs: Sequence[Fraction]) -> tuple[Optional[list[Fraction]], int]:
+          rhs: Sequence[Union[int, Fraction]]) -> tuple[Optional[Solution], int]:
     """A particular solution of A x = b and the nullity of A, from one
     elimination of the augmented matrix.
 
-    Returns ``(x, nullity)``: ``x`` has the free variables set to 0 and is
-    None when the system is inconsistent; ``nullity`` is
-    ``ncols - rank(A)``, the dimension of the solution family (zero iff a
-    solution, when one exists, is unique).  A matrix with no rows is taken
-    to have no columns.
+    Returns ``(solution, nullity)``.  ``solution`` is ``(y, d)`` with
+    ``A·y == d·b`` and ``d > 0``, so ``x = y / d``, with the free
+    variables set to 0; it is None when the system is inconsistent.
+    ``nullity`` is ``ncols - rank(A)``, the dimension of the solution
+    family (zero iff a solution, when one exists, is unique).  A matrix
+    with no rows is taken to have no columns.
     """
     if len(matrix) != len(rhs):
         raise ValueError("row count mismatch between matrix and right-hand side")
     if not matrix:
-        return [], 0
+        return ([], 1), 0
     ncols = len(matrix[0])
     augmented = [list(r) + [b] for r, b in zip(matrix, rhs)]
     ech = echelon(augmented, pivot_limit=ncols)

@@ -49,7 +49,9 @@ class Vector:
 
     Immutable; componentwise arithmetic plus the handful of exact
     predicates (pairing, parallelism, 2D cross product) the graph layer
-    needs.
+    needs.  The public constructor coerces every component to Fraction and
+    rejects floats; arithmetic results, already Fractions, are built by
+    ``_vector`` without a second coercion.
     """
 
     __slots__ = ("components",)
@@ -88,18 +90,18 @@ class Vector:
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check_rank(other)
-        return Vector(a + b for a, b in zip(self, other))
+        return _vector(tuple(a + b for a, b in zip(self, other)))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check_rank(other)
-        return Vector(a - b for a, b in zip(self, other))
+        return _vector(tuple(a - b for a, b in zip(self, other)))
 
     def __neg__(self) -> "Vector":
-        return Vector(-a for a in self)
+        return _vector(tuple(-a for a in self))
 
     def __mul__(self, scalar: Scalar) -> "Vector":
         s = _frac(scalar)
-        return Vector(a * s for a in self)
+        return _vector(tuple(a * s for a in self))
 
     __rmul__ = __mul__
 
@@ -120,7 +122,7 @@ class Vector:
         """A nonzero vector perpendicular to self (rank 2 only)."""
         if len(self) != 2:
             raise ScopeError("perp requires rank 2")
-        return Vector((-self[1], self[0]))
+        return _vector((-self[1], self[0]))
 
     def primitive_perp(self) -> tuple[int, int]:
         """perp() scaled by a positive rational to coprime integers."""
@@ -150,6 +152,14 @@ class Vector:
                 elif ratio != r:
                     return None
         return ratio
+
+
+def _vector(components: tuple[Fraction, ...]) -> Vector:
+    """Trusting constructor for Vector's own results: ``components`` must
+    be a tuple of Fractions; nothing is checked or coerced."""
+    v = object.__new__(Vector)
+    object.__setattr__(v, "components", components)
+    return v
 
 
 class Polynomial:

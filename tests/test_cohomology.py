@@ -116,10 +116,10 @@ def test_equivariant_symplectic_class_and_solver_output_are_checked():
         equivariant_symplectic_class(g)
     cp3 = corpus("cp3-k4").graph
     system = cohomology._slice_system(cp3, 1)
-    coeffs = [Fraction(0)] * len(system.columns)
-    coeffs[system.index[("A", (1, 0))]] = Fraction(1)  # x1 at A only
+    coeffs = [0] * len(system.columns)
+    coeffs[system.index[("A", (1, 0))]] = 1  # x1 at A only
     with pytest.raises(NotAClass, match="across A-"):
-        system.element_from(coeffs)
+        system.element_from(coeffs, 1)
 
 
 def test_elements_on_different_graphs_do_not_combine(cp3):

@@ -57,22 +57,16 @@ def _primitive_direction(a: Vector, b: Vector) -> Vector:
     return Vector(tuple(x // g for x in ints))
 
 
-def _positive_primitive(vec: list[Fraction]) -> list[int] | None:
-    """Scale a rational vector to the positive primitive integer point."""
+def _positive_primitive(vec: list[int]) -> list[int] | None:
+    """Scale an integer vector to the positive primitive integer point."""
     if any(c == 0 for c in vec):
         return None
     if all(c < 0 for c in vec):
         vec = [-c for c in vec]
     if not all(c > 0 for c in vec):
         return None
-    scale = 1
-    for c in vec:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return [x // g for x in ints]
+    g = gcd(*vec)
+    return [x // g for x in vec]
 
 
 def derive_axial_multiples(graph, bound=16):
@@ -122,7 +116,8 @@ def derive_axial_multiples(graph, bound=16):
         kernel = linalg.nullspace(rows, ncols=len(edges))
         if len(kernel) != 1:
             continue
-        scaled = _positive_primitive(kernel[0])
+        y, _ = kernel[0]  # y spans the kernel, as y / d does
+        scaled = _positive_primitive(y)
         if scaled is None or max(scaled) > bound:
             continue
         solutions.add(tuple(scaled))

@@ -1,14 +1,18 @@
-"""Fraction-free elimination kernel, property-tested against brute force."""
+"""Fraction-free elimination kernel, property-tested against brute force,
+against the full-row Bareiss loop and against Fraction Gauss-Jordan."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from math import gcd
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkm import linalg
+from gkm import cohomology, linalg
+from gkm.corpus import corpus, corpus_names
 from gkm.errors import GkmError
+from gkm.graph import find_index_increasing_xi, orient
 
 
 def brute_det(m):
@@ -27,6 +31,10 @@ def brute_det(m):
             prod *= Fraction(m[i][perm[i]])
         total += sign * prod
     return total
+
+
+def dot(row, v):
+    return sum(Fraction(a) * b for a, b in zip(row, v))
 
 
 entries = st.fractions(
@@ -50,9 +58,10 @@ def test_nullspace_vectors_annihilate(m):
     ncols = len(m[0])
     basis = linalg.nullspace(m)
     assert len(basis) == ncols - linalg.rank(m)
-    for v in basis:
+    for y, d in basis:
+        assert d > 0
         for row in m:
-            assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+            assert dot(row, y) == 0
 
 
 @settings(max_examples=60)
@@ -60,11 +69,13 @@ def test_nullspace_vectors_annihilate(m):
 def test_solve_reproduces_known_solution(m, data):
     ncols = len(m[0])
     x = [data.draw(entries) for _ in range(ncols)]
-    b = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in m]
+    b = [dot(row, x) for row in m]
     sol, _ = linalg.solve(m, b)
     assert sol is not None
+    y, d = sol
+    assert d > 0
     for row, bi in zip(m, b):
-        assert sum(Fraction(a) * v for a, v in zip(row, sol)) == bi
+        assert dot(row, y) == d * bi
 
 
 def test_solve_detects_inconsistency():
@@ -78,7 +89,7 @@ def test_solve_nullity_and_consistency_from_one_elimination(m, data):
     # the others are random and mostly make tall systems inconsistent.
     if data.draw(st.booleans()):
         x = [data.draw(entries) for _ in m[0]]
-        b = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in m]
+        b = [dot(row, x) for row in m]
     else:
         b = [data.draw(entries) for _ in m]
     sol, nullity = linalg.solve(m, b)
@@ -86,8 +97,10 @@ def test_solve_nullity_and_consistency_from_one_elimination(m, data):
     augmented = [list(row) + [bi] for row, bi in zip(m, b)]
     assert (sol is None) == (linalg.rank(augmented) > linalg.rank(m))
     if sol is not None:
+        y, d = sol
+        assert d > 0
         for row, bi in zip(m, b):
-            assert sum(Fraction(a) * v for a, v in zip(row, sol)) == bi
+            assert dot(row, y) == d * bi
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2"])
@@ -98,17 +111,41 @@ def test_inexact_entries_raise_type_error_naming_the_cell(bad):
         linalg.solve([[1, bad]], [1])
 
 
+# Rows that are integers up to one last entry: the int fast path must not
+# let the entry through.  The bad entry is at row 1, column ``col``.
+_INEXACT_ROWS = [
+    ([[1, 0, 0], [1, 2, 2.0], [0, 0, 1]], 2),
+    ([[1, 0], [1, "3"]], 1),
+]
+
+
+@pytest.mark.parametrize("matrix, col", _INEXACT_ROWS)
+@pytest.mark.parametrize("entry", ["echelon", "solve", "nullspace", "determinant", "rank"])
+def test_int_rows_with_one_inexact_entry_still_raise_naming_the_cell(matrix, col, entry):
+    calls = {
+        "echelon": lambda: linalg.echelon(matrix),
+        "solve": lambda: linalg.solve(matrix, [0] * len(matrix)),
+        "nullspace": lambda: linalg.nullspace(matrix),
+        "determinant": lambda: linalg.determinant(matrix),
+        "rank": lambda: linalg.rank(matrix),
+    }
+    with pytest.raises(TypeError, match=rf"row 1, column {col} .*expected int or Fraction"):
+        calls[entry]()
+
+
+def test_inexact_right_hand_side_raises_naming_its_cell():
+    with pytest.raises(TypeError, match=r"row 1, column 2 is float"):
+        linalg.solve([[1, 0], [0, 1]], [1, 2.0])
+
+
 def test_singular_determinant_is_zero():
     assert linalg.determinant([[1, 2], [2, 4]]) == 0
 
 
 def test_empty_constraints_nullspace_is_full():
     basis = linalg.nullspace([], ncols=3)
-    assert basis == [
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1)],
-    ]
+    assert basis == [([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1)]
+    assert all(type(c) is int for y, d in basis for c in y + [d])
 
 
 def test_determinant_of_empty_matrix_is_one():
@@ -148,16 +185,16 @@ def test_solve_and_nullspace_on_large_integer_matrices(m, data):
     ncols = len(m[0])
     x = [data.draw(big) for _ in range(ncols)]
     b = [sum(a * v for a, v in zip(row, x)) for row in m]
-    sol, nullity = linalg.solve(m, b)
+    (y, d), nullity = linalg.solve(m, b)
     basis = linalg.nullspace(m)
     assert nullity == len(basis) == ncols - ref_rank(m)
     for row, bi in zip(m, b):
-        assert sum(a * v for a, v in zip(row, sol)) == bi
-        for v in basis:
-            assert sum(a * c for a, c in zip(row, v)) == 0
-    for v in sol + [c for vec in basis for c in vec]:
-        assert type(v) is Fraction and v.denominator > 0
-        assert gcd(v.numerator, v.denominator) == 1
+        assert sum(a * v for a, v in zip(row, y)) == d * bi
+        for z, _ in basis:
+            assert sum(a * c for a, c in zip(row, z)) == 0
+    for v, e in [(y, d)] + basis:
+        assert e > 0
+        assert all(type(c) is int for c in v + [e])
 
 
 def test_corrupted_echelon_fails_back_substitution_naming_the_row():
@@ -166,3 +203,162 @@ def test_corrupted_echelon_fails_back_substitution_naming_the_row():
     ech.rows[0][0] = 4  # no longer a Bareiss form: row 0 cannot be solved exactly
     with pytest.raises(GkmError, match=r"pivot row 0 \(column 0\)"):
         linalg._back_substitute(ech, 2, {}, rhs=[1, 1])
+
+
+# -- the kernel against the full-row Bareiss loop ---------------------------------
+
+def ref_echelon(matrix, pivot_limit=None):
+    """Full-row Bareiss elimination (oracle): every row is scaled by the
+    lcm of its denominators, and every nonzero row below the pivot gets
+    the update across all columns, with no shortcut for zero entries."""
+    rows, scales = [], []
+    for r in matrix:
+        scale = lcm(1, *(Fraction(x).denominator for x in r))
+        rows.append([int(Fraction(x) * scale) for x in r])
+        scales.append(scale)
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    limit = ncols if pivot_limit is None else pivot_limit
+    pivot_cols, sign, prev, pr = [], 1, 1, 0
+    for pc in range(limit):
+        found = next((i for i in range(pr, nrows) if rows[i][pc] != 0), None)
+        if found is None:
+            continue
+        if found != pr:
+            rows[pr], rows[found] = rows[found], rows[pr]
+            scales[pr], scales[found] = scales[found], scales[pr]
+            sign = -sign
+        piv = rows[pr][pc]
+        for i in range(pr + 1, nrows):
+            if all(x == 0 for x in rows[i]):
+                continue
+            factor = rows[i][pc]
+            for j in range(ncols):
+                rows[i][j] = (rows[i][j] * piv - factor * rows[pr][j]) // prev
+        prev = piv
+        pivot_cols.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return rows, pivot_cols, sign, scales
+
+
+# Mostly zeros, so that rows vanish at pivot columns and whole rows vanish.
+sparse_int = st.one_of(st.just(0), st.just(0), st.integers(-6, 6), big)
+sparse_frac = st.one_of(st.just(0), sparse_int, entries)
+
+
+def _sparse_matrix(entry):
+    def rows(n):
+        row = st.lists(entry, min_size=n, max_size=n)
+        return st.lists(st.one_of(row, st.just([0] * n)), min_size=1, max_size=6)
+    return st.integers(1, 6).flatmap(rows)
+
+
+@settings(max_examples=150)
+@given(st.one_of(_sparse_matrix(sparse_int), _sparse_matrix(sparse_frac)), st.data())
+def test_echelon_matches_the_full_row_bareiss_loop(m, data):
+    limit = data.draw(st.one_of(st.none(), st.integers(0, len(m[0]))))
+    original = [list(r) for r in m]
+    ech = linalg.echelon(m, pivot_limit=limit)
+    assert (ech.rows, ech.pivot_cols, ech.swap_sign, ech.row_scales) == \
+        ref_echelon(m, pivot_limit=limit)
+    assert m == original  # the input is not mutated
+    assert all(type(x) is int for row in ech.rows for x in row)
+
+
+# -- the solution contract against Fraction Gauss-Jordan ---------------------------
+
+def gauss_jordan(matrix, rhs=None):
+    """Reduced row echelon form over Fraction (oracle), skipping zeros.
+
+    Returns (particular solution with free variables 0, or None when
+    inconsistent; kernel basis with one free variable 1 per vector)."""
+    ncols = len(matrix[0])
+    rows = [[Fraction(x) for x in r] + [Fraction(rhs[i] if rhs else 0)]
+            for i, r in enumerate(matrix)]
+    pivots = []
+    for col in range(ncols):
+        pr = len(pivots)
+        found = next((i for i in range(pr, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[pr], rows[found] = rows[found], rows[pr]
+        piv = rows[pr][col]
+        rows[pr] = [x / piv for x in rows[pr]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != pr and f:
+                rows[i] = [a - f * b if b else a for a, b in zip(row, rows[pr])]
+        pivots.append(col)
+    if any(r[ncols] for r in rows[len(pivots):]):
+        particular = None
+    else:
+        particular = [Fraction(0)] * ncols
+        for i, col in enumerate(pivots):
+            particular[col] = rows[i][ncols]
+    kernel = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(ncols)]
+        for i, col in enumerate(pivots):
+            v[col] = -rows[i][free]
+        kernel.append(v)
+    return particular, kernel
+
+
+def _as_fractions(solution):
+    y, d = solution
+    assert type(d) is int and d > 0
+    assert all(type(c) is int for c in y)
+    return [Fraction(c, d) for c in y]
+
+
+def assert_solution_contract(matrix, rhs):
+    """solve and nullspace keep A·y == d·b and A·y == 0 with d > 0, and
+    agree with Gauss-Jordan over Fraction."""
+    particular, kernel = gauss_jordan(matrix, rhs)
+    sol, nullity = linalg.solve(matrix, rhs)
+    assert nullity == len(kernel)
+    if particular is None:
+        assert sol is None
+    else:
+        y, d = sol
+        for row, b in zip(matrix, rhs):
+            assert dot(row, y) == d * b
+        assert _as_fractions(sol) == particular
+    basis = linalg.nullspace(matrix)
+    for y, d in basis:
+        for row in matrix:
+            assert dot(row, y) == 0
+    assert [_as_fractions(v) for v in basis] == kernel
+
+
+@settings(max_examples=80)
+@given(st.one_of(_sparse_matrix(sparse_int), _sparse_matrix(sparse_frac)), st.data())
+def test_solve_and_nullspace_agree_with_gauss_jordan(m, data):
+    rhs = data.draw(st.lists(sparse_frac, min_size=len(m), max_size=len(m)))
+    assert_solution_contract(m, rhs)
+
+
+@lru_cache(maxsize=None)
+def _corpus_orientations():
+    """Every corpus instance at its document covector and its first 3
+    searched ones."""
+    out = []
+    for inst in map(corpus, corpus_names()):
+        for xi in [inst.xi] + find_index_increasing_xi(inst.graph, count=3):
+            out.append((inst.name, orient(inst.graph, xi)))
+    return out
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_thom_systems_keep_the_solution_contract(name):
+    for inst_name, og in _corpus_orientations():
+        if inst_name != name:
+            continue
+        for vid in og.graph.vertex_ids():
+            for direction in ("plus", "minus"):
+                system = cohomology._thom_system(og, vid, direction)
+                assert all(type(x) is int for row in system.rows for x in row)
+                assert all(type(b) is int for b in system.rhs)
+                assert_solution_contract(system.rows, system.rhs)
