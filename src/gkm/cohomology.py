@@ -11,10 +11,11 @@ keeps per edge.  So a congruence is tested by evaluating both values there,
 degree by degree, and in a linear system it is one integer row, the
 monomials of the system's degree evaluated at that point.
 
-Classes are checked once, where values enter: the constructor,
-``equivariant_symplectic_class`` and solver output.  Pointwise sums and
-products of classes are classes, as f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v))
-+ g(v)(f(u) - f(v)), so ring operations do not re-check; tests prove it.
+Classes are checked once, where values enter: the constructor, solver
+output and ``equivariant_symplectic_class``, built once per graph in its
+store (as the slice dimensions are).  Pointwise sums and products of
+classes are classes, as f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v)) +
+g(v)(f(u) - f(v)), so ring operations do not re-check; tests prove it.
 
 Thom classes are constructed by the same solver restricted to a
 reachability support, with divisibility rows for edges leaving the support
@@ -147,6 +148,8 @@ class CohomologyElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CohomologyElement":
+        if not isinstance(n, int) or n < 0:
+            raise PreconditionError(f"exponent must be an int >= 0, got {n!r}")
         result = unity(self.graph)
         for _ in range(n):
             result = result * self
@@ -203,10 +206,9 @@ def unity(graph: GkmGraph) -> CohomologyElement:
 
 
 def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
-    """The degree-1 class v -> <mu(v), x>; a class by moment compatibility."""
-    return CohomologyElement(
-        graph, {v: lin_form(graph.mu(v)) for v in graph.vertex_ids()}
-    )
+    """The degree-1 class v -> <mu(v), x>, stored per graph; a class by moment compatibility."""
+    return graph.derived("omega", lambda: CohomologyElement(
+        graph, {v: lin_form(graph.mu(v)) for v in graph.vertex_ids()}))
 
 
 # -- linear-system construction -------------------------------------------------
@@ -284,9 +286,12 @@ def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
 
 
 def slice_dimension(graph: GkmGraph, degree: int) -> int:
-    """dim of the degree-d slice without materializing basis elements."""
-    system = _slice_system(graph, degree)
-    return len(system.columns) - linalg.rank(system.rows)
+    """dim of the degree-d slice without basis elements, stored per graph."""
+    def compute():
+        system = _slice_system(graph, degree)
+        return len(system.columns) - linalg.rank(system.rows)
+
+    return graph.derived(("slice_dimension", degree), compute)
 
 
 def thom_class(og: OrientedGkmGraph, vid: str,

@@ -103,13 +103,23 @@ class ValidationReport:
         return [{"check": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks]
 
 
-class GkmGraph:
+class _Derived:
+    def derived(self, key, compute):
+        """The value under ``key``, computed by ``compute()`` on first use and kept
+        in ``self._derived``, the dict each new object starts empty."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
+
+
+class GkmGraph(_Derived):
     """An n-valent moment graph with an axial function.
 
     Construction enforces structural sanity (unique ids, existing distinct
     endpoints, no multi-edges, nonzero weights of the right rank) and
     raises ValueError on malformed input; the mathematical axioms are
-    checked by :meth:`validate`, which reports rather than raises.
+    checked by :meth:`validate`, which reports rather than raises.  What no
+    covector changes is kept behind :meth:`derived`, shared by all orientations.
     """
 
     def __init__(self, rank: int, valence: int, vertices: Iterable[Vertex],
@@ -145,7 +155,7 @@ class GkmGraph:
                 raise ValueError(f"edge {e} has zero weight")
             self._adjacent[e.first].append(e)
             self._adjacent[e.second].append(e)
-        self._edge_points: tuple[tuple[int, int], ...] | None = None
+        self._derived: dict = {}
 
     # -- access -------------------------------------------------------------
 
@@ -171,10 +181,9 @@ class GkmGraph:
         return len(self._adjacent[vid])
 
     def edge_points(self) -> tuple[tuple[int, int], ...]:
-        """Each edge's ``weight.primitive_perp()`` in ``edges`` order, on first use."""
-        if self._edge_points is None:
-            self._edge_points = tuple(e.weight.primitive_perp() for e in self.edges)
-        return self._edge_points
+        """Each edge's ``weight.primitive_perp()`` in ``edges`` order, stored."""
+        return self.derived("edge_points", lambda: tuple(
+            e.weight.primitive_perp() for e in self.edges))
 
     # -- validation ----------------------------------------------------------
 
@@ -272,7 +281,7 @@ class GkmGraph:
 # -- orientation --------------------------------------------------------------
 
 
-class OrientedGkmGraph:
+class OrientedGkmGraph(_Derived):
     """A graph plus the orientation induced by a generic covector.
 
     Every edge is directed toward increasing moment pairing; the number of
@@ -280,8 +289,8 @@ class OrientedGkmGraph:
     is 2 d_v.
 
     Whether the orientation is index-increasing is decided on construction.
-    Data derived from it is computed once and kept in the store behind
-    :meth:`derived`; a new orientation starts empty.
+    Data derived from the covector is computed once and kept in the store
+    behind :meth:`derived`; what depends only on the graph is in ``graph``'s.
     """
 
     def __init__(self, graph: GkmGraph, xi: Vector):
@@ -301,12 +310,6 @@ class OrientedGkmGraph:
         self._index_increasing = all(
             self._down[self.tail(e)] < self._down[self.head(e)] for e in graph.edges)
         self._derived: dict = {}
-
-    def derived(self, key, compute):
-        """The value under ``key``, computed by ``compute()`` on first use."""
-        if key not in self._derived:
-            self._derived[key] = compute()
-        return self._derived[key]
 
     # -- basic queries --------------------------------------------------------
 
@@ -449,14 +452,16 @@ def find_index_increasing_xi(graph: GkmGraph, count: int = 1) -> list[Vector]:
     """First ``count`` candidates that are generic and index-increasing."""
     if graph.rank != 2:
         raise ScopeError("covector search is implemented for rank 2 only")
+    if count < 0:
+        raise PreconditionError(f"count must be >= 0, got {count}")
     found: list[Vector] = []
     for xi in xi_candidates():
+        if len(found) >= count:
+            break
         try:
             og = orient(graph, xi)
         except NotGeneric:
             continue
         if og.is_index_increasing():
             found.append(xi)
-            if len(found) >= count:
-                break
     return found

@@ -44,7 +44,6 @@ from .geometry import (
 )
 from .graph import OrientedGkmGraph
 from .localization import check_low_degree_vanishing, euler_class, integrate
-from .polynomial import lin_form
 
 
 def moment_ratio(og: OrientedGkmGraph, p: str, q: str) -> Fraction:
@@ -135,8 +134,7 @@ def coefficient_pairs(og: OrientedGkmGraph) -> list[CoefficientPair]:
 def _shifted_thom_product(og: OrientedGkmGraph, p: str) -> CohomologyElement:
     """tau_p^+ * (omega~ - mu(p)), the degree-2 building block."""
     omega = equivariant_symplectic_class(og.graph)
-    shift = lin_form(og.graph.mu(p))
-    return thom_class(og, p, "plus") * (omega - shift)
+    return thom_class(og, p, "plus") * (omega - omega.value(p))
 
 
 def mixed_hr2_matrix(og: OrientedGkmGraph) -> list[list[Fraction]]:

@@ -26,7 +26,7 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
     """Product of outward weight forms at vid.
 
     ``plus`` multiplies over descending edges only, ``minus`` over ascending
-    edges only; the full class is their product.
+    edges only; the full class is their product, stored per graph.
     """
     if variant not in _VARIANTS:
         raise PreconditionError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -43,7 +43,7 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
             result = result * lin_form(e.weight_from(vid))
         return result
 
-    return og.derived(("euler", vid, variant), compute)
+    return (og.graph if variant == "full" else og).derived(("euler", vid, variant), compute)
 
 
 def _values_of(f) -> Mapping[str, Polynomial]:
@@ -71,7 +71,7 @@ def class_degree(values: Mapping[str, Polynomial]) -> int | None:
 
 def _products(og: OrientedGkmGraph) -> tuple[list[Polynomial], Polynomial]:
     """prod_{w != v} nu_w for each v, and prod_v nu_v (prefix/suffix
-    products, stored per orientation)."""
+    products of the full Euler classes, stored per graph)."""
     def compute():
         eulers = [euler_class(og, v) for v in og.graph.vertex_ids()]
         one = Polynomial.constant(og.graph.rank, 1)
@@ -84,7 +84,7 @@ def _products(og: OrientedGkmGraph) -> tuple[list[Polynomial], Polynomial]:
         suffix.reverse()
         return [prefix[i] * suffix[i + 1] for i in range(len(eulers))], prefix[-1]
 
-    return og.derived("localization_products", compute)
+    return og.graph.derived("localization_products", compute)
 
 
 def _numerator(og: OrientedGkmGraph, values: Mapping[str, Polynomial]) -> Polynomial:
@@ -149,15 +149,17 @@ def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
     Points are (1, t, t^2, ...) for increasing primes t, skipping any that
     kill some nu_v.
     """
+    if count < 0:
+        raise PreconditionError(f"count must be >= 0, got {count}")
     rank = og.graph.rank
     eulers = [euler_class(og, v) for v in og.graph.vertex_ids()]
     found: list[Vector] = []
     for t in _primes():
+        if len(found) >= count:
+            return found
         point = Vector(tuple(Fraction(t) ** i for i in range(rank)))
         if all(nu.evaluate(point) != 0 for nu in eulers):
             found.append(point)
-            if len(found) >= count:
-                return found
     raise AssertionError("unreachable")
 
 

@@ -215,6 +215,14 @@ def test_additive_and_multiplicative_identities(cp3):
     assert unity(cp3) * om == om
 
 
+def test_powers_take_only_non_negative_int_exponents(cp3):
+    om = equivariant_symplectic_class(cp3)
+    assert om ** 0 == unity(cp3) and om ** 2 == om * om
+    for n in (-1, 2.0):
+        with pytest.raises(PreconditionError, match=f"exponent must be an int >= 0, got {n}"):
+            om ** n
+
+
 def test_unity_is_idempotent_thom_class(cp3_oriented):
     tau_o = thom_class(cp3_oriented, cp3_oriented.o_vertex(), "plus")
     assert tau_o == unity(cp3_oriented.graph)

@@ -3,7 +3,7 @@
 import pytest
 
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError, NotGeneric, ScopeError
+from gkm.errors import GkmError, NotGeneric, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.polynomial import Vector
 
@@ -238,3 +238,10 @@ def test_find_xi_first_hits_are_deterministic():
     g = corpus("cp3-k4").graph
     first = find_index_increasing_xi(g, count=1)[0]
     assert first == Vector((1, 2))
+
+
+def test_find_xi_count_zero_is_empty_and_negative_is_a_precondition_error():
+    g = corpus("cp3-k4").graph
+    assert find_index_increasing_xi(g, count=0) == []
+    with pytest.raises(PreconditionError, match="count must be >= 0, got -2"):
+        find_index_increasing_xi(g, count=-2)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gkm import lefschetz, linalg
+from gkm import cohomology, lefschetz, linalg, localization
+from gkm.cohomology import equivariant_symplectic_class, slice_dimension
 from gkm.corpus import corpus, corpus_names
 from gkm.errors import DegreeError, GkmError, TypeMismatch
 from gkm.graph import Edge, GkmGraph, find_index_increasing_xi, orient
@@ -19,6 +20,7 @@ from gkm.lefschetz import (
     moment_ratio,
     thom_coefficient,
 )
+from gkm.localization import euler_class
 from gkm.polynomial import Polynomial, Vector
 
 
@@ -322,9 +324,37 @@ def test_report_solves_each_thom_class_once_and_builds_mixed_matrix_once(
     # classes, and the slice dimensions it compares with come from ranks.
     assert len(nullspaces) == 0
     assert len(bodies) == 1
-    # A new orientation of the same graph starts with an empty store.
+    # ``oriented`` builds a new graph, so both stores start empty.
     assert hard_lefschetz_report(oriented(name)).ok
     assert len(solves) == 2 * len(distinct) and len(bodies) == 2
+
+
+@pytest.mark.parametrize("name", ["cp3-k4", "cube-g"])
+def test_orientations_of_one_graph_share_its_store_and_keep_their_own(name, monkeypatch):
+    checked, ranks, solves = [], [], []
+    real = cohomology._first_violation
+    monkeypatch.setattr(cohomology, "_first_violation",
+                        lambda graph, values: checked.append(values) or real(graph, values))
+    monkeypatch.setattr(linalg, "rank", _counted(ranks, linalg.rank))
+    monkeypatch.setattr(linalg, "solve", _counted(solves, linalg.solve))
+    inst = corpus(name)
+    g = inst.graph
+    xi = next(xi for xi in find_index_increasing_xi(g, count=2) if xi != inst.xi)
+    ogs = orient(g, inst.xi), orient(g, xi)
+    assert all(hard_lefschetz_report(og).ok for og in ogs)
+    omega = equivariant_symplectic_class(g)
+    assert sum(values is omega.values for values in checked) == 1
+    assert len(ranks) == g.valence  # one per slice degree below the valence
+    for v in g.vertex_ids():
+        assert euler_class(ogs[0], v) is euler_class(ogs[1], v)
+        assert euler_class(ogs[0], v, "plus") is not euler_class(ogs[1], v, "plus")
+    assert localization._products(ogs[0]) is localization._products(ogs[1])
+    # Thom classes stay per orientation: each one solves all of its own.
+    assert len(solves) == 2 * 2 * len(g.vertices)
+    fresh = GkmGraph(g.rank, g.valence, g.vertices, g.edges)
+    assert equivariant_symplectic_class(fresh) is not omega
+    assert slice_dimension(fresh, 1) == slice_dimension(g, 1)
+    assert len(ranks) == g.valence + 1
 
 
 @pytest.mark.parametrize("name", ["flag-su3", "cube-g"])

@@ -11,7 +11,7 @@ from gkm.cohomology import (
     unity,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import DegreeError, GkmError, NonConstant, NonZero
+from gkm.errors import DegreeError, GkmError, NonConstant, NonZero, PreconditionError
 from gkm.graph import orient
 from gkm.localization import (
     check_low_degree_vanishing,
@@ -83,6 +83,12 @@ def test_integrate_symplectic_cube_cp3(cp3):
     oracle = {sum_at_point(cp3, cube, p) for p in pts}
     assert oracle == {Fraction(-1)}
     assert integrate(cp3, cube) == -1
+
+
+def test_evaluation_points_count_zero_is_empty_and_negative_is_a_precondition_error(cp3):
+    assert evaluation_points(cp3, count=0) == []
+    with pytest.raises(PreconditionError, match="count must be >= 0, got -2"):
+        evaluation_points(cp3, count=-2)
 
 
 def test_integrate_kronecker_pairing():
