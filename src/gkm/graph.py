@@ -452,6 +452,8 @@ def find_index_increasing_xi(graph: GkmGraph, count: int = 1) -> list[Vector]:
     """First ``count`` candidates that are generic and index-increasing."""
     if graph.rank != 2:
         raise ScopeError("covector search is implemented for rank 2 only")
+    if type(count) is not int:
+        raise PreconditionError(f"count must be an int, got {count!r}")
     if count < 0:
         raise PreconditionError(f"count must be >= 0, got {count}")
     found: list[Vector] = []

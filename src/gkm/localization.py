@@ -4,16 +4,20 @@ The Euler class of a vertex is the product of the linear forms of all its
 outward edge weights; its descending ("plus") and ascending ("minus")
 factors multiply to it.  A homogeneous class of top polynomial degree n
 integrates to the constant value of sum_v f(v) / nu_v, the exact ratio of
-its numerator to the common denominator prod_v nu_v; classes of lower
+its numerator to the common denominator L, the least common multiple of
+the nu_v: in rank 2 one linear form per weight direction.  Classes of lower
 degree must make the numerator vanish identically, and both facts are
 cross-checkable by evaluating the sum at generic rational points.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
+from operator import mul
 
 from .errors import DegreeError, NonConstant, NonZero, PreconditionError
 from .graph import OrientedGkmGraph
@@ -46,10 +50,13 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
     return (og.graph if variant == "full" else og).derived(("euler", vid, variant), compute)
 
 
-def _values_of(f) -> Mapping[str, Polynomial]:
-    if isinstance(f, Mapping):
-        return f
-    return f.values
+def _values_of(og: OrientedGkmGraph, f) -> Mapping[str, Polynomial]:
+    if not isinstance(f, Mapping):
+        return f.values
+    extra = set(f).difference(og.graph.vertex_ids())
+    if extra:
+        raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
+    return f
 
 
 def class_degree(values: Mapping[str, Polynomial]) -> int | None:
@@ -69,51 +76,60 @@ def class_degree(values: Mapping[str, Polynomial]) -> int | None:
     return degrees.pop()
 
 
-def _products(og: OrientedGkmGraph) -> tuple[list[Polynomial], Polynomial]:
-    """prod_{w != v} nu_w for each v, and prod_v nu_v (prefix/suffix
-    products of the full Euler classes, stored per graph)."""
-    def compute():
-        eulers = [euler_class(og, v) for v in og.graph.vertex_ids()]
-        one = Polynomial.constant(og.graph.rank, 1)
-        prefix = [one]
-        for nu in eulers:
-            prefix.append(prefix[-1] * nu)
-        suffix = [one]
-        for nu in reversed(eulers):
-            suffix.append(suffix[-1] * nu)
-        suffix.reverse()
-        return [prefix[i] * suffix[i + 1] for i in range(len(eulers))], prefix[-1]
+def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polynomial]:
+    """Q_v = L / nu_v for each v, and L = prod_d ell_d^{m_d}, stored per graph.
 
-    return og.graph.derived("localization_products", compute)
+    An edge's primitive perpendicular (a, b), signed to be > (0, 0), gives
+    its weight direction d = (-b, a) and ell_d its form; m_d is the most
+    edges of direction d at one vertex.  Each outward weight at v is some
+    s_e * d, so Q_v is the forms v lacks over prod_e s_e: no nu_v is expanded.
+    """
+    def compute():
+        graph = og.graph
+        ell: dict[tuple[int, int], Polynomial] = {}
+        counts = {v: Counter() for v in graph.vertex_ids()}
+        scales = dict.fromkeys(graph.vertex_ids(), Fraction(1))
+        for e, (a, b) in zip(graph.edges, graph.edge_points()):
+            d = (-b, a) if (a, b) > (0, 0) else (b, -a)
+            if d not in ell:
+                ell[d] = lin_form(d)
+            s = e.weight[0] / d[0] if d[0] else e.weight[1] / d[1]
+            for v, sv in ((e.first, s), (e.second, -s)):
+                counts[v][d] += 1
+                scales[v] *= sv
+        most = {d: max(c[d] for c in counts.values()) for d in ell}
+        quotients = {v: reduce(mul, (ell[d] for d in ell for _ in range(most[d] - c[d])),
+                               Polynomial.constant(graph.rank, 1 / scales[v]))
+                     for v, c in counts.items()}
+        return quotients, reduce(mul, (ell[d] for d in ell for _ in range(most[d])),
+                                 Polynomial.constant(graph.rank, 1))
+
+    return og.graph.derived("localization_common_multiple", compute)
 
 
 def _numerator(og: OrientedGkmGraph, values: Mapping[str, Polynomial]) -> Polynomial:
-    """sum_v f(v) * prod_{w != v} nu_w."""
-    ids = og.graph.vertex_ids()
-    products, _ = _products(og)
-    total = Polynomial.zero(og.graph.rank)
-    for i, vid in enumerate(ids):
-        fv = values.get(vid)
-        if fv is not None and not fv.is_zero():
-            total = total + fv * products[i]
-    return total
+    """sum_v f(v) * Q_v, the localization sum times L."""
+    quotients, _ = _common_multiple(og)
+    return sum((values[v] * q for v, q in quotients.items()
+                if v in values and not values[v].is_zero()), Polynomial.zero(og.graph.rank))
 
 
 def integrate(og: OrientedGkmGraph, f) -> Fraction:
-    """Exact value of sum_v f(v)/nu_v for a top-degree homogeneous class.
+    """Exact value of sum_v f(v)/nu_v for a top-degree homogeneous class,
+    the ratio of sum_v f(v) * (L / nu_v) to the common multiple L of the nu_v.
 
     The zero class integrates to 0.  Raises DegreeError when the class
     degree is not the valence, NonConstant when the sum fails to reduce to
     a rational number (impossible for genuine classes).
     """
-    values = _values_of(f)
+    values = _values_of(og, f)
     n = og.graph.valence
     degree = class_degree(values)
     if degree is None:
         return Fraction(0)
     if degree != n:
         raise DegreeError(f"integrand has polynomial degree {degree}, expected {n}")
-    _, denominator = _products(og)
+    _, denominator = _common_multiple(og)
     constant = _numerator(og, values).parallel_ratio(denominator)
     if constant is None:
         raise NonConstant("localization sum did not reduce to a constant")
@@ -122,7 +138,7 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
 
 def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> bool:
     """Assert the exact numerator sum vanishes for a class of degree < n."""
-    values = _values_of(f)
+    values = _values_of(og, f)
     n = og.graph.valence
     degree = class_degree(values)
     if degree is None:
@@ -149,6 +165,8 @@ def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
     Points are (1, t, t^2, ...) for increasing primes t, skipping any that
     kill some nu_v.
     """
+    if type(count) is not int:
+        raise PreconditionError(f"count must be an int, got {count!r}")
     if count < 0:
         raise PreconditionError(f"count must be >= 0, got {count}")
     rank = og.graph.rank
@@ -165,7 +183,7 @@ def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
 
 def sum_at_point(og: OrientedGkmGraph, f, point: Vector) -> Fraction:
     """Evaluate sum_v f(v)/nu_v at a rational point (cross-check oracle)."""
-    values = _values_of(f)
+    values = _values_of(og, f)
     total = Fraction(0)
     for vid in og.graph.vertex_ids():
         fv = values.get(vid)

@@ -1,5 +1,8 @@
 """Graph axioms, orientation, Morse data, reachability, ascending cycles."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from gkm.corpus import corpus, corpus_names
@@ -245,3 +248,11 @@ def test_find_xi_count_zero_is_empty_and_negative_is_a_precondition_error():
     assert find_index_increasing_xi(g, count=0) == []
     with pytest.raises(PreconditionError, match="count must be >= 0, got -2"):
         find_index_increasing_xi(g, count=-2)
+
+
+@pytest.mark.parametrize("count", [1.5, Fraction(2), True, "2"])
+def test_find_xi_count_must_be_an_int(count):
+    g = corpus("cp3-k4").graph
+    message = re.escape(f"count must be an int, got {count!r}")
+    with pytest.raises(PreconditionError, match=message):
+        find_index_increasing_xi(g, count=count)

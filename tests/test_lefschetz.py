@@ -348,7 +348,7 @@ def test_orientations_of_one_graph_share_its_store_and_keep_their_own(name, monk
     for v in g.vertex_ids():
         assert euler_class(ogs[0], v) is euler_class(ogs[1], v)
         assert euler_class(ogs[0], v, "plus") is not euler_class(ogs[1], v, "plus")
-    assert localization._products(ogs[0]) is localization._products(ogs[1])
+    assert localization._common_multiple(ogs[0]) is localization._common_multiple(ogs[1])
     # Thom classes stay per orientation: each one solves all of its own.
     assert len(solves) == 2 * 2 * len(g.vertices)
     fresh = GkmGraph(g.rank, g.valence, g.vertices, g.edges)

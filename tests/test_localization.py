@@ -1,9 +1,12 @@
 """Fixed-point localization: Euler data, exact integrals, vanishing sums."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gkm import lefschetz, localization
 from gkm.cohomology import (
     basis,
     equivariant_symplectic_class,
@@ -11,8 +14,15 @@ from gkm.cohomology import (
     unity,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import DegreeError, GkmError, NonConstant, NonZero, PreconditionError
-from gkm.graph import orient
+from gkm.errors import (
+    DegreeError,
+    GkmError,
+    NonConstant,
+    NonZero,
+    PreconditionError,
+    ScopeError,
+)
+from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.localization import (
     check_low_degree_vanishing,
     euler_class,
@@ -89,6 +99,13 @@ def test_evaluation_points_count_zero_is_empty_and_negative_is_a_precondition_er
     assert evaluation_points(cp3, count=0) == []
     with pytest.raises(PreconditionError, match="count must be >= 0, got -2"):
         evaluation_points(cp3, count=-2)
+
+
+@pytest.mark.parametrize("count", [1.5, Fraction(2), True, "2"])
+def test_evaluation_points_count_must_be_an_int(cp3, count):
+    message = re.escape(f"count must be an int, got {count!r}")
+    with pytest.raises(PreconditionError, match=message):
+        evaluation_points(cp3, count=count)
 
 
 def test_integrate_kronecker_pairing():
@@ -184,3 +201,197 @@ def test_vanishing_rejects_broken_data(cp3):
     fake["A"] = Polynomial.variable(2, 0)
     with pytest.raises(NonZero):
         check_low_degree_vanishing(cp3, fake)
+
+
+# -- unknown vertices -----------------------------------------------------------------
+
+def test_values_at_unknown_vertices_are_a_precondition_error(cp3):
+    x1 = Polynomial.variable(2, 0)
+    message = r"values for unknown vertices: \['Y', 'Z'\]"
+    with pytest.raises(PreconditionError, match=message):
+        integrate(cp3, {"A": x1**3, "Z": x1**3, "Y": x1**3})
+    with pytest.raises(PreconditionError, match=message):
+        check_low_degree_vanishing(cp3, {"Z": x1, "Y": x1})
+    with pytest.raises(PreconditionError, match=message):
+        sum_at_point(cp3, {"Z": x1, "Y": x1}, evaluation_points(cp3, 1)[0])
+
+
+# -- the common multiple L of the Euler classes ----------------------------------------
+
+def _reference_products(og):
+    """prod_{w != v} nu_w for each v, and prod_v nu_v: the full-product
+    denominator, by prefix and suffix products of the Euler classes."""
+    ids = og.graph.vertex_ids()
+    eulers = [euler_class(og, v) for v in ids]
+    one = Polynomial.constant(og.graph.rank, 1)
+    prefix = [one]
+    for nu in eulers:
+        prefix.append(prefix[-1] * nu)
+    suffix = [one]
+    for nu in reversed(eulers):
+        suffix.append(suffix[-1] * nu)
+    suffix.reverse()
+    return {v: prefix[i] * suffix[i + 1] for i, v in enumerate(ids)}, prefix[-1]
+
+
+def _reference(og, f):
+    """What the full-product denominator makes of f: the integral, "nonconstant",
+    "vanishes" or "nonzero"."""
+    values = f if isinstance(f, dict) else f.values
+    products, denominator = _reference_products(og)
+    numerator = Polynomial.zero(og.graph.rank)
+    for v, p in products.items():
+        numerator = numerator + values.get(v, Polynomial.zero(og.graph.rank)) * p
+    if localization.class_degree(values) == og.graph.valence:
+        ratio = numerator.parallel_ratio(denominator)
+        return "nonconstant" if ratio is None else ratio
+    return "vanishes" if numerator.is_zero() else "nonzero"
+
+
+def _under_common_multiple(og, f):
+    values = f if isinstance(f, dict) else f.values
+    try:
+        if localization.class_degree(values) == og.graph.valence:
+            return integrate(og, f)
+        return "vanishes" if check_low_degree_vanishing(og, f) else None
+    except NonConstant:
+        return "nonconstant"
+    except NonZero as exc:
+        assert "expected 0" in str(exc)
+        return "nonzero"
+
+
+def _corpus_orientations():
+    for name in corpus_names():
+        inst = corpus(name)
+        xis = [inst.xi]
+        xis += [xi for xi in find_index_increasing_xi(inst.graph, 3) if xi != inst.xi]
+        for xi in xis:
+            yield name, orient(inst.graph, xi)
+
+
+def _report_integrands(og, monkeypatch):
+    """Every class the report integrates or checks for vanishing."""
+    seen = []
+    for name in ("integrate", "check_low_degree_vanishing"):
+        real = getattr(lefschetz, name)
+        monkeypatch.setattr(lefschetz, name,
+                            lambda og, f, real=real: seen.append(f) or real(og, f))
+    assert lefschetz.hard_lefschetz_report(og).ok
+    monkeypatch.undo()
+    return seen
+
+
+def test_common_multiple_gives_the_full_product_answers_on_every_corpus_orientation(
+        monkeypatch):
+    # hr_matrix, mixed-matrix, Kronecker and Thom-class vanishing integrands
+    # from each report, and every basis element of degree below the valence.
+    for name, og in _corpus_orientations():
+        point = evaluation_points(og, 1)[0]
+        low = [el for d in range(og.graph.valence) for el in basis(og.graph, d)]
+        integrands = _report_integrands(og, monkeypatch) + low
+        assert len(integrands) > len(low)
+        for f in integrands:
+            expected = _reference(og, f)
+            assert _under_common_multiple(og, f) == expected, (name, og.xi)
+            at_point = sum_at_point(og, f, point)
+            assert at_point == (0 if expected == "vanishes" else expected), (name, og.xi)
+
+
+def test_perturbed_integrands_still_fail_loudly(cp3):
+    x1 = Polynomial.variable(2, 0)
+    top = thom_class(cp3, "A", "plus") * thom_class(cp3, "A", "minus")
+    broken = dict(top.values)
+    broken["B"] = broken["B"] + x1**3
+    assert _reference(cp3, broken) == "nonconstant"
+    with pytest.raises(NonConstant):
+        integrate(cp3, broken)
+    low = dict(thom_class(cp3, "A", "plus").values)
+    low["C"] = low["C"] + x1
+    assert _reference(cp3, low) == "nonzero"
+    with pytest.raises(NonZero, match="numerator sum is .* expected 0"):
+        check_low_degree_vanishing(cp3, low)
+
+
+@pytest.mark.parametrize("name, directions", [
+    ("cp3-k4", 6), ("cp3-square", 4), ("tol-d", 7), ("cp1xcp2", 4),
+    ("flag-su3", 3), ("cube-g", 3),
+])
+def test_common_multiple_has_one_form_per_weight_direction(name, directions):
+    og = oriented(name)
+    quotients, common = localization._common_multiple(og)
+    assert common.homogeneous_degree == directions
+    assert quotients.keys() == set(og.graph.vertex_ids())
+    for v, q in quotients.items():
+        assert euler_class(og, v) * q == common, v
+        if name in ("flag-su3", "cube-g"):
+            assert q.homogeneous_degree == 0, v
+
+
+@pytest.fixture(scope="module")
+def parallel():
+    """K4 in rank 2 whose weights at A include (1, 0) and (2, 0): it fails
+    the pairwise-independence axiom, and direction (1, 0) has m_d = 2."""
+    mu = {"A": (0, 0), "B": (1, 0), "C": (2, 0), "D": (0, 1)}
+    weights = {("A", "B"): (1, 0), ("A", "C"): (2, 0), ("A", "D"): (0, 1),
+               ("B", "C"): (1, 1), ("B", "D"): (-1, 2), ("C", "D"): (-2, 1)}
+    g = GkmGraph(2, 3, [Vertex(v, Vector(p)) for v, p in mu.items()],
+                 [Edge(u, v, Vector(w)) for (u, v), w in weights.items()])
+    assert not g.validate().ok
+    return orient(g, Vector((3, 5)))
+
+
+def _four_forms(d):
+    coefficients = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    return st.lists(coefficients, min_size=4, max_size=4).map(lambda cs: (d, cs))
+
+
+def test_parallel_weights_double_their_direction_in_the_common_multiple(parallel):
+    quotients, common = localization._common_multiple(parallel)
+    assert common.homogeneous_degree == 6  # (1, 0) twice, four other directions once
+    expected = lin_form(Vector((1, 0))) ** 2
+    for w in ((0, 1), (1, 1), (-1, 2), (-2, 1)):
+        expected = expected * lin_form(Vector(w))
+    assert common.parallel_ratio(expected) is not None
+    for v, q in quotients.items():
+        assert euler_class(parallel, v) * q == common, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(_four_forms), st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.booleans())
+def test_parallel_weights_integrate_like_the_full_product(parallel, form, scales, perturbed):
+    # In degree 3, c_v * nu_v (integral sum c_v), perturbed or not by an
+    # arbitrary form per vertex; in lower degrees the arbitrary forms alone.
+    degree, coefficients = form
+    ids = parallel.graph.vertex_ids()
+    values = {}
+    for v, c, cs in zip(ids, scales, coefficients):
+        arbitrary = Polynomial(2, {(degree - i, i): a for i, a in enumerate(cs)})
+        if degree == 3:
+            arbitrary = c * euler_class(parallel, v) + (arbitrary if perturbed else 0)
+        values[v] = arbitrary
+    if localization.class_degree(values) is None:
+        return
+    expected = _reference(parallel, values)
+    assert _under_common_multiple(parallel, values) == expected
+    if expected not in ("nonconstant", "nonzero"):
+        point = evaluation_points(parallel, 1)[0]
+        assert sum_at_point(parallel, values, point) == (0 if expected == "vanishes"
+                                                          else expected)
+
+
+def test_nu_multiples_integrate_to_their_coefficient_sum_with_parallel_weights(parallel):
+    ids = parallel.graph.vertex_ids()
+    values = {v: (i + 1) * euler_class(parallel, v) for i, v in enumerate(ids)}
+    assert integrate(parallel, values) == 10 == _reference(parallel, values)
+
+
+def test_integration_outside_rank_two_is_a_scope_error():
+    mu = {"A": (0, 0, 0), "B": (1, 0, 0), "C": (0, 1, 0), "D": (0, 0, 1)}
+    names = sorted(mu)
+    edges = [Edge(u, v, Vector(b - a for a, b in zip(mu[u], mu[v])))
+             for i, u in enumerate(names) for v in names[i + 1:]]
+    g = GkmGraph(3, 3, [Vertex(v, Vector(p)) for v, p in mu.items()], edges)
+    og = orient(g, Vector((1, 2, 4)))
+    with pytest.raises(ScopeError):
+        integrate(og, {"A": Polynomial.variable(3, 0) ** 3})
