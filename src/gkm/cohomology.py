@@ -17,21 +17,26 @@ store (as the slice dimensions are).  Pointwise sums and products of
 classes are classes, as f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v)) +
 g(v)(f(u) - f(v)), so ring operations do not re-check; tests prove it.
 
-Thom classes are constructed by the same solver restricted to a
-reachability support, with divisibility rows for edges leaving the support
-and normalization rows at the base vertex.  Every system is built in
-integers, and its solution comes back from ``linalg`` as integer
-numerators over one positive denominator, which is how ``Polynomial``
-stores coefficients; so no rational number is formed between the
-elimination and the class.  The elimination that yields the solution also
-yields its rank; rank equal to the column count certifies the uniqueness
-the theory promises, so the solve doubles as a verification.
+Every system has one row rule: over a support, one integer row per edge
+that meets it, the monomials at the edge's point with + at its first end
+and - at its second, and nothing at an end outside the support.  A degree
+slice is the kernel of these rows over every vertex.  A Thom class takes
+them over a reachability support, adds normalization rows at the base
+vertex and a right-hand side, and ``linalg.solve`` reads it off the
+kernel of (A | b).  Every system is built in integers, and its solution
+comes back from ``linalg`` as integer numerators over one positive
+denominator, which is how ``Polynomial`` stores coefficients; so no
+rational number is formed between the elimination and the class.  The
+elimination that yields the solution also yields its rank; rank equal to
+the column count certifies the uniqueness the theory promises, so the
+solve doubles as a verification.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import linalg
@@ -71,7 +76,8 @@ def monomials(rank: int, degree: int) -> list[tuple]:
 
 class CohomologyElement:
     """A vertex assignment satisfying every edge congruence, checked on
-    construction; ring operations build their results by ``_element``."""
+    construction; ring operations build their results by ``_element``.
+    ``values`` is a read-only view, so a stored class cannot be edited."""
 
     def __init__(self, graph: GkmGraph, values: Mapping[str, Polynomial]):
         self.graph = graph
@@ -85,8 +91,8 @@ class CohomologyElement:
         extra = set(values) - set(complete)
         if extra:
             raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
-        self.values = complete
-        bad = _first_violation(graph, complete)
+        self.values = MappingProxyType(complete)
+        bad = _first_violation(graph, self.values)
         if bad is not None:
             raise NotAClass(bad)
 
@@ -148,7 +154,7 @@ class CohomologyElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CohomologyElement":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise PreconditionError(f"exponent must be an int >= 0, got {n!r}")
         result = unity(self.graph)
         for _ in range(n):
@@ -175,7 +181,7 @@ def _element(graph: GkmGraph, values: dict[str, Polynomial]) -> CohomologyElemen
     """A class from complete values the ring itself produced: no check."""
     element = object.__new__(CohomologyElement)
     element.graph = graph
-    element.values = values
+    element.values = MappingProxyType(values)
     return element
 
 
@@ -186,18 +192,12 @@ def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
         fs, fd = f.graded_numerators(point)
         hs, hd = h.graded_numerators(point)
         if fs.keys() != hs.keys() or any(s * hd != hs[d] * fd for d, s in fs.items()):
-            diff = (f - h).graded_values(point)
-            d = min(diff)
+            sums, den = (f - h).graded_numerators(point)
+            d = min(sums)
             return (f"edge congruence fails across {e}: the degree-{d} part of "
-                    f"f({e.first}) - f({e.second}) is {diff[d]} at {point}, not 0")
+                    f"f({e.first}) - f({e.second}) is {Fraction(sums[d], den)} "
+                    f"at {point}, not 0")
     return None
-
-
-def is_class(graph: GkmGraph, values: Mapping[str, Polynomial]) -> bool:
-    """True iff every edge congruence holds for a complete assignment."""
-    zero = Polynomial.zero(graph.rank)
-    complete = {vid: values.get(vid, zero) for vid in graph.vertex_ids()}
-    return _first_violation(graph, complete) is None
 
 
 def unity(graph: GkmGraph) -> CohomologyElement:
@@ -215,50 +215,34 @@ def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
 
 
 class _System:
-    """Linear system over per-vertex monomial coefficients of one degree.
+    """The congruence rows over per-vertex monomial coefficients of one
+    degree, for assignments that vanish outside a support.
 
     A binary form g of degree d is divisible by <w, x> exactly when it
-    vanishes at w's primitive perpendicular, so each congruence or
-    divisibility condition is one integer row: the degree-d monomials
-    evaluated at that point.  Rows and right-hand sides are all integers.
+    vanishes at w's primitive perpendicular, so each edge that meets the
+    support is one integer row: the degree-d monomials evaluated at the
+    edge's point, with + at its first endpoint and - at its second.  An
+    endpoint outside the support contributes nothing, so an edge leaving
+    the support asks the inside value to be divisible by its weight.
     """
 
     def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str]):
         self.graph = graph
         self.support = sorted(support)
         self.monomials = monomials(graph.rank, degree)
-        self.columns = [(v, m) for v in self.support for m in self.monomials]
-        self.index = {col: i for i, col in enumerate(self.columns)}
+        n = len(self.monomials)
+        self.ncols = n * len(self.support)
+        offset = {v: k * n for k, v in enumerate(self.support)}
         self.rows: list[list[int]] = []
-        self.rhs: list[int] = []
-
-    def _add_row(self, point: tuple[int, int], signs: list[tuple[str, int]]):
-        """One row: sign * m(point) at (vertex, m), per (vertex, sign)."""
-        row = [0] * len(self.columns)
-        for m in self.monomials:
-            value = prod(map(pow, point, m))
-            for vid, sign in signs:
-                row[self.index[(vid, m)]] = sign * value
-        self.rows.append(row)
-        self.rhs.append(0)
-
-    def add_congruence(self, edge: Edge, point: tuple[int, int]):
-        """f(first) - f(second) must vanish at the edge's point."""
-        self._add_row(point, [(edge.first, 1), (edge.second, -1)])
-
-    def add_divisibility(self, vid: str, point: tuple[int, int]):
-        """f(vid) must vanish at an outside edge's point."""
-        self._add_row(point, [(vid, 1)])
-
-    def add_normalization(self, vid: str, target: Polynomial):
-        """f(vid) must equal target: per monomial, the coefficient's
-        denominator at (vid, m) and its numerator on the right."""
-        for m in self.monomials:
-            c = target.coefficient(m)
-            row = [0] * len(self.columns)
-            row[self.index[(vid, m)]] = c.denominator
-            self.rows.append(row)
-            self.rhs.append(c.numerator)
+        for e, point in zip(graph.edges, graph.edge_points()):
+            ends = [(offset[v], sign) for v, sign in ((e.first, 1), (e.second, -1))
+                    if v in offset]
+            if ends:
+                values = [prod(map(pow, point, m)) for m in self.monomials]
+                row = [0] * self.ncols
+                for k, sign in ends:
+                    row[k:k + n] = [sign * x for x in values]
+                self.rows.append(row)
 
     def element_from(self, y: list[int], d: int) -> CohomologyElement:
         """The class with coefficients y / d (int numerators, d > 0),
@@ -270,26 +254,18 @@ class _System:
         return CohomologyElement(self.graph, values)
 
 
-def _slice_system(graph: GkmGraph, degree: int) -> _System:
-    """The congruence system of the homogeneous degree-d slice."""
-    system = _System(graph, degree, graph.vertex_ids())
-    for e, point in zip(graph.edges, graph.edge_points()):
-        system.add_congruence(e, point)
-    return system
-
-
 def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
     """A basis of the homogeneous degree-d slice, by exact nullspace."""
-    system = _slice_system(graph, degree)
-    vectors = linalg.nullspace(system.rows, ncols=len(system.columns))
+    system = _System(graph, degree, graph.vertex_ids())
+    vectors = linalg.nullspace(system.rows, ncols=system.ncols)
     return [system.element_from(y, d) for y, d in vectors]
 
 
 def slice_dimension(graph: GkmGraph, degree: int) -> int:
     """dim of the degree-d slice without basis elements, stored per graph."""
     def compute():
-        system = _slice_system(graph, degree)
-        return len(system.columns) - linalg.rank(system.rows)
+        system = _System(graph, degree, graph.vertex_ids())
+        return system.ncols - linalg.rank(system.rows)
 
     return graph.derived(("slice_dimension", degree), compute)
 
@@ -311,8 +287,12 @@ def thom_class(og: OrientedGkmGraph, vid: str,
                       lambda: _solve_thom_class(og, vid, direction))
 
 
-def _thom_system(og: OrientedGkmGraph, vid: str, direction: str) -> _System:
-    """The linear system whose unique solution is the Thom class of vid."""
+def _thom_system(og: OrientedGkmGraph, vid: str,
+                 direction: str) -> tuple[_System, list[int]]:
+    """The linear system whose unique solution is the Thom class of vid:
+    the congruence rows over its support, then one row per monomial that
+    fixes the value at vid (the coefficient's denominator in the matrix,
+    its numerator on the right); the right-hand side is 0 elsewhere."""
     n = og.graph.valence
     if direction == "plus":
         support = og.ascending_reachable(vid)
@@ -320,23 +300,24 @@ def _thom_system(og: OrientedGkmGraph, vid: str, direction: str) -> _System:
     else:
         support = og.descending_reachable(vid)
         degree = n - og.down_degree(vid)
-    normalization = euler_class(og, vid, "plus" if direction == "plus" else "minus")
+    normalization = euler_class(og, vid, direction)
 
     system = _System(og.graph, degree, support)
-    for e, point in zip(og.graph.edges, og.graph.edge_points()):
-        inside = [v for v in (e.first, e.second) if v in support]
-        if len(inside) == 2:
-            system.add_congruence(e, point)
-        elif inside:
-            system.add_divisibility(inside[0], point)
-    system.add_normalization(vid, normalization)
-    return system
+    rhs = [0] * len(system.rows)
+    start = system.support.index(vid) * len(system.monomials)
+    for j, m in enumerate(system.monomials):
+        c = normalization.coefficient(m)
+        row = [0] * system.ncols
+        row[start + j] = c.denominator
+        system.rows.append(row)
+        rhs.append(c.numerator)
+    return system, rhs
 
 
 def _solve_thom_class(og: OrientedGkmGraph, vid: str,
                       direction: str) -> CohomologyElement:
-    system = _thom_system(og, vid, direction)
-    solution, nullity = linalg.solve(system.rows, system.rhs)
+    system, rhs = _thom_system(og, vid, direction)
+    solution, nullity = linalg.solve(system.rows, rhs)
     if solution is None:
         raise Infeasible(f"no class with the required support exists for {vid}")
     if nullity:

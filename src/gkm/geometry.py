@@ -2,8 +2,7 @@
 
 Everything here is decided by exact sign predicates on rational
 coordinates: orientation determinants, convex hulls of moment positions,
-the convex/concave/crossed trichotomy for tetragons, interiority of
-vertices via the positive span of their weights, and the classification
+the convex/concave/crossed trichotomy for tetragons, and the classification
 of six-dimensional index-increasing instances into the seven moment-image
 types (a)-(g).
 """
@@ -20,7 +19,7 @@ from .errors import (
     ScopeError,
     Unclassifiable,
 )
-from .graph import GkmGraph, OrientedGkmGraph
+from .graph import OrientedGkmGraph
 from .polynomial import Vector
 
 
@@ -51,27 +50,6 @@ def convex_hull(points: Sequence[Vector]) -> list[Vector]:
     lower = chain(pts)
     upper = chain(reversed(pts))
     return lower[:-1] + upper[:-1]
-
-
-def on_hull_boundary(hull: Sequence[Vector], point: Vector) -> bool:
-    """Is the point on the topological boundary of the hull?
-
-    Membership in a closed edge segment counts; for degenerate hulls
-    (segments, single points) the whole hull is boundary.
-    """
-    if not hull:
-        return False
-    if len(hull) == 1:
-        return point == hull[0]
-    m = len(hull)
-    for i in range(m if m > 2 else 1):
-        a, b = hull[i], hull[(i + 1) % m]
-        if (b - a).cross(point - a) != 0:
-            continue
-        t = (point - a).dot(b - a)
-        if 0 <= t <= (b - a).dot(b - a):
-            return True
-    return False
 
 
 def classify_tetragon(a: Vector, b: Vector, c: Vector, d: Vector) -> str:
@@ -119,25 +97,6 @@ def cycle_shape(og: OrientedGkmGraph, p: str) -> CycleShape:
     images = [og.graph.mu(v) for v in cycle]
     label = classify_tetragon(*images)
     return CycleShape(cycle, "tetragonal", label)
-
-
-def is_interior_vertex(graph: GkmGraph, vid: str) -> bool:
-    """Does the positive span of the outward weights at vid cover the plane?
-
-    Equivalently: the weights do not fit in any closed half-plane.  This is
-    the weight-cone characterization of interiority; it agrees with the
-    hull-boundary test on validated instances.
-    """
-    if graph.rank != 2:
-        raise ScopeError("interiority test is planar (rank 2)")
-    weights = [e.weight_from(vid) for e in graph.edges_at(vid)]
-    if len(weights) < 3:
-        return False
-    for w in weights:
-        for normal in (w.perp(), -w.perp()):
-            if all(u.dot(normal) >= 0 for u in weights):
-                return False
-    return True
 
 
 _SHAPE_NAMES = {3: "triangle", 4: "tetragon", 5: "pentagon", 6: "hexagon",

@@ -85,9 +85,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
-
     def __iter__(self) -> Iterator[Check]:
         return iter(self.checks)
 

@@ -12,8 +12,10 @@ Matrices are plain lists of lists of ints or Fractions; any other entry
 (a float, a string) is a TypeError naming its cell.  Exact solutions come
 back as integers over one denominator: a pair ``(y, d)`` of int numerators
 and an int ``d > 0`` stands for the rational vector ``y / d``, so that
-``A·y == d·b`` for ``solve`` and ``A·y == 0`` for ``nullspace``.
-``determinant`` returns a Fraction.
+``A·y == d·b`` for ``solve`` and ``A·y == 0`` for ``nullspace``.  There
+is one back-substitution, for kernel vectors: ``solve`` eliminates the
+augmented matrix (A | b) and reads x off its kernel vector (x, -1), so
+b pivoting means no solution.  ``determinant`` returns a Fraction.
 """
 
 from __future__ import annotations
@@ -64,11 +66,8 @@ class Echelon:
         return len(self.pivot_cols)
 
 
-def echelon(matrix: Matrix, pivot_limit: Optional[int] = None) -> Echelon:
+def echelon(matrix: Matrix) -> Echelon:
     """Bring a matrix to row echelon form without rational arithmetic.
-
-    ``pivot_limit`` restricts pivot columns to indices below it (used for
-    augmented systems, where the right-hand side must never pivot).
 
     Below the pivot row, every column left of the pivot column is already
     zero, so the update runs over the pivot column and to its right only.
@@ -83,12 +82,11 @@ def echelon(matrix: Matrix, pivot_limit: Optional[int] = None) -> Echelon:
         scales.append(s)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    limit = ncols if pivot_limit is None else pivot_limit
     pivot_cols: list[int] = []
     sign = 1
     prev = 1
     pr = 0
-    for pc in range(limit):
+    for pc in range(ncols):
         found = None
         for i in range(pr, nrows):
             if rows[i][pc] != 0:
@@ -144,15 +142,13 @@ def determinant(matrix: Matrix) -> Fraction:
     return Fraction(ech.swap_sign * det_int, total_scale)
 
 
-def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int],
-                     rhs: Optional[list[int]] = None) -> Solution:
-    """Solve the echelon system for the pivot variables, fraction-free.
+def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int]) -> Solution:
+    """Solve the echelon system A·x = 0 for the pivot variables, fraction-free.
 
-    ``fixed`` assigns integers to the free variables; ``rhs`` is the
-    (already reduced) right-hand side per pivot row, defaulting to zero.
-    With D the last Bareiss pivot, Cramer's rule makes y = D * x integral,
-    so each step is an exact integer division; a remainder is a GkmError
-    naming the row.  Returns ``(y, d)`` with ``x = y / d`` and ``d = |D|``.
+    ``fixed`` assigns integers to the free variables.  With D the last
+    Bareiss pivot, Cramer's rule makes y = D * x integral, so each step is
+    an exact integer division; a remainder is a GkmError naming the row.
+    Returns ``(y, d)`` with ``x = y / d`` and ``d = |D|``.
     """
     pivots = ech.pivot_cols
     d = ech.rows[len(pivots) - 1][pivots[-1]] if pivots else 1
@@ -162,7 +158,7 @@ def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int],
     for i in range(len(pivots) - 1, -1, -1):
         pc = pivots[i]
         row = ech.rows[i]
-        acc = d * rhs[i] if rhs is not None else 0
+        acc = 0
         for j in range(pc + 1, ncols):
             if row[j]:
                 acc -= row[j] * y[j]
@@ -199,29 +195,26 @@ def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[Solution]:
 
 def solve(matrix: Matrix,
           rhs: Sequence[Union[int, Fraction]]) -> tuple[Optional[Solution], int]:
-    """A particular solution of A x = b and the nullity of A, from one
-    elimination of the augmented matrix.
+    """A particular solution of A x = b and the nullity of A, as a kernel
+    vector of (A | b) from one elimination.
 
     Returns ``(solution, nullity)``.  ``solution`` is ``(y, d)`` with
     ``A·y == d·b`` and ``d > 0``, so ``x = y / d``, with the free
-    variables set to 0; it is None when the system is inconsistent.
-    ``nullity`` is ``ncols - rank(A)``, the dimension of the solution
-    family (zero iff a solution, when one exists, is unique).  A matrix
-    with no rows is taken to have no columns.
+    variables set to 0; it is None when the system is inconsistent, that
+    is when the column of b pivots.  ``nullity`` is ``ncols - rank(A)``,
+    the dimension of the solution family (zero iff a solution, when one
+    exists, is unique).  A matrix with no rows is taken to have no columns.
     """
     if len(matrix) != len(rhs):
         raise ValueError("row count mismatch between matrix and right-hand side")
     if not matrix:
         return ([], 1), 0
     ncols = len(matrix[0])
-    augmented = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    ech = echelon(augmented, pivot_limit=ncols)
-    nullity = ncols - ech.rank
-    # Inconsistent iff a fully reduced row still has a nonzero RHS entry.
-    for i in range(ech.rank, len(ech.rows)):
-        if not any(ech.rows[i][:ncols]) and ech.rows[i][ncols] != 0:
-            return None, nullity
+    ech = echelon([list(r) + [b] for r, b in zip(matrix, rhs)])
+    if ncols in ech.pivot_cols:
+        return None, ncols + 1 - ech.rank
     pivots = set(ech.pivot_cols)
     fixed = {c: 0 for c in range(ncols) if c not in pivots}
-    reduced_rhs = [ech.rows[i][ncols] for i in range(ech.rank)]
-    return _back_substitute(ech, ncols, fixed, rhs=reduced_rhs), nullity
+    fixed[ncols] = -1
+    y, d = _back_substitute(ech, ncols + 1, fixed)
+    return (y[:ncols], d), ncols - ech.rank

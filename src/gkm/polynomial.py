@@ -230,13 +230,6 @@ class Polynomial:
         return not self._num
 
     @property
-    def total_degree(self) -> int | None:
-        """Maximal term degree, or None for the zero polynomial."""
-        if not self._num:
-            return None
-        return max(sum(e) for e in self._num)
-
-    @property
     def homogeneous_degree(self) -> int | None:
         """Degree if homogeneous and nonzero, None for zero, error otherwise."""
         if not self._num:
@@ -245,11 +238,6 @@ class Polynomial:
         if len(degrees) > 1:
             raise ValueError("polynomial is not homogeneous")
         return degrees.pop()
-
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        """Sum of the terms of the given total degree."""
-        return _make(self.rank, {e: c for e, c in self._num.items() if sum(e) == degree},
-                     self._den)
 
     # -- ring structure ----------------------------------------------------
 
@@ -303,7 +291,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = Polynomial.constant(self.rank, 1)
         base = self
@@ -358,18 +346,13 @@ class Polynomial:
                         self._den)
 
     def graded_numerators(self, point: Sequence[int]) -> tuple[dict[int, int], int]:
-        """``graded_values`` as integer numerators by degree, and the one
-        denominator they share."""
+        """Each nonzero homogeneous part's value at an integer point, as
+        integer numerators by degree, and the one denominator they share."""
         sums: dict[int, int] = {}
         for e, c in self._num.items():
             d = sum(e)
             sums[d] = sums.get(d, 0) + c * prod(map(pow, point, e))
         return {d: s for d, s in sums.items() if s}, self._den
-
-    def graded_values(self, point: Sequence[int]) -> dict[int, Fraction]:
-        """Each nonzero homogeneous part's value at an integer point, by degree."""
-        sums, den = self.graded_numerators(point)
-        return {d: Fraction(s, den) for d, s in sums.items()}
 
     def divide_by_linear(self, ell: "Polynomial") -> "Polynomial":
         """Exact quotient self / ell for a nonzero degree-1 homogeneous ell.

@@ -63,7 +63,7 @@ def test_loads_rejects_invalid_graph():
     doc["edges"][0]["weight"] = ["-1", "0"]
     with pytest.raises(ValidationError) as err:
         loads(json.dumps(doc))
-    failed = {c.name for c in err.value.report.failures()}
+    failed = {c.name for c in err.value.report if not c.ok}
     assert "moment-compatibility" in failed
 
 

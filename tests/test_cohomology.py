@@ -7,12 +7,11 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkm import cohomology
+from gkm import cohomology, linalg
 from gkm.cohomology import (
     CohomologyElement,
     basis,
     equivariant_symplectic_class,
-    is_class,
     monomials,
     scalar_multiple_of_weight,
     slice_dimension,
@@ -42,6 +41,17 @@ def cp3_oriented(cp3):
 def oriented(name):
     inst = corpus(name)
     return orient(inst.graph, inst.xi)
+
+
+def is_class(graph, values):
+    """Every edge congruence holds for a complete assignment."""
+    return cohomology._first_violation(graph, values) is None
+
+
+def graded_values(p, point):
+    """Each nonzero homogeneous part's value at an integer point, by degree."""
+    sums, den = p.graded_numerators(point)
+    return {d: Fraction(s, den) for d, s in sums.items()}
 
 
 # -- membership -----------------------------------------------------------------
@@ -115,11 +125,24 @@ def test_equivariant_symplectic_class_and_solver_output_are_checked():
     with pytest.raises(NotAClass, match="across a-b: the degree-1 part"):
         equivariant_symplectic_class(g)
     cp3 = corpus("cp3-k4").graph
-    system = cohomology._slice_system(cp3, 1)
-    coeffs = [0] * len(system.columns)
-    coeffs[system.index[("A", (1, 0))]] = 1  # x1 at A only
+    system = cohomology._System(cp3, 1, cp3.vertex_ids())
+    coeffs = [0] * system.ncols
+    n = len(system.monomials)
+    coeffs[system.support.index("A") * n + system.monomials.index((1, 0))] = 1  # x1 at A only
     with pytest.raises(NotAClass, match="across A-"):
         system.element_from(coeffs, 1)
+
+
+def test_stored_classes_are_read_only(cp3_oriented):
+    g = cp3_oriented.graph
+    om = equivariant_symplectic_class(g)
+    tau = thom_class(cp3_oriented, "A", "plus")
+    for element in (om, tau, om * tau):
+        with pytest.raises(TypeError):
+            element.values["A"] = x2 * x2
+    assert equivariant_symplectic_class(g) is om
+    assert om.value("A") == lin_form(g.mu("A")) and is_class(g, om.values)
+    assert thom_class(cp3_oriented, "A", "plus") is tau and is_class(g, tau.values)
 
 
 def test_elements_on_different_graphs_do_not_combine(cp3):
@@ -172,7 +195,7 @@ def test_point_test_agrees_with_division(name, data):
     for e, point in zip(g.edges, g.edge_points()):
         f, h = values[e.first], values[e.second]
         holds = congruent_mod_linear(f, h, lin_form(e.weight))
-        assert (f.graded_values(point) == h.graded_values(point)) == holds
+        assert (graded_values(f, point) == graded_values(h, point)) == holds
         if not holds:
             failing.append(e)
     assert is_class(g, values) == (not failing)
@@ -218,7 +241,7 @@ def test_additive_and_multiplicative_identities(cp3):
 def test_powers_take_only_non_negative_int_exponents(cp3):
     om = equivariant_symplectic_class(cp3)
     assert om ** 0 == unity(cp3) and om ** 2 == om * om
-    for n in (-1, 2.0):
+    for n in (-1, 2.0, True, False):
         with pytest.raises(PreconditionError, match=f"exponent must be an int >= 0, got {n}"):
             om ** n
 
@@ -265,16 +288,18 @@ def test_no_degree_two_class_supported_on_one_vertex():
     for inst in map(corpus, corpus_names()):
         g = inst.graph
         for vid in g.vertex_ids():
-            weights = [e.weight_from(vid) for e in g.edges_at(vid)]
-            rows = []
-            from gkm.cohomology import _System
-
-            system = _System(g, 2, [vid])
-            for w in weights:
-                system.add_divisibility(vid, w.primitive_perp())
-            from gkm import linalg
-
-            assert linalg.nullspace(system.rows, ncols=len(system.columns)) == []
+            system = cohomology._System(g, 2, [vid])
+            assert system.monomials == [(2, 0), (1, 1), (0, 2)]
+            # Exactly the divisibility rows: each edge at vid gives the
+            # monomials at its weight's primitive perpendicular, signed by
+            # the end vid is on.
+            divisibility = []
+            for e in g.edges_at(vid):
+                a, b = e.weight_from(vid).primitive_perp()
+                sign = 1 if e.first == vid else -1
+                divisibility.append([sign * a * a, sign * a * b, sign * b * b])
+            assert sorted(system.rows) == sorted(divisibility)
+            assert linalg.nullspace(system.rows, ncols=system.ncols) == []
 
 
 # -- Thom classes -------------------------------------------------------------------

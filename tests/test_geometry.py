@@ -12,8 +12,6 @@ from gkm.geometry import (
     classify_type,
     convex_hull,
     cycle_shape,
-    is_interior_vertex,
-    on_hull_boundary,
 )
 from gkm.graph import orient
 from gkm.polynomial import Vector
@@ -113,31 +111,6 @@ def test_hull_drops_edge_midpoints():
     hull = convex_hull(pts)
     assert len(hull) == 3
     assert V(1, 0) not in hull
-    assert on_hull_boundary(hull, V(1, 0))
-
-
-def test_interior_matches_hull_boundary_on_corpus():
-    for inst in map(corpus, corpus_names()):
-        g = inst.graph
-        hull = convex_hull([g.mu(v) for v in g.vertex_ids()])
-        for vid in g.vertex_ids():
-            weight_cone_interior = is_interior_vertex(g, vid)
-            boundary = on_hull_boundary(hull, g.mu(vid))
-            assert weight_cone_interior == (not boundary), (inst.name, vid)
-
-
-def test_cp3_interior_vertices():
-    g = corpus("cp3-k4").graph
-    assert is_interior_vertex(g, "A")
-    assert not is_interior_vertex(g, "D")
-
-
-def test_tol_d_interior_vertices():
-    g = corpus("tol-d").graph
-    assert is_interior_vertex(g, "p1")
-    assert is_interior_vertex(g, "q1")
-    for vid in ("o", "p2", "q2", "r"):
-        assert not is_interior_vertex(g, vid)
 
 
 # -- cycle shapes --------------------------------------------------------------------------
