@@ -44,34 +44,20 @@ from .errors import (
     Infeasible,
     NonUnique,
     NotAClass,
-    NotDivisible,
     NotIndexIncreasing,
     PreconditionError,
     RankMismatch,
 )
-from .graph import Edge, GkmGraph, OrientedGkmGraph
+from .graph import GkmGraph, OrientedGkmGraph
 from .localization import class_degree, euler_class
 # congruent_mod_linear is unused here; perfbench's tracer self-test expects it.
 from .polynomial import (  # noqa: F401
     Polynomial, _make, congruent_mod_linear, lin_form)
 
 
-def monomials(rank: int, degree: int) -> list[tuple]:
-    """Exponent tuples of the given total degree, graded-lex descending."""
-    if degree < 0:
-        return []
-    out: list[tuple] = []
-
-    def fill(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            fill(prefix + [e], remaining - e, slots - 1)
-
-    fill([], degree, rank)
-    out.sort(reverse=True)
-    return out
+def monomials(degree: int) -> list[tuple[int, int]]:
+    """Rank-2 exponent pairs of the given total degree, graded-lex descending."""
+    return [(degree - i, i) for i in range(degree + 1)]
 
 
 class CohomologyElement:
@@ -101,9 +87,6 @@ class CohomologyElement:
 
     def support(self) -> frozenset:
         return frozenset(v for v, p in self.values.items() if not p.is_zero())
-
-    def is_zero(self) -> bool:
-        return not self.support()
 
     @property
     def degree(self) -> int | None:
@@ -172,10 +155,6 @@ class CohomologyElement:
         inner = ", ".join(f"{v}: {p}" for v, p in sorted(self.values.items()))
         return f"CohomologyElement({inner})"
 
-    def to_text(self) -> dict[str, str]:
-        """JSON-ready form: vertex id -> polynomial text."""
-        return {v: str(p) for v, p in sorted(self.values.items())}
-
 
 def _element(graph: GkmGraph, values: dict[str, Polynomial]) -> CohomologyElement:
     """A class from complete values the ring itself produced: no check."""
@@ -229,7 +208,7 @@ class _System:
     def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str]):
         self.graph = graph
         self.support = sorted(support)
-        self.monomials = monomials(graph.rank, degree)
+        self.monomials = monomials(degree)
         n = len(self.monomials)
         self.ncols = n * len(self.support)
         offset = {v: k * n for k, v in enumerate(self.support)}
@@ -325,28 +304,3 @@ def _solve_thom_class(og: OrientedGkmGraph, vid: str,
             f"Thom class of {vid} is not unique (nullspace dimension {nullity})"
         )
     return system.element_from(*solution)
-
-
-def scalar_multiple_of_weight(f: CohomologyElement, edge: Edge) -> Fraction:
-    """The scalar k with f(u) = k * <weight read from u toward w, x>,
-    where w is the endpoint at which f vanishes and u the other one.
-
-    A degree-1 class vanishing at one endpoint of an edge is forced to be
-    a rational multiple of the edge's weight form at the other endpoint;
-    this extracts that multiple.  Vanishing at both endpoints gives 0.
-    """
-    fa, fb = f.value(edge.first), f.value(edge.second)
-    if fa.is_zero() and fb.is_zero():
-        return Fraction(0)
-    if fb.is_zero():
-        holder, vanished = edge.first, edge.second
-    elif fa.is_zero():
-        holder, vanished = edge.second, edge.first
-    else:
-        raise PreconditionError(f"class vanishes at neither endpoint of {edge}")
-    if f.degree != 1:
-        raise PreconditionError("scalar extraction requires a degree-1 class")
-    ratio = f.value(holder).parallel_ratio(lin_form(edge.weight_from(holder)))
-    if ratio is None:
-        raise NotDivisible(f"value at {holder} is no multiple of the weight of {edge}")
-    return ratio

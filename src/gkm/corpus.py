@@ -53,16 +53,19 @@ class CorpusInstance:
     notes: dict = field(default_factory=dict)
 
 
-def _cp3_k4() -> CorpusInstance:
+def _simplex() -> tuple[dict[str, tuple], list[tuple[str, str, tuple]]]:
+    """The 3-simplex model: the origin and the unit points, an edge per pair."""
     points = {"A": (0, 0, 0), "B": (1, 0, 0), "C": (0, 1, 0), "D": (0, 0, 1)}
-    edges3 = []
-    for u, v in combinations(points, 2):
-        w3 = tuple(b - a for a, b in zip(points[u], points[v]))
-        edges3.append((u, v, w3))
+    edges3 = [(u, v, tuple(b - a for a, b in zip(points[u], points[v])))
+              for u, v in combinations(points, 2)]
+    return points, edges3
+
+
+def _cp3_k4() -> CorpusInstance:
     return CorpusInstance(
         name="cp3-k4",
         title="complete graph on a projected 3-simplex (triangle image)",
-        graph=_graph_from_model(_SHEAR, points, edges3, valence=3),
+        graph=_graph_from_model(_SHEAR, *_simplex(), valence=3),
         xi=Vector((1, 3)),
         expected_type="a",
         expected_betti=(1, 1, 1, 1),
@@ -71,15 +74,10 @@ def _cp3_k4() -> CorpusInstance:
 
 
 def _cp3_square() -> CorpusInstance:
-    points = {"A": (0, 0, 0), "B": (1, 0, 0), "C": (0, 1, 0), "D": (0, 0, 1)}
-    edges3 = []
-    for u, v in combinations(points, 2):
-        w3 = tuple(b - a for a, b in zip(points[u], points[v]))
-        edges3.append((u, v, w3))
     return CorpusInstance(
         name="cp3-square",
         title="the same simplex reprojected so all four vertices are extreme",
-        graph=_graph_from_model(_CORNER, points, edges3, valence=3),
+        graph=_graph_from_model(_CORNER, *_simplex(), valence=3),
         xi=Vector((1, 2)),
         expected_type="b",
         expected_betti=(1, 1, 1, 1),

@@ -54,7 +54,7 @@ class Edge:
             return self.second
         if vid == self.second:
             return self.first
-        raise KeyError(f"{vid} is not an endpoint of {self.first}-{self.second}")
+        raise PreconditionError(f"{vid!r} is not an endpoint of {self.first}-{self.second}")
 
     def weight_from(self, vid: str) -> Vector:
         """Outward weight reading: +weight from first, -weight from second."""
@@ -62,7 +62,7 @@ class Edge:
             return self.weight
         if vid == self.second:
             return -self.weight
-        raise KeyError(f"{vid} is not an endpoint of {self.first}-{self.second}")
+        raise PreconditionError(f"{vid!r} is not an endpoint of {self.first}-{self.second}")
 
     def __str__(self) -> str:
         return f"{self.first}-{self.second}"
@@ -100,6 +100,13 @@ class ValidationReport:
         return [{"check": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks]
 
 
+class _ByVertex(dict):
+    """A dict keyed by vertex id, where an unknown id is a PreconditionError."""
+
+    def __missing__(self, vid):
+        raise PreconditionError(f"unknown vertex {vid!r}")
+
+
 class _Derived:
     def derived(self, key, compute):
         """The value under ``key``, computed by ``compute()`` on first use and kept
@@ -129,14 +136,14 @@ class GkmGraph(_Derived):
         self.valence = valence
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._by_id: dict[str, Vertex] = {}
+        self._by_id: dict[str, Vertex] = _ByVertex()
         for v in self.vertices:
             if v.id in self._by_id:
                 raise ValueError(f"duplicate vertex id {v.id!r}")
             if len(v.mu) != rank:
                 raise ValueError(f"vertex {v.id!r} has mu of rank {len(v.mu)}, expected {rank}")
             self._by_id[v.id] = v
-        self._adjacent: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
+        self._adjacent: dict[str, list[Edge]] = _ByVertex((v.id, []) for v in self.vertices)
         seen_pairs = set()
         for e in self.edges:
             if e.first not in self._by_id or e.second not in self._by_id:
@@ -169,6 +176,8 @@ class GkmGraph(_Derived):
         for e in self._adjacent[u]:
             if e.other(u) == v:
                 return e
+        if v not in self._by_id:
+            raise PreconditionError(f"unknown vertex {v!r}")
         return None
 
     def adjacent(self, u: str, v: str) -> bool:
@@ -301,7 +310,7 @@ class OrientedGkmGraph(_Derived):
             if pairing == 0:
                 raise NotGeneric(f"xi is orthogonal to the weight of edge {e}")
             self._head[e.pair] = e.second if pairing > 0 else e.first
-        self._down: dict[str, int] = {v: 0 for v in graph.vertex_ids()}
+        self._down: dict[str, int] = _ByVertex.fromkeys(graph.vertex_ids(), 0)
         for e in graph.edges:
             self._down[self._head[e.pair]] += 1
         self._index_increasing = all(

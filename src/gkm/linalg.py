@@ -171,15 +171,12 @@ def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int]) -> Solutio
     return y, d
 
 
-def nullspace(matrix: Matrix, ncols: Optional[int] = None) -> list[Solution]:
-    """Basis of the kernel, one ``(y, d)`` per free column, deterministic.
+def nullspace(matrix: Matrix, ncols: int) -> list[Solution]:
+    """Basis of the kernel of a matrix with ``ncols`` columns, one ``(y, d)``
+    per free column, deterministic.
 
     Each basis vector is ``y / d`` with ``A·y == 0`` and ``d > 0``.
     """
-    if ncols is None:
-        if not matrix:
-            raise ValueError("cannot infer column count of an empty matrix")
-        ncols = len(matrix[0])
     if not matrix:
         return [([int(i == j) for j in range(ncols)], 1) for i in range(ncols)]
     ech = echelon(matrix)

@@ -175,7 +175,7 @@ class Polynomial:
     def __init__(self, rank: int, terms: Mapping[tuple, Scalar] | None = None):
         """Validating constructor for terms from outside the class.
 
-        Every exponent tuple must have ``rank`` non-negative entries;
+        Every exponent tuple must have ``rank`` non-negative int entries;
         coefficients are coerced to Fraction (floats raise TypeError) and
         terms with equal exponents are summed.
         """
@@ -183,8 +183,8 @@ class Polynomial:
             raise ValueError("polynomial rank must be >= 1")
         clean: dict[tuple, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            e = tuple(int(x) for x in exps)
-            if len(e) != rank or any(x < 0 for x in e):
+            e = tuple(exps)
+            if len(e) != rank or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {exps!r} for rank {rank}")
             clean[e] = clean.get(e, 0) + _frac(coeff)
         p = _from_fractions(rank, clean)
@@ -210,8 +210,8 @@ class Polynomial:
     @classmethod
     def variable(cls, rank: int, index: int) -> "Polynomial":
         """The variable x_{index+1} (0-based index)."""
-        if not 0 <= index < rank:
-            raise ValueError(f"variable index {index} out of range for rank {rank}")
+        if type(index) is not int or not 0 <= index < rank:
+            raise ValueError(f"variable index must be an int in 0..{rank - 1}, got {index!r}")
         exps = [0] * rank
         exps[index] = 1
         return cls(rank, {tuple(exps): 1})

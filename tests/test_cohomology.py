@@ -13,7 +13,6 @@ from gkm.cohomology import (
     basis,
     equivariant_symplectic_class,
     monomials,
-    scalar_multiple_of_weight,
     slice_dimension,
     thom_class,
     unity,
@@ -21,6 +20,7 @@ from gkm.cohomology import (
 from gkm.corpus import corpus, corpus_names
 from gkm.errors import GkmError, NotAClass, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, orient
+from gkm.lefschetz import thom_coefficient
 from gkm.localization import euler_class
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
 
@@ -396,35 +396,16 @@ def test_translation_changes_symplectic_class_by_constant(cp3):
 
 def test_scalar_multiple_across_edge(cp3_oriented):
     # tau_A^+ vanishes at D; across the B-D edge its value at B is a
-    # multiple of the weight read from B toward D.
+    # multiple of the weight read from B toward D, the coefficient that
+    # the degree-2 pairing formula reads.
     tau = thom_class(cp3_oriented, "A", "plus")
     edge = cp3_oriented.graph.edge_between("B", "D")
-    k = scalar_multiple_of_weight(tau, edge)
-    assert k * lin_form(edge.weight_from("B")) == tau.value("B")
+    form = lin_form(edge.weight_from("B"))
+    assert tau.value("D").is_zero()
+    k = tau.value("B").parallel_ratio(form)
+    assert k * form == tau.value("B")
     assert k == 1
-
-
-def test_scalar_multiple_zero_for_doubly_vanishing(cp3_oriented):
-    tau_r = thom_class(cp3_oriented, "C", "plus")  # supported on {C}
-    edge = cp3_oriented.graph.edge_between("A", "B")
-    assert scalar_multiple_of_weight(tau_r, edge) == 0
-
-
-def test_scalar_multiple_requires_a_vanishing_endpoint(cp3_oriented):
-    om = equivariant_symplectic_class(cp3_oriented.graph)
-    shifted = om - lin_form(Vector((5, 5)))  # vanishes nowhere on cp3-k4
-    edge = cp3_oriented.graph.edge_between("A", "B")
-    with pytest.raises(ValueError):
-        scalar_multiple_of_weight(shifted, edge)
-    with pytest.raises(GkmError, match="vanishes at neither endpoint"):
-        scalar_multiple_of_weight(shifted, edge)
-
-
-def test_scalar_multiple_requires_a_degree_one_class(cp3_oriented):
-    tau_top = thom_class(cp3_oriented, "C", "plus")  # degree 3, vanishes at A
-    edge = cp3_oriented.graph.edge_between("A", "C")
-    with pytest.raises(GkmError, match="degree-1"):
-        scalar_multiple_of_weight(tau_top, edge)
+    assert thom_coefficient(cp3_oriented, "A", "B") == k
 
 
 def test_degree_of_inhomogeneous_assignment_is_a_gkm_error(cp3_oriented):
@@ -447,14 +428,17 @@ def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):
         tail, head = cp3_oriented.tail(e), cp3_oriented.head(e)
         shifted = om - lin_form(g.mu(tail))
         ratio = (g.mu(head) - g.mu(tail)).parallel_ratio(e.weight_from(tail))
-        assert scalar_multiple_of_weight(shifted, e) == -ratio
+        assert shifted.value(tail).is_zero()
+        assert shifted.value(head).parallel_ratio(lin_form(e.weight_from(head))) == -ratio
 
 
 # -- monomial enumeration -----------------------------------------------------------
 
 def test_monomials_graded_lex_order():
-    assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
-    assert monomials(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert monomials(2) == [(2, 0), (1, 1), (0, 2)]
+    assert monomials(1) == [(1, 0), (0, 1)]
+    assert monomials(0) == [(0, 0)]
+    assert monomials(-1) == []
 
 
 # -- rank-2 rows: divisibility is vanishing at the perpendicular ----------------------

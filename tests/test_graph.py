@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkm import cohomology, lefschetz, localization
 from gkm.corpus import corpus, corpus_names
 from gkm.errors import GkmError, NotGeneric, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
@@ -256,3 +257,35 @@ def test_find_xi_count_must_be_an_int(count):
     message = re.escape(f"count must be an int, got {count!r}")
     with pytest.raises(PreconditionError, match=message):
         find_index_increasing_xi(g, count=count)
+
+
+# -- unknown vertex ids --------------------------------------------------------------
+
+_UNKNOWN_VERTEX_CALLS = {
+    "thom_class": lambda og: cohomology.thom_class(og, "Z"),
+    "euler_class": lambda og: localization.euler_class(og, "Z"),
+    "euler_class_plus": lambda og: localization.euler_class(og, "Z", "plus"),
+    "thom_coefficient_p": lambda og: lefschetz.thom_coefficient(og, "Z", "B"),
+    "thom_coefficient_q": lambda og: lefschetz.thom_coefficient(og, "A", "Z"),
+    "moment_ratio_p": lambda og: lefschetz.moment_ratio(og, "Z", "B"),
+    "moment_ratio_q": lambda og: lefschetz.moment_ratio(og, "A", "Z"),
+    "mu": lambda og: og.graph.mu("Z"),
+    "adjacent": lambda og: og.graph.adjacent("A", "Z"),
+    "down_degree": lambda og: og.down_degree("Z"),
+    "ascending_cycle": lambda og: og.ascending_cycle("Z"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNKNOWN_VERTEX_CALLS))
+def test_unknown_vertex_id_is_a_precondition_error(entry):
+    inst = corpus("cp3-k4")
+    og = orient(inst.graph, inst.xi)
+    with pytest.raises(PreconditionError, match="unknown vertex 'Z'"):
+        _UNKNOWN_VERTEX_CALLS[entry](og)
+
+
+@pytest.mark.parametrize("method", ["other", "weight_from"])
+def test_edge_read_from_a_non_endpoint_is_a_precondition_error(cp3, method):
+    edge = cp3.edge_between("A", "B")
+    with pytest.raises(PreconditionError, match="'C' is not an endpoint of A-B"):
+        getattr(edge, method)("C")

@@ -7,7 +7,7 @@ import pytest
 from gkm import cohomology, lefschetz, linalg, localization
 from gkm.cohomology import equivariant_symplectic_class, slice_dimension
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import DegreeError, GkmError, TypeMismatch
+from gkm.errors import DegreeError, GkmError, NotDivisible, TypeMismatch
 from gkm.graph import Edge, GkmGraph, find_index_increasing_xi, orient
 from gkm.lefschetz import (
     check_column_independence,
@@ -21,7 +21,7 @@ from gkm.lefschetz import (
     thom_coefficient,
 )
 from gkm.localization import euler_class
-from gkm.polynomial import Polynomial, Vector
+from gkm.polynomial import Polynomial, Vector, lin_form
 
 
 def oriented(name):
@@ -54,6 +54,39 @@ def test_cp3_ratio_and_coefficient(cp3):
 def test_thom_coefficient_with_swapped_indices_is_a_gkm_error(cp3):
     with pytest.raises(GkmError, match="index-two p and an index-four q"):
         thom_coefficient(cp3, "B", "A")
+
+
+def test_thom_coefficient_is_the_restriction_to_an_index_four_neighbor():
+    # Over 24 orientations (each instance at its document covector and its
+    # first 3 searched ones): for every adjacent index-two p and index-four
+    # q, tau_p^+ vanishes at q's other below-neighbor v, and the coefficient
+    # times the weight form read from q toward v is tau_p^+(q).
+    orientations = pairs = 0
+    for inst in map(corpus, corpus_names()):
+        for xi in [inst.xi] + find_index_increasing_xi(inst.graph, 3):
+            og = orient(inst.graph, xi)
+            orientations += 1
+            for p in og.vertices_of_index(1):
+                tau = cohomology.thom_class(og, p, "plus")
+                for q in og.vertices_of_index(2):
+                    if not og.graph.adjacent(p, q):
+                        continue
+                    v = lefschetz.below_neighbor(og, q, excluding=p)
+                    weight = og.graph.edge_between(q, v).weight_from(q)
+                    assert tau.value(v).is_zero(), (inst.name, xi, p, q)
+                    assert thom_coefficient(og, p, q) * lin_form(weight) == tau.value(q)
+                    pairs += 1
+    assert orientations == 24
+    assert pairs > orientations
+
+
+def test_thom_coefficient_off_the_weight_is_not_divisible(cp3, monkeypatch):
+    # A degree-2 stand-in for tau_A^+ is no multiple of a weight form at B.
+    omega = equivariant_symplectic_class(cp3.graph)
+    monkeypatch.setattr(lefschetz, "thom_class",
+                        lambda og, vid, direction="plus": omega * omega)
+    with pytest.raises(NotDivisible, match="value at B is no multiple of the weight of"):
+        thom_coefficient(cp3, "A", "B")
 
 
 def test_nonadjacent_pairs_give_zeros():
@@ -160,6 +193,13 @@ def test_hr_top_pairing_is_identity_entry(cp3):
 def test_hr_rejects_odd_degree(cp3):
     with pytest.raises(DegreeError):
         hr_matrix(cp3, 3)
+
+
+@pytest.mark.parametrize("k", ["2", 2.0, Fraction(2), True, False, None])
+def test_hr_rejects_a_degree_that_is_not_an_int(cp3, k):
+    # False is an int subclass equal to 0, which would pass the range check.
+    with pytest.raises(DegreeError, match="k must be an even int in 0..6"):
+        hr_matrix(cp3, k)
 
 
 def test_flag_hr2_two_by_two_nonsingular(flag):

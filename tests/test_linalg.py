@@ -56,7 +56,7 @@ def test_determinant_matches_permutation_expansion(m):
 @given(matrix_any)
 def test_nullspace_vectors_annihilate(m):
     ncols = len(m[0])
-    basis = linalg.nullspace(m)
+    basis = linalg.nullspace(m, ncols)
     assert len(basis) == ncols - linalg.rank(m)
     for y, d in basis:
         assert d > 0
@@ -93,7 +93,7 @@ def test_solve_nullity_and_consistency_from_one_elimination(m, data):
     else:
         b = [data.draw(entries) for _ in m]
     sol, nullity = linalg.solve(m, b)
-    assert nullity == len(linalg.nullspace(m))
+    assert nullity == len(linalg.nullspace(m, len(m[0])))
     augmented = [list(row) + [bi] for row, bi in zip(m, b)]
     assert (sol is None) == (linalg.rank(augmented) > linalg.rank(m))
     if sol is not None:
@@ -125,7 +125,7 @@ def test_int_rows_with_one_inexact_entry_still_raise_naming_the_cell(matrix, col
     calls = {
         "echelon": lambda: linalg.echelon(matrix),
         "solve": lambda: linalg.solve(matrix, [0] * len(matrix)),
-        "nullspace": lambda: linalg.nullspace(matrix),
+        "nullspace": lambda: linalg.nullspace(matrix, len(matrix[0])),
         "determinant": lambda: linalg.determinant(matrix),
         "rank": lambda: linalg.rank(matrix),
     }
@@ -186,7 +186,7 @@ def test_solve_and_nullspace_on_large_integer_matrices(m, data):
     x = [data.draw(big) for _ in range(ncols)]
     b = [sum(a * v for a, v in zip(row, x)) for row in m]
     (y, d), nullity = linalg.solve(m, b)
-    basis = linalg.nullspace(m)
+    basis = linalg.nullspace(m, ncols)
     assert nullity == len(basis) == ncols - ref_rank(m)
     for row, bi in zip(m, b):
         assert sum(a * v for a, v in zip(row, y)) == d * bi
@@ -324,7 +324,7 @@ def assert_solution_contract(matrix, rhs):
         for row, b in zip(matrix, rhs):
             assert dot(row, y) == d * b
         assert _as_fractions(sol) == particular
-    basis = linalg.nullspace(matrix)
+    basis = linalg.nullspace(matrix, len(matrix[0]))
     for y, d in basis:
         for row in matrix:
             assert dot(row, y) == 0

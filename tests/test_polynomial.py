@@ -181,6 +181,20 @@ def test_constructor_rejects_bad_exponents(exps):
         Polynomial(2, {exps: 1})
 
 
+@pytest.mark.parametrize("exps", [(1.5, 0), (Fraction(3, 2), 0), ("1", 0), (True, 0),
+                                  (1.0, 0), (Fraction(1), 0)])
+def test_constructor_takes_only_int_exponents(exps):
+    # int() would truncate 1.5 and 3/2 to 1 and read "1" and True as 1.
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        Polynomial(2, {exps: 1})
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "1", -1, 2])
+def test_variable_index_must_be_an_int_in_range(index):
+    with pytest.raises(ValueError, match="variable index must be an int in 0..1"):
+        Polynomial.variable(2, index)
+
+
 @pytest.mark.parametrize("n", [-1, 2.0, True, False])
 def test_powers_take_only_non_negative_int_exponents(n):
     # A bool is an int subclass: x1 ** True would otherwise return x1.

@@ -5,6 +5,11 @@ somewhere in ``src/gkm``, ``demos/`` or ``perfbench/`` other than its own
 definition: as a name, an attribute, an imported name, or a string constant
 equal to it (the benchmark tracer patches functions by name).  A helper that
 only tests call is dead code to the program.
+
+The test matches bare names, not owners: a method counts as called when any
+other definition of the same name is used.  So an unused method whose name
+another class shares and uses -- ``is_zero`` on ``Polynomial``, ``to_text`` on
+a report -- passes unseen; such names need a reader's check.
 """
 
 import ast
