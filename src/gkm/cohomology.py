@@ -5,11 +5,12 @@ the two values are congruent modulo the edge's weight form.  Degree slices
 are finite-dimensional rational vector spaces; bases come from an exact
 linear solve whose unknowns are the vertex-polynomial coefficients.  All
 of it is rank 2, the paper's setting (other ranks get a ScopeError): there
-<w, x> divides a polynomial exactly when each homogeneous part vanishes at
+<w, x> divides a binary form exactly when each homogeneous part vanishes at
 w's primitive perpendicular, the integer point ``GkmGraph.edge_points``
-keeps per edge.  So a congruence is tested by evaluating both values there,
-degree by degree, and in a linear system it is one integer row, the
-monomials of the system's degree evaluated at that point.
+keeps per edge.  A degree-d part's value there is the dot product of its
+coefficient row with ``power_row(point, d)``.  So a congruence is tested by
+evaluating both values there, degree by degree, and in a linear system it
+is one integer row, the power row of the system's degree.
 
 Classes are checked once, where values enter: the constructor, solver
 output and ``equivariant_symplectic_class``, built once per graph in its
@@ -18,7 +19,7 @@ classes are classes, as f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v)) +
 g(v)(f(u) - f(v)), so ring operations do not re-check; tests prove it.
 
 Every system has one row rule: over a support, one integer row per edge
-that meets it, the monomials at the edge's point with + at its first end
+that meets it, the power row of the edge's point with + at its first end
 and - at its second, and nothing at an end outside the support.  A degree
 slice is the kernel of these rows over every vertex.  A Thom class takes
 them over a reachability support, adds normalization rows at the base
@@ -35,7 +36,8 @@ solve doubles as a verification.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from itertools import zip_longest
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -46,18 +48,12 @@ from .errors import (
     NotAClass,
     NotIndexIncreasing,
     PreconditionError,
-    RankMismatch,
 )
 from .graph import GkmGraph, OrientedGkmGraph
 from .localization import class_degree, euler_class
 # congruent_mod_linear is unused here; perfbench's tracer self-test expects it.
 from .polynomial import (  # noqa: F401
-    Polynomial, _make, congruent_mod_linear, lin_form)
-
-
-def monomials(degree: int) -> list[tuple[int, int]]:
-    """Rank-2 exponent pairs of the given total degree, graded-lex descending."""
-    return [(degree - i, i) for i in range(degree + 1)]
+    Polynomial, _form, congruent_mod_linear, lin_form, power_row)
 
 
 class CohomologyElement:
@@ -68,12 +64,7 @@ class CohomologyElement:
     def __init__(self, graph: GkmGraph, values: Mapping[str, Polynomial]):
         self.graph = graph
         zero = Polynomial.zero(graph.rank)
-        complete: dict[str, Polynomial] = {}
-        for vid in graph.vertex_ids():
-            poly = values.get(vid, zero)
-            if poly.rank != graph.rank:
-                raise RankMismatch(f"value at {vid} has rank {poly.rank}")
-            complete[vid] = poly
+        complete = {vid: values.get(vid, zero) for vid in graph.vertex_ids()}
         extra = set(values) - set(complete)
         if extra:
             raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
@@ -101,8 +92,6 @@ class CohomologyElement:
                 raise PreconditionError("elements live on different graphs")
             return other
         if isinstance(other, (int, Fraction, Polynomial)):
-            if isinstance(other, Polynomial) and other.rank != self.graph.rank:
-                raise RankMismatch("polynomial scalar has wrong rank")
             if not isinstance(other, Polynomial):
                 other = Polynomial.constant(self.graph.rank, other)
             return _element(self.graph, {v: other for v in self.graph.vertex_ids()})
@@ -168,14 +157,15 @@ def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
     """The first failing edge congruence and its witness, as text, or None."""
     for e, point in zip(graph.edges, graph.edge_points()):
         f, h = values[e.first], values[e.second]
-        fs, fd = f.graded_numerators(point)
-        hs, hd = h.graded_numerators(point)
-        if fs.keys() != hs.keys() or any(s * hd != hs[d] * fd for d, s in fs.items()):
-            sums, den = (f - h).graded_numerators(point)
-            d = min(sums)
-            return (f"edge congruence fails across {e}: the degree-{d} part of "
-                    f"f({e.first}) - f({e.second}) is {Fraction(sums[d], den)} "
-                    f"at {point}, not 0")
+        for d, (fr, hr) in enumerate(zip_longest(f.rows, h.rows, fillvalue=())):
+            if not (fr or hr):
+                continue
+            powers = power_row(point, d)
+            fv, hv = (sum(map(mul, row, powers)) for row in (fr, hr))
+            if fv * h.denominator != hv * f.denominator:
+                value = Fraction(fv, f.denominator) - Fraction(hv, h.denominator)
+                return (f"edge congruence fails across {e}: the degree-{d} part of "
+                        f"f({e.first}) - f({e.second}) is {value} at {point}, not 0")
     return None
 
 
@@ -194,22 +184,22 @@ def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
 
 
 class _System:
-    """The congruence rows over per-vertex monomial coefficients of one
-    degree, for assignments that vanish outside a support.
+    """The congruence rows over the coefficient rows of one degree, one
+    per vertex of a support, for assignments that vanish outside it.
 
     A binary form g of degree d is divisible by <w, x> exactly when it
     vanishes at w's primitive perpendicular, so each edge that meets the
-    support is one integer row: the degree-d monomials evaluated at the
-    edge's point, with + at its first endpoint and - at its second.  An
-    endpoint outside the support contributes nothing, so an edge leaving
-    the support asks the inside value to be divisible by its weight.
+    support is one integer row: the power row of degree d at the edge's
+    point, with + at its first endpoint and - at its second.  An endpoint
+    outside the support contributes nothing, so an edge leaving the
+    support asks the inside value to be divisible by its weight.
     """
 
     def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str]):
         self.graph = graph
+        self.degree = degree
         self.support = sorted(support)
-        self.monomials = monomials(degree)
-        n = len(self.monomials)
+        n = degree + 1
         self.ncols = n * len(self.support)
         offset = {v: k * n for k, v in enumerate(self.support)}
         self.rows: list[list[int]] = []
@@ -217,7 +207,7 @@ class _System:
             ends = [(offset[v], sign) for v, sign in ((e.first, 1), (e.second, -1))
                     if v in offset]
             if ends:
-                values = [prod(map(pow, point, m)) for m in self.monomials]
+                values = power_row(point, degree)
                 row = [0] * self.ncols
                 for k, sign in ends:
                     row[k:k + n] = [sign * x for x in values]
@@ -226,10 +216,8 @@ class _System:
     def element_from(self, y: list[int], d: int) -> CohomologyElement:
         """The class with coefficients y / d (int numerators, d > 0),
         checked on construction."""
-        rank, monomials = self.graph.rank, self.monomials
-        n = len(monomials)
-        values = {v: _make(rank, dict(zip(monomials, y[k * n:(k + 1) * n])), d)
-                  for k, v in enumerate(self.support)}
+        n = self.degree + 1
+        values = {v: _form(y[k * n:(k + 1) * n], d) for k, v in enumerate(self.support)}
         return CohomologyElement(self.graph, values)
 
 
@@ -269,9 +257,9 @@ def thom_class(og: OrientedGkmGraph, vid: str,
 def _thom_system(og: OrientedGkmGraph, vid: str,
                  direction: str) -> tuple[_System, list[int]]:
     """The linear system whose unique solution is the Thom class of vid:
-    the congruence rows over its support, then one row per monomial that
-    fixes the value at vid (the coefficient's denominator in the matrix,
-    its numerator on the right); the right-hand side is 0 elsewhere."""
+    the congruence rows over its support, then one row per coefficient
+    that fixes the value at vid to the Euler factor (its denominator in the
+    matrix, its numerator on the right); the right-hand side is 0 elsewhere."""
     n = og.graph.valence
     if direction == "plus":
         support = og.ascending_reachable(vid)
@@ -283,13 +271,12 @@ def _thom_system(og: OrientedGkmGraph, vid: str,
 
     system = _System(og.graph, degree, support)
     rhs = [0] * len(system.rows)
-    start = system.support.index(vid) * len(system.monomials)
-    for j, m in enumerate(system.monomials):
-        c = normalization.coefficient(m)
+    start = system.support.index(vid) * (degree + 1)
+    for j, c in enumerate(normalization.rows[degree]):
         row = [0] * system.ncols
-        row[start + j] = c.denominator
+        row[start + j] = normalization.denominator
         system.rows.append(row)
-        rhs.append(c.numerator)
+        rhs.append(c)
     return system, rhs
 
 

@@ -15,13 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from functools import reduce
 from math import isqrt
-from operator import mul
 
-from .errors import DegreeError, NonConstant, NonZero, PreconditionError
+from .errors import DegreeError, NonConstant, NonZero, PreconditionError, ScopeError
 from .graph import OrientedGkmGraph
-from .polynomial import Polynomial, Vector, lin_form
+from .polynomial import Polynomial, Vector, form_product
 
 _VARIANTS = ("full", "plus", "minus")
 
@@ -32,6 +30,8 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
     ``plus`` multiplies over descending edges only, ``minus`` over ascending
     edges only; the full class is their product, stored per graph.
     """
+    if og.graph.rank != 2:
+        raise ScopeError("Euler classes are binary forms: rank 2 only")
     if variant not in _VARIANTS:
         raise PreconditionError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
@@ -42,10 +42,7 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
             edges = og.down_edges(vid)
         else:
             edges = og.up_edges(vid)
-        result = Polynomial.constant(og.graph.rank, 1)
-        for e in edges:
-            result = result * lin_form(e.weight_from(vid))
-        return result
+        return form_product(e.weight_from(vid) for e in edges)
 
     return (og.graph if variant == "full" else og).derived(("euler", vid, variant), compute)
 
@@ -83,26 +80,27 @@ def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polyn
     its weight direction d = (-b, a) and ell_d its form; m_d is the most
     edges of direction d at one vertex.  Each outward weight at v is some
     s_e * d, so Q_v is the forms v lacks over prod_e s_e: no nu_v is expanded.
+    The scale prod_e s_e is kept as an integer numerator and denominator.
     """
     def compute():
         graph = og.graph
-        ell: dict[tuple[int, int], Polynomial] = {}
         counts = {v: Counter() for v in graph.vertex_ids()}
-        scales = dict.fromkeys(graph.vertex_ids(), Fraction(1))
+        num = dict.fromkeys(graph.vertex_ids(), 1)
+        den = dict.fromkeys(graph.vertex_ids(), 1)
         for e, (a, b) in zip(graph.edges, graph.edge_points()):
             d = (-b, a) if (a, b) > (0, 0) else (b, -a)
-            if d not in ell:
-                ell[d] = lin_form(d)
-            s = e.weight[0] / d[0] if d[0] else e.weight[1] / d[1]
-            for v, sv in ((e.first, s), (e.second, -s)):
+            k = 0 if d[0] else 1
+            w = e.weight[k]  # s_e = w / d[k] from e.first, -s_e from e.second
+            for v, sign in ((e.first, 1), (e.second, -1)):
                 counts[v][d] += 1
-                scales[v] *= sv
-        most = {d: max(c[d] for c in counts.values()) for d in ell}
-        quotients = {v: reduce(mul, (ell[d] for d in ell for _ in range(most[d] - c[d])),
-                               Polynomial.constant(graph.rank, 1 / scales[v]))
+                num[v] *= sign * w.numerator
+                den[v] *= w.denominator * d[k]
+        most = Counter()
+        for c in counts.values():
+            most |= c
+        quotients = {v: form_product((most - c).elements(), den[v], num[v])
                      for v, c in counts.items()}
-        return quotients, reduce(mul, (ell[d] for d in ell for _ in range(most[d])),
-                                 Polynomial.constant(graph.rank, 1))
+        return quotients, form_product(most.elements())
 
     return og.graph.derived("localization_common_multiple", compute)
 

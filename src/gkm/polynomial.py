@@ -1,35 +1,32 @@
-"""Exact multivariate polynomial arithmetic over the rationals.
+"""Exact binary forms over the rationals, and rational vectors.
 
-Polynomials in k variables x1..xk represent the symmetric algebra on the
-dual Lie algebra of a rank-k torus; linear forms are the images of weight
-vectors.  Coefficients are stored as integer numerators over one positive
-denominator, in lowest terms; ``fractions.Fraction`` appears only at the
-API boundary.  Floats are rejected on construction so that every
-downstream divisibility and determinant test stays decidable.
+The torus has rank 2 (the paper's setting), so every polynomial lives in
+H_T(pt) = Q[x1, x2]; linear forms are the images of weight vectors.  Any
+other rank is a ScopeError.  Floats, strings and bools are rejected on
+construction so that every divisibility and determinant test stays
+decidable.  Degrees are plain polynomial degrees; the cohomological degree
+of a homogeneous element is twice that.
 
-Degree convention: we store plain polynomial degree; the cohomological
-degree of a homogeneous element is twice that (each variable has
-cohomological degree 2).
+A polynomial is a tuple of coefficient rows, one per degree: row d holds
+the d + 1 numerators of x1^d, x1^(d-1)*x2, ..., x2^d, or is empty where
+the degree-d part is zero.  The last row is nonempty and all numerators
+share one positive denominator, in lowest terms, so equal polynomials have
+equal rows and ``Fraction`` appears only at the API boundary.  A product
+is a convolution of rows; a degree-d part's value at an integer point
+(a, b) is the dot product of its row with ``power_row((a, b), d)``.
 
-A polynomial maps exponent tuples to nonzero coefficients, compared and
-hashed as that mapping; no term order is stored, so ``terms()`` and the
-text form sort graded-lex, leading terms first.  ``parallel_ratio`` tells,
-by integer cross-multiplication, whether one is a rational multiple of another.
-
-Two constructors build polynomials.  The public ``Polynomial(rank, terms)``
-takes input from outside the class: it checks every exponent tuple,
-rejects float coefficients, coerces the rest to ``Fraction`` and merges
-duplicate keys.  The private ``_make`` takes integer numerators and a
-denominator exactly as the class's own arithmetic produced them --
-exponent tuples of the right length -- and trusts them, only dropping zero
-numerators and dividing out one gcd.
+The public ``Polynomial(rank, terms)`` takes exponent pairs and int or
+Fraction coefficients from outside and checks them.  The private ``_make``
+trusts integer rows and a denominator from the module's own arithmetic,
+only emptying zero rows and dividing out one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import add
+from itertools import chain, zip_longest
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NotDivisible, RankMismatch, ScopeError
@@ -38,10 +35,16 @@ Scalar = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
-    """Coerce to Fraction, rejecting floats (exactness guard)."""
-    if isinstance(x, float):
-        raise TypeError("floating-point values are not allowed in exact arithmetic")
+    """Coerce an int or Fraction to Fraction; anything else, a float, str
+    or bool included, is a TypeError (exactness guard)."""
+    if type(x) is bool or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"exact arithmetic takes int or Fraction values, not {type(x).__name__}")
     return Fraction(x)
+
+
+def _check_rank(rank) -> None:
+    if rank != 2:
+        raise ScopeError(f"polynomials are binary forms (rank 2), got rank {rank!r}")
 
 
 class Vector:
@@ -49,8 +52,8 @@ class Vector:
 
     Immutable; componentwise arithmetic plus the handful of exact
     predicates (pairing, parallelism, 2D cross product) the graph layer
-    needs.  The public constructor coerces every component to Fraction and
-    rejects floats; arithmetic results, already Fractions, are built by
+    needs.  The public constructor coerces every int or Fraction component
+    to Fraction and rejects anything else; arithmetic results, already Fractions, are built by
     ``_vector`` without a second coercion.
     """
 
@@ -163,32 +166,34 @@ def _vector(components: tuple[Fraction, ...]) -> Vector:
 
 
 class Polynomial:
-    """Exact polynomial in ``rank`` variables with rational coefficients.
+    """Exact binary form (or sum of forms) with rational coefficients.
 
-    Terms map exponent tuples to nonzero integer numerators over one
-    positive denominator; ``terms()`` lists them graded-lex descending.
-    Instances are immutable.
+    ``rows[d]`` holds the integer numerators of the degree-d part, x1-heavy
+    first, over the positive ``denominator``.  Instances are immutable.
     """
 
-    __slots__ = ("rank", "_num", "_den")
+    __slots__ = ("rows", "denominator")
 
     def __init__(self, rank: int, terms: Mapping[tuple, Scalar] | None = None):
         """Validating constructor for terms from outside the class.
 
-        Every exponent tuple must have ``rank`` non-negative int entries;
-        coefficients are coerced to Fraction (floats raise TypeError) and
-        terms with equal exponents are summed.
+        ``rank`` must be 2 and every key a pair of non-negative ints
+        (exponents of x1 and x2); coefficients must be ints or Fractions,
+        and terms with equal exponents are summed.
         """
-        if rank < 1:
-            raise ValueError("polynomial rank must be >= 1")
+        _check_rank(rank)
         clean: dict[tuple, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             e = tuple(exps)
-            if len(e) != rank or any(type(x) is not int or x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {exps!r} for rank {rank}")
+            if len(e) != 2 or any(type(x) is not int or x < 0 for x in e):
+                raise ValueError(f"bad exponent vector {exps!r} for rank 2")
             clean[e] = clean.get(e, 0) + _frac(coeff)
-        p = _from_fractions(rank, clean)
-        _init(self, rank, p._num, p._den)
+        den = lcm(*(c.denominator for c in clean.values()))
+        rows = [[0] * (d + 1) for d in range(max((i + j for i, j in clean), default=-1) + 1)]
+        for (i, j), c in clean.items():
+            rows[i + j][j] += c.numerator * (den // c.denominator)
+        p = _make(rows, den)
+        _init(self, p.rows, p.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -197,103 +202,94 @@ class Polynomial:
 
     @classmethod
     def zero(cls, rank: int) -> "Polynomial":
-        if rank < 1:
-            raise ValueError("polynomial rank must be >= 1")
-        return _make(rank, {}, 1)
+        _check_rank(rank)
+        return _ZERO
 
     @classmethod
     def constant(cls, rank: int, value: Scalar) -> "Polynomial":
-        if rank < 1:
-            raise ValueError("polynomial rank must be >= 1")
-        return _from_fractions(rank, {(0,) * rank: _frac(value)})
+        _check_rank(rank)
+        c = _frac(value)
+        return _form((c.numerator,), c.denominator)
 
     @classmethod
     def variable(cls, rank: int, index: int) -> "Polynomial":
         """The variable x_{index+1} (0-based index)."""
-        if type(index) is not int or not 0 <= index < rank:
-            raise ValueError(f"variable index must be an int in 0..{rank - 1}, got {index!r}")
-        exps = [0] * rank
-        exps[index] = 1
-        return cls(rank, {tuple(exps): 1})
+        _check_rank(rank)
+        if type(index) is not int or not 0 <= index < 2:
+            raise ValueError(f"variable index must be an int in 0..1, got {index!r}")
+        return _form((1, 0) if index == 0 else (0, 1), 1)
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[tuple, Fraction]]:
-        """(exponents, coefficient) pairs in graded-lex descending order."""
-        order = sorted(self._num, key=lambda e: (sum(e), e), reverse=True)
-        return ((e, Fraction(self._num[e], self._den)) for e in order)
-
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(exponents), 0), self._den)
-
     def is_zero(self) -> bool:
-        return not self._num
+        return not self.rows
 
     @property
     def homogeneous_degree(self) -> int | None:
         """Degree if homogeneous and nonzero, None for zero, error otherwise."""
-        if not self._num:
+        if not self.rows:
             return None
-        degrees = {sum(e) for e in self._num}
-        if len(degrees) > 1:
+        if self.rows.count(()) != len(self.rows) - 1:
             raise ValueError("polynomial is not homogeneous")
-        return degrees.pop()
+        return len(self.rows) - 1
 
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
-            if other.rank != self.rank:
-                raise RankMismatch(f"polynomial ranks differ: {self.rank} vs {other.rank}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.rank, other)
+            return Polynomial.constant(2, other)
         return None
 
-    def __add__(self, other) -> "Polynomial":
+    def _combine(self, other, sign: int) -> "Polynomial":
+        """self + sign * other, over the lcm of the two denominators."""
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        d1, d2 = self._den, p._den
+        if not p.rows:
+            return self
+        if not self.rows:
+            return p if sign == 1 else -p
+        d1, d2 = self.denominator, p.denominator
         g = gcd(d1, d2)
-        s1, s2 = d2 // g, d1 // g
-        out = {e: c * s1 for e, c in self._num.items()} if s1 != 1 else dict(self._num)
-        for e, c in p._num.items():
-            out[e] = out[e] + s2 * c if e in out else s2 * c
-        return _make(self.rank, out, d1 * s1)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        return _make([[x * s1 + y * s2 for x, y in zip_longest(a, b, fillvalue=0)] if a or b
+                      else () for a, b in zip_longest(self.rows, p.rows, fillvalue=())], d1 * s1)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Polynomial":
-        return _make(self.rank, {e: -c for e, c in self._num.items()}, self._den)
-
     def __sub__(self, other) -> "Polynomial":
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return self + -p
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return -(self - other)
+
+    def __neg__(self) -> "Polynomial":
+        return _make([[-c for c in row] for row in self.rows], self.denominator)
 
     def __mul__(self, other) -> "Polynomial":
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out: dict[tuple, int] = {}
-        right = p._num.items()
-        for e1, c1 in self._num.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return _make(self.rank, out, self._den * p._den)
+        if not self.rows or not p.rows:
+            return _ZERO
+        out: list = [()] * (len(self.rows) + len(p.rows) - 1)
+        for d1, r1 in enumerate(self.rows):
+            for d2, r2 in enumerate(p.rows):
+                if r1 and r2:
+                    out[d1 + d2] = _convolve(r1, r2, out[d1 + d2])
+        return _make(out, self.denominator * p.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.rank, 1)
+        result = Polynomial.constant(2, 1)
         base = self
         while n:
             if n & 1:
@@ -303,174 +299,185 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.rank, other)
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
+            other = Polynomial.constant(2, other)
         return (
             isinstance(other, Polynomial)
-            and self.rank == other.rank
-            and self._den == other._den
-            and self._num == other._num
+            and self.denominator == other.denominator
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self._den, frozenset(self._num.items())))
+        return hash((self.rows, self.denominator))
 
     def parallel_ratio(self, other: "Polynomial") -> Fraction | None:
         """Return r with self == r * other, or None if no such rational exists.
 
-        ``other`` must be nonzero.  Supports must agree, and each term's
-        numerators s, o must satisfy s*b == a*o, a and b those of one term.
+        ``other`` must be nonzero.  The nonzero parts must have the same
+        degrees, and each pair of numerators s, o must satisfy s*b == a*o,
+        a and b those of one position where other's numerator is nonzero.
         """
-        if other.rank != self.rank:
-            raise RankMismatch(f"polynomial ranks differ: {self.rank} vs {other.rank}")
-        if not other._num:
+        if not other.rows:
             raise ValueError("parallel_ratio against the zero polynomial")
-        if not self._num:
+        if not self.rows:
             return Fraction(0)
-        if self._num.keys() != other._num.keys():
+        if list(map(len, self.rows)) != list(map(len, other.rows)):
             return None
-        first, b = next(iter(other._num.items()))
-        a = self._num[first]
-        if any(c * b != a * other._num[e] for e, c in self._num.items()):
+        pairs = list(zip(chain.from_iterable(self.rows), chain.from_iterable(other.rows)))
+        a, b = next((s, o) for s, o in pairs if o)
+        if any(s * b != a * o for s, o in pairs):
             return None
-        return Fraction(a * other._den, b * self._den)
+        return Fraction(a * other.denominator, b * self.denominator)
 
     # -- evaluation and division -------------------------------------------
 
     def evaluate(self, point: Vector | Sequence) -> Fraction:
-        """Exact evaluation at a rational point."""
-        pt = [_frac(c) for c in point]
-        if len(pt) != self.rank:
-            raise RankMismatch(f"point has {len(pt)} coords, polynomial rank {self.rank}")
-        return Fraction(sum(c * prod(map(pow, pt, e)) for e, c in self._num.items()),
-                        self._den)
+        """Exact evaluation at a rational point.
 
-    def graded_numerators(self, point: Sequence[int]) -> tuple[dict[int, int], int]:
-        """Each nonzero homogeneous part's value at an integer point, as
-        integer numerators by degree, and the one denominator they share."""
-        sums: dict[int, int] = {}
-        for e, c in self._num.items():
-            d = sum(e)
-            sums[d] = sums.get(d, 0) + c * prod(map(pow, point, e))
-        return {d: s for d, s in sums.items() if s}, self._den
+        The point is written as (a, b) / m with integers a, b, m, so part d
+        contributes its value at (a, b) over m^d.
+        """
+        pt = [_frac(c) for c in point]
+        if len(pt) != 2:
+            raise RankMismatch(f"point has {len(pt)} coords, polynomial rank 2")
+        if not self.rows:
+            return Fraction(0)
+        m = lcm(*(c.denominator for c in pt))
+        ab = [c.numerator * (m // c.denominator) for c in pt]
+        top = len(self.rows) - 1
+        total = sum(sum(map(mul, row, power_row(ab, d))) * m ** (top - d)
+                    for d, row in enumerate(self.rows) if row)
+        return Fraction(total, self.denominator * m ** top)
 
     def divide_by_linear(self, ell: "Polynomial") -> "Polynomial":
         """Exact quotient self / ell for a nonzero degree-1 homogeneous ell.
 
-        Raises NotDivisible when no exact quotient exists; that is the
-        signal for a violated edge congruence.
-
-        One sweep: the pivot is the first variable x_j of ell, and terms are
-        bucketed by their exponent of x_j.  Reducing a term of pivot
-        exponent k by ell only creates terms of exponent k - 1, so the
-        buckets are cleared from the top down, each term once.  The
-        remainder is whatever is left in bucket 0.  Numerators are first
-        scaled by ell's denominator and by |c|^top (c the pivot coefficient,
-        top the highest pivot exponent): bucket k then holds multiples of
-        c^k, and each division by c is exact.
+        Raises NotDivisible when no exact quotient exists.  Synthetic
+        division, one pass per row: for ell = a*x1 + b*x2 with a != 0 (else
+        x1 and x2 swap), a row c and its quotient row q satisfy c_i = a*q_i
+        + b*q_(i-1), and the remainder is c_last - b*q_last.  Numerators are
+        first scaled by ell's denominator and |a|^top, top the highest
+        degree, so each division by a is exact.
         """
-        if not isinstance(ell, Polynomial) or ell.rank != self.rank:
-            raise RankMismatch("divisor rank mismatch")
-        if ell.is_zero() or ell.homogeneous_degree != 1:
+        if not isinstance(ell, Polynomial) or ell.homogeneous_degree != 1:
             raise ValueError("divisor must be nonzero homogeneous of degree 1")
-        # ell's terms are unit exponent tuples; index(1) names the variable.
-        coeffs = sorted((e.index(1), c) for e, c in ell._num.items())
-        pivot, cp = coeffs[0]
-        others = [(i, -c) for i, c in coeffs[1:]]
-        top = max((e[pivot] for e in self._num), default=0)
-        scale = abs(cp) ** top
-        buckets: list[dict[tuple, int]] = [{} for _ in range(top + 1)]
-        for e, c in self._num.items():
-            buckets[e[pivot]][e] = c * scale * ell._den
-        quotient: dict[tuple, int] = {}
-        for k in range(top, 0, -1):
-            lower = buckets[k - 1]
-            for e, c in buckets[k].items():
-                if not c:
-                    continue
-                qe = list(e)
-                qe[pivot] -= 1
-                qc = c // cp
-                quotient[tuple(qe)] = qc
-                for i, nc in others:
-                    qe[i] += 1
-                    te = tuple(qe)
-                    qe[i] -= 1
-                    lower[te] = lower[te] + qc * nc if te in lower else qc * nc
-        if any(buckets[0].values()):
-            raise NotDivisible(f"({self}) is not divisible by ({ell})")
-        return _make(self.rank, quotient, self._den * scale)
+        a, b = ell.rows[1]
+        mirror = a == 0
+        if mirror:
+            a, b = b, a
+        scale = abs(a) ** max(len(self.rows) - 1, 0)
+        k = scale * ell.denominator
+        quotient: list = []
+        for row in self.rows:
+            c = row[::-1] if mirror else row
+            q: list[int] = []
+            last = 0
+            for x in c[:-1]:
+                last = (x * k - b * last) // a
+                q.append(last)
+            if c and c[-1] * k != b * last:
+                raise NotDivisible(f"({self}) is not divisible by ({ell})")
+            quotient.append(q[::-1] if mirror else q)
+        return _make(quotient[1:], self.denominator * scale)
 
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
-        """Signed sum of terms like ``x1^2 - 2*x1*x2 + 1/3``, graded-lex order."""
-        if not self._num:
-            return "0"
-        pieces: list[str] = []
-        for e, c in self.terms():
-            factors = []
-            for i, exp in enumerate(e):
-                if exp == 1:
-                    factors.append(f"x{i + 1}")
-                elif exp > 1:
-                    factors.append(f"x{i + 1}^{exp}")
-            mag = abs(c)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        """Signed sum of terms like ``x1^2 - 2*x1*x2 + 1/3``, graded-lex order:
+        highest degree first, then x1-heavy first."""
+        text = ""
+        for d in range(len(self.rows) - 1, -1, -1):
+            for i, n in enumerate(self.rows[d]):
+                if n:
+                    mag = Fraction(abs(n), self.denominator)
+                    factors = [f"x{k}" if e == 1 else f"x{k}^{e}"
+                               for k, e in ((1, d - i), (2, i)) if e]
+                    body = "*".join(factors if factors and mag == 1 else [str(mag)] + factors)
+                    sign = (" - " if n < 0 else " + ") if text else ("-" if n < 0 else "")
+                    text += sign + body
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
 
-def _init(p: Polynomial, rank: int, num: dict, den: int) -> None:
-    object.__setattr__(p, "rank", rank)
-    object.__setattr__(p, "_num", num)
-    object.__setattr__(p, "_den", den)
+def _init(p: Polynomial, rows: tuple, den: int) -> None:
+    object.__setattr__(p, "rows", rows)
+    object.__setattr__(p, "denominator", den)
 
 
-def _make(rank: int, num: dict, den: int) -> Polynomial:
-    """Trusting constructor for the class's own arithmetic.
+def _make(rows: Iterable[Sequence[int]], den: int) -> Polynomial:
+    """Trusting constructor for the module's own arithmetic.
 
-    ``num`` must map exponent tuples of length ``rank`` to int numerators
-    over the positive int ``den``; nothing is checked or coerced.  Zero
-    numerators are dropped and one gcd brings the rest to lowest terms.
+    ``rows`` must hold d + 1 int numerators (or none) at each index d, over
+    the positive int ``den``; nothing is checked or coerced.  All-zero rows
+    are emptied, trailing empty rows dropped, and one gcd brings the rest
+    to lowest terms.
     """
-    num = {e: c for e, c in num.items() if c}
-    g = gcd(den, *num.values()) if den != 1 else 1  # no terms: g = den, den -> 1
-    if g != 1:
-        num = {e: c // g for e, c in num.items()}
-        den //= g
+    rows = [tuple(r) if r and any(r) else () for r in rows]
+    while rows and not rows[-1]:
+        rows.pop()
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(rows))  # no rows: g = den, den -> 1
+        if g != 1:
+            rows = [tuple(c // g for c in r) for r in rows]
+            den //= g
     p = object.__new__(Polynomial)
-    _init(p, rank, num, den)
+    _init(p, tuple(rows), den)
     return p
 
 
-def _from_fractions(rank: int, terms: Mapping[tuple, Fraction]) -> Polynomial:
-    """Trusting constructor from Fraction coefficients, over one lcm of
-    their denominators; exponent tuples are not checked."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return _make(rank, {e: c.numerator * (den // c.denominator) for e, c in terms.items()},
-                 den)
+_ZERO = _make((), 1)
+
+
+def _convolve(r1: Sequence[int], r2: Sequence[int], acc: Sequence[int]) -> list[int]:
+    """acc plus the product of two coefficient rows; entry k of the product
+    sums r1[i] * r2[k - i].  An empty ``acc`` counts as zero."""
+    out = list(acc) if acc else [0] * (len(r1) + len(r2) - 1)
+    for i, x in enumerate(r1):
+        if x:
+            for k, y in enumerate(r2, i):
+                out[k] += x * y
+    return out
+
+
+def _form(row: Sequence[int], den: int) -> Polynomial:
+    """Trusting constructor of the homogeneous form of degree len(row) - 1
+    with numerators ``row`` over the positive int ``den``."""
+    return _make([()] * (len(row) - 1) + [row], den)
+
+
+def power_row(point: Sequence[int], degree: int) -> list[int]:
+    """[a^(d-i) * b^i for i = 0..d]: the degree-d monomials at the integer
+    point (a, b), in row order.  Dotted with a degree-d coefficient row it
+    gives that part's value there, times the polynomial's denominator."""
+    a, b = point
+    return [a ** (degree - i) * b ** i for i in range(degree + 1)]
+
+
+def form_product(weights: Iterable, numerator: int = 1, denominator: int = 1) -> Polynomial:
+    """numerator / denominator * prod_k <w_k, x>, for nonzero int
+    ``denominator`` and rank-2 weights with int or Fraction components.
+
+    Each factor is an integer pair over its own denominator, and
+    multiplying a row by a*x1 + b*x2 is one pass: c'_i = a*c_i + b*c_(i-1).
+    """
+    row = [numerator]
+    for x, y in weights:
+        m = lcm(x.denominator, y.denominator)
+        a, b = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
+        row = [p * a + q * b for p, q in zip(row + [0], [0] + row)]
+        denominator *= m
+    if denominator < 0:
+        row, denominator = [-c for c in row], -denominator
+    return _form(row, denominator)
 
 
 def lin_form(w: Vector | Sequence) -> Polynomial:
-    """Embed a weight vector as the linear form sum_i w_i * x_i."""
+    """Embed a rank-2 weight vector as the linear form w_1*x1 + w_2*x2."""
     v = w if isinstance(w, Vector) else Vector(w)
-    rank = v.rank
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    return _from_fractions(rank, {(0,) * j + (1,) + (0,) * (rank - 1 - j): c
-                                  for j, c in enumerate(v)})
+    _check_rank(v.rank)
+    return form_product([v])
 
 
 def congruent_mod_linear(f: Polynomial, g: Polynomial, ell: Polynomial) -> bool:

@@ -12,7 +12,6 @@ from gkm.cohomology import (
     CohomologyElement,
     basis,
     equivariant_symplectic_class,
-    monomials,
     slice_dimension,
     thom_class,
     unity,
@@ -21,7 +20,7 @@ from gkm.corpus import corpus, corpus_names
 from gkm.errors import GkmError, NotAClass, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, orient
 from gkm.lefschetz import thom_coefficient
-from gkm.localization import euler_class
+from gkm.localization import euler_class, evaluation_points, sum_at_point
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
 
 x1 = Polynomial.variable(2, 0)
@@ -50,8 +49,11 @@ def is_class(graph, values):
 
 def graded_values(p, point):
     """Each nonzero homogeneous part's value at an integer point, by degree."""
-    sums, den = p.graded_numerators(point)
-    return {d: Fraction(s, den) for d, s in sums.items()}
+    parts = {d: Polynomial(2, {(d - i, i): Fraction(n, p.denominator)
+                               for i, n in enumerate(row)})
+             for d, row in enumerate(p.rows)}
+    values = {d: part.evaluate(point) for d, part in parts.items()}
+    return {d: v for d, v in values.items() if v}
 
 
 # -- membership -----------------------------------------------------------------
@@ -127,8 +129,7 @@ def test_equivariant_symplectic_class_and_solver_output_are_checked():
     cp3 = corpus("cp3-k4").graph
     system = cohomology._System(cp3, 1, cp3.vertex_ids())
     coeffs = [0] * system.ncols
-    n = len(system.monomials)
-    coeffs[system.support.index("A") * n + system.monomials.index((1, 0))] = 1  # x1 at A only
+    coeffs[system.support.index("A") * 2] = 1  # x1 at A only: row (1, 0)
     with pytest.raises(NotAClass, match="across A-"):
         system.element_from(coeffs, 1)
 
@@ -289,10 +290,10 @@ def test_no_degree_two_class_supported_on_one_vertex():
         g = inst.graph
         for vid in g.vertex_ids():
             system = cohomology._System(g, 2, [vid])
-            assert system.monomials == [(2, 0), (1, 1), (0, 2)]
+            assert system.ncols == 3
             # Exactly the divisibility rows: each edge at vid gives the
-            # monomials at its weight's primitive perpendicular, signed by
-            # the end vid is on.
+            # power row x1^2, x1*x2, x2^2 at its weight's primitive
+            # perpendicular, signed by the end vid is on.
             divisibility = []
             for e in g.edges_at(vid):
                 a, b = e.weight_from(vid).primitive_perp()
@@ -432,15 +433,6 @@ def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):
         assert shifted.value(head).parallel_ratio(lin_form(e.weight_from(head))) == -ratio
 
 
-# -- monomial enumeration -----------------------------------------------------------
-
-def test_monomials_graded_lex_order():
-    assert monomials(2) == [(2, 0), (1, 1), (0, 2)]
-    assert monomials(1) == [(1, 0), (0, 1)]
-    assert monomials(0) == [(0, 0)]
-    assert monomials(-1) == []
-
-
 # -- rank-2 rows: divisibility is vanishing at the perpendicular ----------------------
 
 binary_forms = st.integers(0, 3).flatmap(
@@ -473,3 +465,9 @@ def test_systems_outside_rank_two_are_a_scope_error():
         thom_class(og, "B", "plus")
     with pytest.raises(ScopeError):
         equivariant_symplectic_class(g)
+    with pytest.raises(ScopeError):
+        euler_class(og, "A")
+    with pytest.raises(ScopeError):
+        evaluation_points(og, 1)
+    with pytest.raises(ScopeError):
+        sum_at_point(og, {"A": x1}, Vector((1, 2)))

@@ -380,6 +380,24 @@ def test_parallel_weights_integrate_like_the_full_product(parallel, form, scales
                                                           else expected)
 
 
+def test_rational_weights_give_exact_euler_classes_and_common_multiple(parallel):
+    # The parallel K4 with every weight scaled by its own positive rational:
+    # each factor is an integer pair over a denominator, and each scale s_e
+    # of the common multiple an integer numerator over a denominator.
+    g = parallel.graph
+    scales = [Fraction(1, 2), Fraction(3, 5), 7, Fraction(2, 9), Fraction(5, 4), Fraction(1, 3)]
+    scaled = GkmGraph(2, 3, g.vertices, [Edge(e.first, e.second, e.weight * s)
+                                         for e, s in zip(g.edges, scales)])
+    og = orient(scaled, parallel.xi)
+    quotients, common = localization._common_multiple(og)
+    for v in scaled.vertex_ids():
+        reference = Polynomial.constant(2, 1)
+        for e in scaled.edges_at(v):
+            reference = reference * lin_form(e.weight_from(v))
+        assert euler_class(og, v) == reference, v
+        assert euler_class(og, v) * quotients[v] == common, v
+
+
 def test_nu_multiples_integrate_to_their_coefficient_sum_with_parallel_weights(parallel):
     ids = parallel.graph.vertex_ids()
     values = {v: (i + 1) * euler_class(parallel, v) for i, v in enumerate(ids)}
