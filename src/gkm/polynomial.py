@@ -38,7 +38,7 @@ def _frac(x) -> Fraction:
     """Coerce an int or Fraction to Fraction; anything else, a float, str
     or bool included, is a TypeError (exactness guard)."""
     if type(x) is bool or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"exact arithmetic takes int or Fraction values, not {type(x).__name__}")
+        raise TypeError(f"exact arithmetic takes int or Fraction, not {type(x).__name__}")
     return Fraction(x)
 
 
@@ -53,8 +53,8 @@ class Vector:
     Immutable; componentwise arithmetic plus the handful of exact
     predicates (pairing, parallelism, 2D cross product) the graph layer
     needs.  The public constructor coerces every int or Fraction component
-    to Fraction and rejects anything else; arithmetic results, already Fractions, are built by
-    ``_vector`` without a second coercion.
+    to Fraction and rejects anything else; arithmetic results, already
+    Fractions, are built by ``_vector`` without a second coercion.
     """
 
     __slots__ = ("components",)
