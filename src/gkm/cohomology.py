@@ -4,19 +4,20 @@ An element assigns a polynomial to every vertex so that across each edge
 the two values are congruent modulo the edge's weight form.  Degree slices
 are finite-dimensional rational vector spaces; bases come from an exact
 linear solve whose unknowns are the vertex-polynomial coefficients.  All
-of it is rank 2, the paper's setting (other ranks get a ScopeError): there
-<w, x> divides a binary form exactly when each homogeneous part vanishes at
-w's primitive perpendicular, the integer point ``GkmGraph.edge_points``
-keeps per edge.  A degree-d part's value there is the dot product of its
+of it is rank 2, the paper's setting, where every weight is a plane
+vector: there <w, x> divides a binary form exactly when each homogeneous
+part vanishes at w's primitive perpendicular, the integer point
+``GkmGraph.edge_points`` keeps per edge.  A degree-d part's value there is the dot product of its
 coefficient row with ``power_row(point, d)``.  So a congruence is tested by
 evaluating both values there, degree by degree, and in a linear system it
 is one integer row, the power row of the system's degree.
 
 Classes are checked once, where values enter: the constructor, solver
-output and ``equivariant_symplectic_class``, built once per graph in its
-store (as the slice dimensions are).  Pointwise sums and products of
-classes are classes, as f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v)) +
-g(v)(f(u) - f(v)), so ring operations do not re-check; tests prove it.
+output and ``equivariant_symplectic_class``, whose checked values are
+kept once per graph in its store (as the slice dimensions are).
+Pointwise sums and products of classes are classes, as f(u)g(u) -
+f(v)g(v) = f(u)(g(u) - g(v)) + g(v)(f(u) - f(v)), so ring operations do
+not re-check; tests prove it.
 
 Every system has one row rule: over a support, one integer row per edge
 that meets it, the power row of the edge's point with + at its first end
@@ -63,7 +64,7 @@ class CohomologyElement:
 
     def __init__(self, graph: GkmGraph, values: Mapping[str, Polynomial]):
         self.graph = graph
-        zero = Polynomial.zero(graph.rank)
+        zero = Polynomial.zero()
         complete = {vid: values.get(vid, zero) for vid in graph.vertex_ids()}
         extra = set(values) - set(complete)
         if extra:
@@ -93,7 +94,7 @@ class CohomologyElement:
             return other
         if isinstance(other, (int, Fraction, Polynomial)):
             if not isinstance(other, Polynomial):
-                other = Polynomial.constant(self.graph.rank, other)
+                other = Polynomial.constant(other)
             return _element(self.graph, {v: other for v in self.graph.vertex_ids()})
         return None
 
@@ -145,11 +146,12 @@ class CohomologyElement:
         return f"CohomologyElement({inner})"
 
 
-def _element(graph: GkmGraph, values: dict[str, Polynomial]) -> CohomologyElement:
-    """A class from complete values the ring itself produced: no check."""
+def _element(graph: GkmGraph, values: Mapping[str, Polynomial]) -> CohomologyElement:
+    """A class from complete values the ring itself produced: no check.
+    A dict is wrapped read-only; a read-only view is shared as it is."""
     element = object.__new__(CohomologyElement)
     element.graph = graph
-    element.values = MappingProxyType(values)
+    element.values = values if type(values) is MappingProxyType else MappingProxyType(values)
     return element
 
 
@@ -170,14 +172,20 @@ def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
 
 
 def unity(graph: GkmGraph) -> CohomologyElement:
-    one = Polynomial.constant(graph.rank, 1)
+    one = Polynomial.constant(1)
     return _element(graph, {v: one for v in graph.vertex_ids()})
 
 
 def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
-    """The degree-1 class v -> <mu(v), x>, stored per graph; a class by moment compatibility."""
-    return graph.derived("omega", lambda: CohomologyElement(
-        graph, {v: lin_form(graph.mu(v)) for v in graph.vertex_ids()}))
+    """The degree-1 class v -> <mu(v), x>, a class by moment compatibility.
+
+    Its values are checked once and kept in the graph's store; each call
+    returns a new element sharing them.  Storing the element itself would
+    make a cycle, as the element refers to the graph.
+    """
+    values = graph.derived("omega", lambda: CohomologyElement(
+        graph, {v: lin_form(graph.mu(v)) for v in graph.vertex_ids()}).values)
+    return _element(graph, values)
 
 
 # -- linear-system construction -------------------------------------------------

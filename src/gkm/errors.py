@@ -17,10 +17,6 @@ class PreconditionError(GkmError, ValueError):
     """
 
 
-class RankMismatch(GkmError):
-    """Operands live in polynomial rings / vector spaces of different rank."""
-
-
 class NotDivisible(GkmError):
     """Exact division by a linear form failed (violated congruence)."""
 

@@ -132,12 +132,9 @@ class MomentImageType:
 
 
 def require_six_dim(og: OrientedGkmGraph) -> None:
-    """Common scope gate: 3-valent, rank 2, index-increasing, at most 8 vertices."""
-    if og.graph.valence != 3 or og.graph.rank != 2:
-        raise ScopeError(
-            f"six-dimensional scope requires valence 3 and rank 2, "
-            f"got valence {og.graph.valence}, rank {og.graph.rank}"
-        )
+    """Common scope gate: 3-valent, index-increasing, at most 8 vertices."""
+    if og.graph.valence != 3:
+        raise ScopeError(f"six-dimensional scope requires valence 3, got {og.graph.valence}")
     if not og.is_index_increasing():
         raise NotIndexIncreasing("orientation is not index-increasing")
     if len(og.graph.vertices) > 8:

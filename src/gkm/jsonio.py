@@ -80,11 +80,11 @@ def parse_rational(value, where: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def parse_vector(value, rank: int, where: str) -> Vector:
+def parse_vector(value, where: str) -> Vector:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of rational strings")
-    if len(value) != rank:
-        raise ParseError(f"{where}: expected {rank} components, got {len(value)}")
+    if len(value) != 2:
+        raise ParseError(f"{where}: expected 2 components, got {len(value)}")
     return Vector(tuple(parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value)))
 
 
@@ -101,8 +101,8 @@ def document_to_graph(doc: dict) -> tuple[GkmGraph, Optional[Vector]]:
             raise ParseError(f"missing required key {key!r}")
     rank = doc["rank"]
     valence = doc["valence"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise ParseError("rank: expected a positive integer")
+    if type(rank) is not int or rank != 2:
+        raise ParseError("rank: expected 2 (a planar torus action)")
     if not isinstance(valence, int) or isinstance(valence, bool) or valence < 0:
         raise ParseError("valence: expected a non-negative integer")
     if not isinstance(doc["vertices"], list):
@@ -118,7 +118,7 @@ def document_to_graph(doc: dict) -> tuple[GkmGraph, Optional[Vector]]:
         vid = entry["id"]
         if not isinstance(vid, str) or not vid:
             raise ParseError(f"{where}.id: expected a non-empty string")
-        vertices.append(Vertex(vid, parse_vector(entry["mu"], rank, f"{where}.mu")))
+        vertices.append(Vertex(vid, parse_vector(entry["mu"], f"{where}.mu")))
 
     edges = []
     for i, entry in enumerate(doc["edges"]):
@@ -127,12 +127,12 @@ def document_to_graph(doc: dict) -> tuple[GkmGraph, Optional[Vector]]:
             raise ParseError(f"{where}: expected an object with 'from', 'to', 'weight'")
         if not isinstance(entry["from"], str) or not isinstance(entry["to"], str):
             raise ParseError(f"{where}: endpoints must be strings")
-        weight = parse_vector(entry["weight"], rank, f"{where}.weight")
+        weight = parse_vector(entry["weight"], f"{where}.weight")
         edges.append(Edge(entry["from"], entry["to"], weight))
 
     xi = None
     if "xi" in doc and doc["xi"] is not None:
-        xi = parse_vector(doc["xi"], rank, "xi")
+        xi = parse_vector(doc["xi"], "xi")
 
     try:
         graph = GkmGraph(rank, valence, vertices, edges)

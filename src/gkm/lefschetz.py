@@ -55,10 +55,10 @@ def moment_ratio(og: OrientedGkmGraph, p: str, q: str) -> Fraction:
     edge = og.graph.edge_between(p, q)
     if edge is None:
         return Fraction(0)
-    ratio = (og.graph.mu(q) - og.graph.mu(p)).parallel_ratio(edge.weight_from(p))
-    if ratio is None:
+    step, w = og.graph.mu(q) - og.graph.mu(p), edge.weight_from(p)
+    if step.cross(w) != 0:
         raise NotParallel(f"moment difference across {edge} is not parallel to its weight")
-    return ratio
+    return step.dot(w) / w.dot(w)
 
 
 def below_neighbor(og: OrientedGkmGraph, q: str, excluding: str) -> str:

@@ -17,7 +17,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DegreeError, NonConstant, NonZero, PreconditionError, ScopeError
+from .errors import DegreeError, NonConstant, NonZero, PreconditionError
 from .graph import OrientedGkmGraph
 from .polynomial import Polynomial, Vector, form_product
 
@@ -30,8 +30,6 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
     ``plus`` multiplies over descending edges only, ``minus`` over ascending
     edges only; the full class is their product, stored per graph.
     """
-    if og.graph.rank != 2:
-        raise ScopeError("Euler classes are binary forms: rank 2 only")
     if variant not in _VARIANTS:
         raise PreconditionError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
@@ -109,7 +107,7 @@ def _numerator(og: OrientedGkmGraph, values: Mapping[str, Polynomial]) -> Polyno
     """sum_v f(v) * Q_v, the localization sum times L."""
     quotients, _ = _common_multiple(og)
     return sum((values[v] * q for v, q in quotients.items()
-                if v in values and not values[v].is_zero()), Polynomial.zero(og.graph.rank))
+                if v in values and not values[v].is_zero()), Polynomial.zero())
 
 
 def integrate(og: OrientedGkmGraph, f) -> Fraction:
@@ -160,20 +158,19 @@ def _primes() -> Iterator[int]:
 def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
     """Deterministic generic rational points where no Euler class vanishes.
 
-    Points are (1, t, t^2, ...) for increasing primes t, skipping any that
-    kill some nu_v.
+    Points are (1, t) for increasing primes t, skipping any that kill some
+    nu_v.
     """
     if type(count) is not int:
         raise PreconditionError(f"count must be an int, got {count!r}")
     if count < 0:
         raise PreconditionError(f"count must be >= 0, got {count}")
-    rank = og.graph.rank
     eulers = [euler_class(og, v) for v in og.graph.vertex_ids()]
     found: list[Vector] = []
     for t in _primes():
         if len(found) >= count:
             return found
-        point = Vector(tuple(Fraction(t) ** i for i in range(rank)))
+        point = Vector((1, t))
         if all(nu.evaluate(point) != 0 for nu in eulers):
             found.append(point)
     raise AssertionError("unreachable")

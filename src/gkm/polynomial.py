@@ -1,11 +1,12 @@
-"""Exact binary forms over the rationals, and rational vectors.
+"""Exact binary forms over the rationals, and rational plane vectors.
 
-The torus has rank 2 (the paper's setting), so every polynomial lives in
-H_T(pt) = Q[x1, x2]; linear forms are the images of weight vectors.  Any
-other rank is a ScopeError.  Floats, strings and bools are rejected on
-construction so that every divisibility and determinant test stays
-decidable.  Degrees are plain polynomial degrees; the cohomological degree
-of a homogeneous element is twice that.
+The torus has rank 2 (the paper's setting), so every weight, moment
+position and covector is a plane vector, and every polynomial lives in
+H_T(pt) = Q[x1, x2]; linear forms are the images of weight vectors.  A
+vector of any other length is a ScopeError.  Floats, strings and bools
+are rejected on construction so that every divisibility and determinant
+test stays decidable.  Degrees are plain polynomial degrees; the
+cohomological degree of a homogeneous element is twice that.
 
 A polynomial is a tuple of coefficient rows, one per degree: row d holds
 the d + 1 numerators of x1^d, x1^(d-1)*x2, ..., x2^d, or is empty where
@@ -15,7 +16,7 @@ equal rows and ``Fraction`` appears only at the API boundary.  A product
 is a convolution of rows; a degree-d part's value at an integer point
 (a, b) is the dot product of its row with ``power_row((a, b), d)``.
 
-The public ``Polynomial(rank, terms)`` takes exponent pairs and int or
+The public ``Polynomial(terms)`` takes exponent pairs and int or
 Fraction coefficients from outside and checks them.  The private ``_make``
 trusts integer rows and a denominator from the module's own arithmetic,
 only emptying zero rows and dividing out one gcd.
@@ -29,7 +30,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import NotDivisible, RankMismatch, ScopeError
+from .errors import NotDivisible, ScopeError
 
 Scalar = Union[int, Fraction]
 
@@ -42,35 +43,27 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _check_rank(rank) -> None:
-    if rank != 2:
-        raise ScopeError(f"polynomials are binary forms (rank 2), got rank {rank!r}")
-
-
 class Vector:
-    """A rational k-vector: weight, moment position, or covector.
+    """A rational plane vector: weight, moment position, or covector.
 
-    Immutable; componentwise arithmetic plus the handful of exact
-    predicates (pairing, parallelism, 2D cross product) the graph layer
-    needs.  The public constructor coerces every int or Fraction component
-    to Fraction and rejects anything else; arithmetic results, already
-    Fractions, are built by ``_vector`` without a second coercion.
+    Immutable; componentwise arithmetic plus the exact predicates the
+    graph layer needs: the pairing ``dot`` and the 2D ``cross`` product,
+    zero exactly for parallel vectors.  The public constructor coerces
+    both int or Fraction components to Fraction and rejects anything else,
+    and any count but two; arithmetic results, already Fraction pairs, are
+    built by ``_vector`` without a second check.
     """
 
     __slots__ = ("components",)
 
     def __init__(self, components: Iterable):
-        object.__setattr__(self, "components", tuple(_frac(c) for c in components))
+        c = tuple(_frac(x) for x in components)
+        if len(c) != 2:
+            raise ScopeError(f"vectors are planar (rank 2), got {len(c)} components")
+        object.__setattr__(self, "components", c)
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
-
-    @property
-    def rank(self) -> int:
-        return len(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.components)
@@ -85,47 +78,44 @@ class Vector:
         return hash(self.components)
 
     def __repr__(self) -> str:
-        return "Vector(%s)" % (", ".join(str(c) for c in self.components))
-
-    def _check_rank(self, other: "Vector") -> None:
-        if len(self) != len(other):
-            raise RankMismatch(f"vector ranks differ: {len(self)} vs {len(other)}")
+        return "Vector(%s, %s)" % self.components
 
     def __add__(self, other: "Vector") -> "Vector":
-        self._check_rank(other)
-        return _vector(tuple(a + b for a, b in zip(self, other)))
+        (a, b), (c, d) = self.components, other.components
+        return _vector((a + c, b + d))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        self._check_rank(other)
-        return _vector(tuple(a - b for a, b in zip(self, other)))
+        (a, b), (c, d) = self.components, other.components
+        return _vector((a - c, b - d))
 
     def __neg__(self) -> "Vector":
-        return _vector(tuple(-a for a in self))
+        a, b = self.components
+        return _vector((-a, -b))
 
     def __mul__(self, scalar: Scalar) -> "Vector":
         s = _frac(scalar)
-        return _vector(tuple(a * s for a in self))
+        a, b = self.components
+        return _vector((a * s, b * s))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self)
+        a, b = self.components
+        return a == 0 and b == 0
 
     def dot(self, other: "Vector") -> Fraction:
-        self._check_rank(other)
-        return sum((a * b for a, b in zip(self, other)), Fraction(0))
+        (a, b), (c, d) = self.components, other.components
+        return a * c + b * d
 
     def cross(self, other: "Vector") -> Fraction:
-        """2D cross product a1*b2 - a2*b1."""
-        if len(self) != 2 or len(other) != 2:
-            raise ScopeError("cross product requires rank 2")
-        return self[0] * other[1] - self[1] * other[0]
+        """2D cross product a1*b2 - a2*b1: zero exactly when the two are parallel."""
+        (a, b), (c, d) = self.components, other.components
+        return a * d - b * c
 
     def perp(self) -> "Vector":
-        """A nonzero vector perpendicular to self (rank 2 only)."""
-        if len(self) != 2:
-            raise ScopeError("perp requires rank 2")
-        return _vector((-self[1], self[0]))
+        """A vector perpendicular to self, nonzero when self is."""
+        a, b = self.components
+        return _vector((-b, a))
 
     def primitive_perp(self) -> tuple[int, int]:
         """perp() scaled by a positive rational to coprime integers."""
@@ -135,31 +125,10 @@ class Vector:
         g = gcd(a, b)
         return a // g, b // g
 
-    def parallel_ratio(self, other: "Vector") -> Fraction | None:
-        """Return r with self == r * other, or None if no such rational exists.
-
-        ``other`` must be nonzero.
-        """
-        self._check_rank(other)
-        if other.is_zero():
-            raise ValueError("parallel_ratio against the zero vector")
-        ratio = None
-        for a, b in zip(self, other):
-            if b == 0:
-                if a != 0:
-                    return None
-            else:
-                r = a / b
-                if ratio is None:
-                    ratio = r
-                elif ratio != r:
-                    return None
-        return ratio
-
 
 def _vector(components: tuple[Fraction, ...]) -> Vector:
     """Trusting constructor for Vector's own results: ``components`` must
-    be a tuple of Fractions; nothing is checked or coerced."""
+    be a pair of Fractions; nothing is checked or coerced."""
     v = object.__new__(Vector)
     object.__setattr__(v, "components", components)
     return v
@@ -174,19 +143,18 @@ class Polynomial:
 
     __slots__ = ("rows", "denominator")
 
-    def __init__(self, rank: int, terms: Mapping[tuple, Scalar] | None = None):
+    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
         """Validating constructor for terms from outside the class.
 
-        ``rank`` must be 2 and every key a pair of non-negative ints
-        (exponents of x1 and x2); coefficients must be ints or Fractions,
-        and terms with equal exponents are summed.
+        Every key must be a pair of non-negative ints (exponents of x1 and
+        x2); coefficients must be ints or Fractions, and terms with equal
+        exponents are summed.
         """
-        _check_rank(rank)
         clean: dict[tuple, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             e = tuple(exps)
             if len(e) != 2 or any(type(x) is not int or x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {exps!r} for rank 2")
+                raise ValueError(f"bad exponent vector {exps!r}")
             clean[e] = clean.get(e, 0) + _frac(coeff)
         den = lcm(*(c.denominator for c in clean.values()))
         rows = [[0] * (d + 1) for d in range(max((i + j for i, j in clean), default=-1) + 1)]
@@ -201,20 +169,17 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, rank: int) -> "Polynomial":
-        _check_rank(rank)
+    def zero(cls) -> "Polynomial":
         return _ZERO
 
     @classmethod
-    def constant(cls, rank: int, value: Scalar) -> "Polynomial":
-        _check_rank(rank)
+    def constant(cls, value: Scalar) -> "Polynomial":
         c = _frac(value)
         return _form((c.numerator,), c.denominator)
 
     @classmethod
-    def variable(cls, rank: int, index: int) -> "Polynomial":
+    def variable(cls, index: int) -> "Polynomial":
         """The variable x_{index+1} (0-based index)."""
-        _check_rank(rank)
         if type(index) is not int or not 0 <= index < 2:
             raise ValueError(f"variable index must be an int in 0..1, got {index!r}")
         return _form((1, 0) if index == 0 else (0, 1), 1)
@@ -239,7 +204,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(2, other)
+            return Polynomial.constant(other)
         return None
 
     def _combine(self, other, sign: int) -> "Polynomial":
@@ -289,7 +254,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(2, 1)
+        result = Polynomial.constant(1)
         base = self
         while n:
             if n & 1:
@@ -300,7 +265,7 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)) and type(other) is not bool:
-            other = Polynomial.constant(2, other)
+            other = Polynomial.constant(other)
         return (
             isinstance(other, Polynomial)
             and self.denominator == other.denominator
@@ -332,18 +297,16 @@ class Polynomial:
     # -- evaluation and division -------------------------------------------
 
     def evaluate(self, point: Vector | Sequence) -> Fraction:
-        """Exact evaluation at a rational point.
+        """Exact evaluation at a rational point of the plane.
 
         The point is written as (a, b) / m with integers a, b, m, so part d
         contributes its value at (a, b) over m^d.
         """
-        pt = [_frac(c) for c in point]
-        if len(pt) != 2:
-            raise RankMismatch(f"point has {len(pt)} coords, polynomial rank 2")
+        x, y = point if isinstance(point, Vector) else Vector(point)
         if not self.rows:
             return Fraction(0)
-        m = lcm(*(c.denominator for c in pt))
-        ab = [c.numerator * (m // c.denominator) for c in pt]
+        m = lcm(x.denominator, y.denominator)
+        ab = (x.numerator * (m // x.denominator), y.numerator * (m // y.denominator))
         top = len(self.rows) - 1
         total = sum(sum(map(mul, row, power_row(ab, d))) * m ** (top - d)
                     for d, row in enumerate(self.rows) if row)
@@ -457,7 +420,7 @@ def power_row(point: Sequence[int], degree: int) -> list[int]:
 
 def form_product(weights: Iterable, numerator: int = 1, denominator: int = 1) -> Polynomial:
     """numerator / denominator * prod_k <w_k, x>, for nonzero int
-    ``denominator`` and rank-2 weights with int or Fraction components.
+    ``denominator`` and plane weights with int or Fraction components.
 
     Each factor is an integer pair over its own denominator, and
     multiplying a row by a*x1 + b*x2 is one pass: c'_i = a*c_i + b*c_(i-1).
@@ -474,10 +437,8 @@ def form_product(weights: Iterable, numerator: int = 1, denominator: int = 1) ->
 
 
 def lin_form(w: Vector | Sequence) -> Polynomial:
-    """Embed a rank-2 weight vector as the linear form w_1*x1 + w_2*x2."""
-    v = w if isinstance(w, Vector) else Vector(w)
-    _check_rank(v.rank)
-    return form_product([v])
+    """Embed a plane weight vector as the linear form w_1*x1 + w_2*x2."""
+    return form_product([w if isinstance(w, Vector) else Vector(w)])
 
 
 def congruent_mod_linear(f: Polynomial, g: Polynomial, ell: Polynomial) -> bool:

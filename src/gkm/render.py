@@ -45,11 +45,7 @@ def _fmt(value: float) -> str:
 
 def render_svg(graph: GkmGraph, oriented: Optional[OrientedGkmGraph] = None,
                title: str = "") -> str:
-    """Render a rank-2 graph to an SVG string."""
-    if graph.rank != 2:
-        from .errors import ScopeError
-
-        raise ScopeError("SVG rendering is planar (rank 2)")
+    """Render a planar graph to an SVG string."""
     mu_points = [graph.mu(v) for v in graph.vertex_ids()]
     to_screen = _transform(mu_points)
 

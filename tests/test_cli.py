@@ -249,13 +249,22 @@ def test_render_unwritable_output_exits_1(cp3_file, tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {target}")
 
 
-@pytest.mark.parametrize("command", ["report", "render"])
-def test_empty_xi_flag_is_a_parse_error(command, cp3_file, tmp_path, capsys):
+@pytest.mark.parametrize("command, xi, message", [
+    pytest.param(command, xi, message, id=f"{command}-{xi}" if xi else command)
+    for command in ("report", "render")
+    for xi, message in (("", "--xi component 0: malformed rational ''"),
+                        ("1,2,3", "error: vectors are planar (rank 2), got 3 components"),
+                        ("1", "error: vectors are planar (rank 2), got 1 components"))
+])
+def test_empty_xi_flag_is_a_parse_error(command, xi, message, cp3_file, tmp_path, capsys):
+    """A malformed --xi exits 1 before anything is drawn or reported,
+    whether a component is not a rational or the vector is not planar."""
     extra = ["-o", str(tmp_path / "x.svg")] if command == "render" else []
-    assert main([command, str(cp3_file), "--xi", "", *extra]) == 1
+    assert main([command, str(cp3_file), "--xi", xi, *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--xi component 0: malformed rational ''" in captured.err
+    assert message in captured.err
+    assert not (tmp_path / "x.svg").exists()
 
 
 _REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"

@@ -17,14 +17,14 @@ from gkm.cohomology import (
     unity,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError, NotAClass, PreconditionError, ScopeError
+from gkm.errors import GkmError, NotAClass, PreconditionError
 from gkm.graph import Edge, GkmGraph, Vertex, orient
 from gkm.lefschetz import thom_coefficient
-from gkm.localization import euler_class, evaluation_points, sum_at_point
+from gkm.localization import euler_class
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
 
-x1 = Polynomial.variable(2, 0)
-x2 = Polynomial.variable(2, 1)
+x1 = Polynomial.variable(0)
+x2 = Polynomial.variable(1)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def is_class(graph, values):
 
 def graded_values(p, point):
     """Each nonzero homogeneous part's value at an integer point, by degree."""
-    parts = {d: Polynomial(2, {(d - i, i): Fraction(n, p.denominator)
+    parts = {d: Polynomial({(d - i, i): Fraction(n, p.denominator)
                                for i, n in enumerate(row)})
              for d, row in enumerate(p.rows)}
     values = {d: part.evaluate(point) for d, part in parts.items()}
@@ -59,7 +59,7 @@ def graded_values(p, point):
 # -- membership -----------------------------------------------------------------
 
 def test_constant_assignment_is_class(cp3):
-    c = Polynomial.constant(2, Fraction(5, 3))
+    c = Polynomial.constant(Fraction(5, 3))
     assert is_class(cp3, {v: c for v in cp3.vertex_ids()})
 
 
@@ -68,7 +68,7 @@ def test_moment_linear_forms_are_class(cp3):
 
 
 def test_single_vertex_linear_value_is_not_class(cp3):
-    values = {v: Polynomial.zero(2) for v in cp3.vertex_ids()}
+    values = {v: Polynomial.zero() for v in cp3.vertex_ids()}
     values["A"] = x2
     assert not is_class(cp3, values)
     with pytest.raises(NotAClass):
@@ -141,7 +141,7 @@ def test_stored_classes_are_read_only(cp3_oriented):
     for element in (om, tau, om * tau):
         with pytest.raises(TypeError):
             element.values["A"] = x2 * x2
-    assert equivariant_symplectic_class(g) is om
+    assert equivariant_symplectic_class(g).values is om.values
     assert om.value("A") == lin_form(g.mu("A")) and is_class(g, om.values)
     assert thom_class(cp3_oriented, "A", "plus") is tau and is_class(g, tau.values)
 
@@ -166,7 +166,7 @@ def corpus_classes(name):
 small_forms = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
     st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4,
-).map(lambda d: Polynomial(2, d))
+).map(Polynomial)
 
 
 @st.composite
@@ -212,9 +212,9 @@ def test_edge_points_are_primitive_perpendiculars():
         for e, (a, b) in zip(g.edges, g.edge_points()):
             perp = e.weight.perp()
             assert gcd(a, b) == 1
-            ratio = Vector((a, b)).parallel_ratio(perp)
-            assert ratio is not None and ratio > 0
-            contents.add(1 / ratio)
+            point = Vector((a, b))
+            assert point.cross(perp) == 0 and point.dot(perp) > 0
+            contents.add(perp.dot(perp) / point.dot(perp))
     assert {2, 3, 5, 6} <= contents  # tol-d's weights
 
 
@@ -428,7 +428,9 @@ def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):
     for e in g.edges:
         tail, head = cp3_oriented.tail(e), cp3_oriented.head(e)
         shifted = om - lin_form(g.mu(tail))
-        ratio = (g.mu(head) - g.mu(tail)).parallel_ratio(e.weight_from(tail))
+        step, w = g.mu(head) - g.mu(tail), e.weight_from(tail)
+        assert step.cross(w) == 0
+        ratio = step.dot(w) / w.dot(w)
         assert shifted.value(tail).is_zero()
         assert shifted.value(head).parallel_ratio(lin_form(e.weight_from(head))) == -ratio
 
@@ -437,7 +439,7 @@ def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):
 
 binary_forms = st.integers(0, 3).flatmap(
     lambda d: st.lists(st.integers(-4, 4), min_size=d + 1, max_size=d + 1).map(
-        lambda cs: Polynomial(2, {(d - i, i): c for i, c in enumerate(cs)})))
+        lambda cs: Polynomial({(d - i, i): c for i, c in enumerate(cs)})))
 nonzero_weights = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(Vector).filter(
     lambda v: not v.is_zero())
 
@@ -447,27 +449,3 @@ nonzero_weights = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(Vector).
 def test_divisible_iff_vanishes_at_perpendicular(h, w, times_weight):
     g = lin_form(w) * h if times_weight else h
     assert congruent_mod_linear(g, 0, lin_form(w)) == (g.evaluate(w.perp()) == 0)
-
-
-def test_systems_outside_rank_two_are_a_scope_error():
-    # CP^3 with its standard T^3 action: a valid rank-3 moment graph.
-    mu = {"A": (0, 0, 0), "B": (1, 0, 0), "C": (0, 1, 0), "D": (0, 0, 1)}
-    names = sorted(mu)
-    edges = [Edge(u, v, Vector(b - a for a, b in zip(mu[u], mu[v])))
-             for i, u in enumerate(names) for v in names[i + 1:]]
-    g = GkmGraph(3, 3, [Vertex(v, Vector(p)) for v, p in mu.items()], edges)
-    assert g.validate().ok
-    og = orient(g, Vector((1, 2, 4)))
-    assert og.is_index_increasing()
-    with pytest.raises(ScopeError):
-        basis(g, 1)
-    with pytest.raises(ScopeError):
-        thom_class(og, "B", "plus")
-    with pytest.raises(ScopeError):
-        equivariant_symplectic_class(g)
-    with pytest.raises(ScopeError):
-        euler_class(og, "A")
-    with pytest.raises(ScopeError):
-        evaluation_points(og, 1)
-    with pytest.raises(ScopeError):
-        sum_at_point(og, {"A": x1}, Vector((1, 2)))

@@ -143,7 +143,8 @@ def test_tol_d_recorded_multiples_match_notes():
     recorded = inst.notes["axial_multiples"]
     for e in inst.graph.edges:
         d = _primitive_direction(inst.graph.mu(e.first), inst.graph.mu(e.second))
-        ratio = e.weight.parallel_ratio(d)
+        assert e.weight.cross(d) == 0
+        ratio = e.weight.dot(d) / d.dot(d)
         key = f"{e.first}-{e.second}"
         assert recorded[key] == ratio
 

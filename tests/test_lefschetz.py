@@ -1,5 +1,7 @@
 """Pairing coefficients, matrices, determinants, and the verdict report."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -392,9 +394,23 @@ def test_orientations_of_one_graph_share_its_store_and_keep_their_own(name, monk
     # Thom classes stay per orientation: each one solves all of its own.
     assert len(solves) == 2 * 2 * len(g.vertices)
     fresh = GkmGraph(g.rank, g.valence, g.vertices, g.edges)
-    assert equivariant_symplectic_class(fresh) is not omega
+    assert equivariant_symplectic_class(fresh).values is not omega.values
     assert slice_dimension(fresh, 1) == slice_dimension(g, 1)
     assert len(ranks) == g.valence + 1
+
+
+def test_a_reported_graph_is_freed_without_the_cycle_collector():
+    """Nothing a report stores refers back to its graph, so the graph and
+    its store go with their last reference, not at a later collection."""
+    inst = corpus("cp3-k4")  # a new graph, referred to by inst alone
+    gc.disable()
+    try:
+        assert hard_lefschetz_report(orient(inst.graph, inst.xi)).ok
+        graph = weakref.ref(inst.graph)
+        del inst
+        assert graph() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["flag-su3", "cube-g"])
@@ -443,7 +459,7 @@ def test_shortcut_failure_names_its_entry(monkeypatch):
     # A degree-3 stand-in for nu_q^+ divides no nonzero degree-2 value, so
     # the first adjacent pair (a nonzero entry) has no shortcut ratio.
     monkeypatch.setattr(lefschetz, "euler_class",
-                        lambda og, vid, variant="full": Polynomial.variable(2, 0) ** 3)
+                        lambda og, vid, variant="full": Polynomial.variable(0) ** 3)
     og = oriented("cp3-k4")
     report = hard_lefschetz_report(og)
     failed = {c["name"]: c["detail"] for c in report.checks if not c["ok"]}

@@ -20,7 +20,6 @@ from gkm.errors import (
     NonConstant,
     NonZero,
     PreconditionError,
-    ScopeError,
 )
 from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.localization import (
@@ -46,7 +45,7 @@ def cp3():
 # -- Euler classes -----------------------------------------------------------------
 
 def test_empty_products_at_extremes(cp3):
-    one = Polynomial.constant(2, 1)
+    one = Polynomial.constant(1)
     assert euler_class(cp3, cp3.o_vertex(), "plus") == one
     assert euler_class(cp3, cp3.r_vertex(), "minus") == one
 
@@ -140,7 +139,7 @@ def test_integrate_degree_error(cp3):
 def test_integrate_rejects_a_sum_that_is_not_constant(cp3):
     # A top-degree assignment that is no class: its localization numerator
     # is no rational multiple of prod_v nu_v.
-    x1 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(0)
     with pytest.raises(NonConstant):
         integrate(cp3, {"A": x1**3})
 
@@ -197,8 +196,8 @@ def test_all_low_degree_basis_elements_vanish():
 def test_vanishing_rejects_broken_data(cp3):
     # A non-class assignment must trip the exact-zero assertion.
     g = cp3.graph
-    fake = {v: Polynomial.zero(2) for v in g.vertex_ids()}
-    fake["A"] = Polynomial.variable(2, 0)
+    fake = {v: Polynomial.zero() for v in g.vertex_ids()}
+    fake["A"] = Polynomial.variable(0)
     with pytest.raises(NonZero):
         check_low_degree_vanishing(cp3, fake)
 
@@ -206,7 +205,7 @@ def test_vanishing_rejects_broken_data(cp3):
 # -- unknown vertices -----------------------------------------------------------------
 
 def test_values_at_unknown_vertices_are_a_precondition_error(cp3):
-    x1 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(0)
     message = r"values for unknown vertices: \['Y', 'Z'\]"
     with pytest.raises(PreconditionError, match=message):
         integrate(cp3, {"A": x1**3, "Z": x1**3, "Y": x1**3})
@@ -223,7 +222,7 @@ def _reference_products(og):
     denominator, by prefix and suffix products of the Euler classes."""
     ids = og.graph.vertex_ids()
     eulers = [euler_class(og, v) for v in ids]
-    one = Polynomial.constant(og.graph.rank, 1)
+    one = Polynomial.constant(1)
     prefix = [one]
     for nu in eulers:
         prefix.append(prefix[-1] * nu)
@@ -239,9 +238,9 @@ def _reference(og, f):
     "vanishes" or "nonzero"."""
     values = f if isinstance(f, dict) else f.values
     products, denominator = _reference_products(og)
-    numerator = Polynomial.zero(og.graph.rank)
+    numerator = Polynomial.zero()
     for v, p in products.items():
-        numerator = numerator + values.get(v, Polynomial.zero(og.graph.rank)) * p
+        numerator = numerator + values.get(v, Polynomial.zero()) * p
     if localization.class_degree(values) == og.graph.valence:
         ratio = numerator.parallel_ratio(denominator)
         return "nonconstant" if ratio is None else ratio
@@ -299,7 +298,7 @@ def test_common_multiple_gives_the_full_product_answers_on_every_corpus_orientat
 
 
 def test_perturbed_integrands_still_fail_loudly(cp3):
-    x1 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(0)
     top = thom_class(cp3, "A", "plus") * thom_class(cp3, "A", "minus")
     broken = dict(top.values)
     broken["B"] = broken["B"] + x1**3
@@ -366,7 +365,7 @@ def test_parallel_weights_integrate_like_the_full_product(parallel, form, scales
     ids = parallel.graph.vertex_ids()
     values = {}
     for v, c, cs in zip(ids, scales, coefficients):
-        arbitrary = Polynomial(2, {(degree - i, i): a for i, a in enumerate(cs)})
+        arbitrary = Polynomial({(degree - i, i): a for i, a in enumerate(cs)})
         if degree == 3:
             arbitrary = c * euler_class(parallel, v) + (arbitrary if perturbed else 0)
         values[v] = arbitrary
@@ -391,7 +390,7 @@ def test_rational_weights_give_exact_euler_classes_and_common_multiple(parallel)
     og = orient(scaled, parallel.xi)
     quotients, common = localization._common_multiple(og)
     for v in scaled.vertex_ids():
-        reference = Polynomial.constant(2, 1)
+        reference = Polynomial.constant(1)
         for e in scaled.edges_at(v):
             reference = reference * lin_form(e.weight_from(v))
         assert euler_class(og, v) == reference, v
@@ -402,14 +401,3 @@ def test_nu_multiples_integrate_to_their_coefficient_sum_with_parallel_weights(p
     ids = parallel.graph.vertex_ids()
     values = {v: (i + 1) * euler_class(parallel, v) for i, v in enumerate(ids)}
     assert integrate(parallel, values) == 10 == _reference(parallel, values)
-
-
-def test_integration_outside_rank_two_is_a_scope_error():
-    mu = {"A": (0, 0, 0), "B": (1, 0, 0), "C": (0, 1, 0), "D": (0, 0, 1)}
-    names = sorted(mu)
-    edges = [Edge(u, v, Vector(b - a for a, b in zip(mu[u], mu[v])))
-             for i, u in enumerate(names) for v in names[i + 1:]]
-    g = GkmGraph(3, 3, [Vertex(v, Vector(p)) for v, p in mu.items()], edges)
-    og = orient(g, Vector((1, 2, 4)))
-    with pytest.raises(ScopeError):
-        integrate(og, {"A": Polynomial.variable(3, 0) ** 3})

@@ -1,5 +1,6 @@
 """Exact binary forms: examples, ring axioms, division properties."""
 
+import json
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -7,12 +8,11 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkm.errors import NotDivisible, ScopeError
+from gkm.corpus import corpus
+from gkm.errors import NotDivisible, ParseError, ScopeError
+from gkm.graph import GkmGraph
+from gkm.jsonio import graph_to_document, loads
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form, power_row
-
-
-def P(rank, terms):
-    return Polynomial(rank, terms)
 
 
 def terms(p):
@@ -22,8 +22,8 @@ def terms(p):
             for d in range(len(p.rows) - 1, -1, -1) for i, n in enumerate(p.rows[d]) if n]
 
 
-x1 = Polynomial.variable(2, 0)
-x2 = Polynomial.variable(2, 1)
+x1 = Polynomial.variable(0)
+x2 = Polynomial.variable(1)
 
 
 # -- lin_form -----------------------------------------------------------------
@@ -33,7 +33,7 @@ def test_lin_form_basis_vector():
 
 
 def test_lin_form_zero_vector():
-    assert lin_form(Vector((0, 0))) == Polynomial.zero(2)
+    assert lin_form(Vector((0, 0))) == Polynomial.zero()
 
 
 def test_lin_form_general():
@@ -43,7 +43,7 @@ def test_lin_form_general():
 # -- multiply -----------------------------------------------------------------
 
 def test_multiply_variables():
-    assert x1 * x2 == P(2, {(1, 1): 1})
+    assert x1 * x2 == Polynomial({(1, 1): 1})
 
 
 def test_multiply_difference_of_squares():
@@ -61,7 +61,7 @@ def test_divide_difference_of_squares():
 
 
 def test_divide_zero():
-    assert Polynomial.zero(2).divide_by_linear(x1) == Polynomial.zero(2)
+    assert Polynomial.zero().divide_by_linear(x1) == Polynomial.zero()
 
 
 def test_divide_not_divisible():
@@ -88,7 +88,7 @@ def test_congruent_identity():
 
 
 def test_congruent_false():
-    assert not congruent_mod_linear(x1, Polynomial.zero(2), x2)
+    assert not congruent_mod_linear(x1, Polynomial.zero(), x2)
 
 
 # -- evaluate -------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_str_matches_documented_form():
 
 
 def test_str_zero():
-    assert str(Polynomial.zero(2)) == "0"
+    assert str(Polynomial.zero()) == "0"
 
 
 def test_str_leading_negative_unit():
@@ -130,7 +130,7 @@ def test_str_leading_negative_unit():
 
 coeffs = st.integers(min_value=-4, max_value=4).map(Fraction)
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
-polys = st.dictionaries(exponents, coeffs, max_size=5).map(lambda d: Polynomial(2, d))
+polys = st.dictionaries(exponents, coeffs, max_size=5).map(Polynomial)
 vectors2 = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(Vector)
 nonzero_vectors2 = vectors2.filter(lambda v: not v.is_zero())
 
@@ -175,13 +175,13 @@ def test_evaluate_is_ring_homomorphism(a, b, pt):
 
 def test_constructor_rejects_float_coefficient():
     with pytest.raises(TypeError):
-        Polynomial(2, {(1, 0): 0.5})
+        Polynomial({(1, 0): 0.5})
 
 
 @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 0)])
 def test_constructor_rejects_bad_exponents(exps):
     with pytest.raises(ValueError):
-        Polynomial(2, {exps: 1})
+        Polynomial({exps: 1})
 
 
 @pytest.mark.parametrize("exps", [(1.5, 0), (Fraction(3, 2), 0), ("1", 0), (True, 0),
@@ -189,13 +189,13 @@ def test_constructor_rejects_bad_exponents(exps):
 def test_constructor_takes_only_int_exponents(exps):
     # int() would truncate 1.5 and 3/2 to 1 and read "1" and True as 1.
     with pytest.raises(ValueError, match="bad exponent vector"):
-        Polynomial(2, {exps: 1})
+        Polynomial({exps: 1})
 
 
 @pytest.mark.parametrize("index", [True, False, 1.0, "1", -1, 2])
 def test_variable_index_must_be_an_int_in_range(index):
     with pytest.raises(ValueError, match="variable index must be an int in 0..1"):
-        Polynomial.variable(2, index)
+        Polynomial.variable(index)
 
 
 @pytest.mark.parametrize("n", [-1, 2.0, True, False])
@@ -211,7 +211,7 @@ def test_arithmetic_results_are_canonical(a, b, w):
     ell = lin_form(w)
     results = [a + b, a - b, a * b, -a, (a * ell).divide_by_linear(ell), ell]
     for p in results:
-        rebuilt = Polynomial(2, dict(terms(p)))
+        rebuilt = Polynomial(dict(terms(p)))
         assert p == rebuilt
         assert hash(p) == hash(rebuilt)
         assert str(p) == str(rebuilt)
@@ -253,8 +253,8 @@ def test_congruence_matches_evaluation_oracle(f, g, q, w, shift):
 # -- floats are rejected on every way in -----------------------------------------
 
 @pytest.mark.parametrize("make", [
-    lambda: Polynomial.constant(2, 0.5),
-    lambda: Polynomial(2, {(1, 0): 0.5}),
+    lambda: Polynomial.constant(0.5),
+    lambda: Polynomial({(1, 0): 0.5}),
     lambda: x1 * 0.5,
     lambda: x1 + 0.5,
 ], ids=["constant", "constructor", "multiply", "add"])
@@ -263,37 +263,36 @@ def test_floats_are_rejected_on_every_way_in(make):
         make()
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Polynomial.zero(0),
-    lambda: Polynomial.constant(0, 1),
-    lambda: Polynomial(0, {}),
-], ids=["zero", "constant", "constructor"])
-def test_rank_below_one_is_rejected(make):
-    with pytest.raises(ScopeError, match="rank 2"):
+_CP3 = corpus("cp3-k4")
+
+
+def _rank_3_document():
+    return json.dumps({**graph_to_document(_CP3.graph, _CP3.xi), "rank": 3})
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Vector((1,)), ScopeError, "vectors are planar"),
+    (lambda: Vector((1, 2, 3)), ScopeError, "vectors are planar"),
+    (lambda: lin_form((1, 2, 3)), ScopeError, "vectors are planar"),
+    (lambda: x1.evaluate((1, 2, 3)), ScopeError, "vectors are planar"),
+    (lambda: GkmGraph(1, 3, _CP3.graph.vertices, _CP3.graph.edges), ValueError,
+     "rank must be 2"),
+    (lambda: GkmGraph(3, 3, _CP3.graph.vertices, _CP3.graph.edges), ValueError,
+     "rank must be 2"),
+    (lambda: loads(_rank_3_document()), ParseError, "^rank: expected 2"),
+], ids=["vector-1", "vector-3", "lin_form", "evaluate", "graph-1", "graph-3", "document"])
+def test_inputs_outside_rank_two_are_rejected(make, error, message):
+    """Every entry point that takes outside input rejects anything but the plane."""
+    with pytest.raises(error, match=message) as exc:
         make()
-
-
-@pytest.mark.parametrize("rank", [1, 3])
-@pytest.mark.parametrize("make", [
-    lambda rank: Polynomial(rank, {}),
-    lambda rank: Polynomial(rank, {(1,) * rank: 1}),
-    lambda rank: Polynomial.zero(rank),
-    lambda rank: Polynomial.constant(rank, 1),
-    lambda rank: Polynomial.variable(rank, 0),
-    lambda rank: lin_form(Vector((1,) * rank)),
-    lambda rank: lin_form((1,) * rank),
-], ids=["constructor", "constructor-terms", "zero", "constant", "variable",
-        "lin_form", "lin_form-tuple"])
-def test_ranks_other_than_two_are_a_scope_error(make, rank):
-    with pytest.raises(ScopeError, match="rank 2"):
-        make(rank)
+    assert type(exc.value) is error
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Polynomial(2, {(1, 0): "3/2"}),
-    lambda: Polynomial(2, {(1, 0): True}),
-    lambda: Polynomial.constant(2, "7"),
-    lambda: Polynomial.constant(2, False),
+    lambda: Polynomial({(1, 0): "3/2"}),
+    lambda: Polynomial({(1, 0): True}),
+    lambda: Polynomial.constant("7"),
+    lambda: Polynomial.constant(False),
     lambda: x1 + "1",
     lambda: x1 * True,
     lambda: Vector(("1/2", True)),
@@ -388,7 +387,7 @@ def assert_matches(p, ref):
     assert gcd(p.denominator, *(c for row in p.rows for c in row)) == 1
     assert terms(p) == ref_order(ref)
     assert str(p) == ref_str(ref)
-    rebuilt = Polynomial(2, ref)
+    rebuilt = Polynomial(ref)
     assert p == rebuilt and hash(p) == hash(rebuilt)
 
 
@@ -400,8 +399,8 @@ rationals = st.one_of(
 
 @st.composite
 def oracle_cases(draw):
-    rank = 2
-    polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * rank), rationals, max_size=5)
+    polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
+                            max_size=5)
     a, b, q, r = draw(polys), draw(polys), draw(polys), draw(polys)
     entries = st.fractions(-4, 4, max_denominator=5)
     # Half the divisors have no x1 term, so x2 is the pivot.
@@ -411,25 +410,25 @@ def oracle_cases(draw):
     # A remainder free of ell's pivot variable is unique, so a nonzero one
     # makes q * ell + r indivisible.
     r = ref_clean({e: c for e, c in r.items() if e[pivot] == 0})
-    return (rank, ref_clean(a), ref_clean(b), ref_clean(q), r, w,
-            draw(st.tuples(*[st.integers(-4, 4)] * rank)),
-            draw(st.tuples(*[rationals] * rank)),
+    return (ref_clean(a), ref_clean(b), ref_clean(q), r, w,
+            draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4))),
+            draw(st.tuples(rationals, rationals)),
             draw(st.integers(0, 3)), draw(rationals))
 
 
 @settings(max_examples=60, deadline=None)
 @given(oracle_cases())
 def test_every_operation_matches_the_fraction_reference(case):
-    rank, a, b, q, r, w, int_point, point, n, s = case
-    pa, pb = Polynomial(rank, a), Polynomial(rank, b)
+    a, b, q, r, w, int_point, point, n, s = case
+    pa, pb = Polynomial(a), Polynomial(b)
     assert_matches(pa, a)
-    assert_matches(Polynomial.zero(rank), {})
-    assert_matches(Polynomial.constant(rank, s), ref_clean({(0,) * rank: s}))
+    assert_matches(Polynomial.zero(), {})
+    assert_matches(Polynomial.constant(s), ref_clean({(0, 0): s}))
     assert_matches(pa + pb, ref_add(a, b))
     assert_matches(pa - pb, ref_add(a, b, -1))
     assert_matches(pa * pb, ref_mul(a, b))
     assert_matches(-pa, ref_add({}, a, -1))
-    power = {(0,) * rank: Fraction(1)}
+    power = {(0, 0): Fraction(1)}
     for _ in range(n):
         power = ref_mul(power, a)
     assert_matches(pa**n, power)
@@ -445,19 +444,18 @@ def test_every_operation_matches_the_fraction_reference(case):
     # moved (same support and no multiple when b has two terms and s != -1),
     # and zero.
     if b:
-        multiple = ref_mul(b, {(0,) * rank: s})
+        multiple = ref_mul(b, {(0, 0): s})
         moved = ref_add(multiple, dict([next(iter(b.items()))]))
         for left in (a, multiple, moved, {}):
-            ratio = Polynomial(rank, left).parallel_ratio(pb)
+            ratio = Polynomial(left).parallel_ratio(pb)
             assert ratio == ref_ratio(left, b)
             assert ratio is None or type(ratio) is Fraction  # never a float
     with pytest.raises(ValueError):
-        pa.parallel_ratio(Polynomial.zero(rank))
+        pa.parallel_ratio(Polynomial.zero())
 
     ell = lin_form(Vector(w))
-    assert_matches(ell, ref_clean({tuple(int(i == j) for j in range(rank)): c
-                                   for i, c in enumerate(w)}))
-    f = Polynomial(rank, ref_add(ref_mul(q, dict(terms(ell))), r))
+    assert_matches(ell, ref_clean({(1, 0): w[0], (0, 1): w[1]}))
+    f = Polynomial(ref_add(ref_mul(q, dict(terms(ell))), r))
     if r:
         with pytest.raises(NotDivisible):
             f.divide_by_linear(ell)
