@@ -17,7 +17,7 @@ from gkm.cohomology import (
     unity,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError, NotAClass, PreconditionError
+from gkm.errors import GkmError, NotAClass, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, orient
 from gkm.lefschetz import thom_coefficient
 from gkm.localization import euler_class
@@ -449,3 +449,17 @@ nonzero_weights = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(Vector).
 def test_divisible_iff_vanishes_at_perpendicular(h, w, times_weight):
     g = lin_form(w) * h if times_weight else h
     assert congruent_mod_linear(g, 0, lin_form(w)) == (g.evaluate(w.perp()) == 0)
+
+
+def test_systems_outside_rank_two_are_a_scope_error():
+    # CP^3 with its standard T^3 action is a rank-3 moment graph.  None of its
+    # data can be built, so no cohomology function is ever handed such a system.
+    mu = {"A": (0, 0, 0), "B": (1, 0, 0), "C": (0, 1, 0), "D": (0, 0, 1)}
+    for p in mu.values():
+        with pytest.raises(ScopeError, match="rank 2"):
+            Vector(p)
+    cp3 = corpus("cp3-k4").graph
+    with pytest.raises(ValueError, match="rank must be 2"):
+        GkmGraph(3, 3, cp3.vertices, cp3.edges)
+    with pytest.raises(ScopeError, match="rank 2"):
+        orient(cp3, (1, 2, 4))

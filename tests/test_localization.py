@@ -20,6 +20,7 @@ from gkm.errors import (
     NonConstant,
     NonZero,
     PreconditionError,
+    ScopeError,
 )
 from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.localization import (
@@ -401,3 +402,12 @@ def test_nu_multiples_integrate_to_their_coefficient_sum_with_parallel_weights(p
     ids = parallel.graph.vertex_ids()
     values = {v: (i + 1) * euler_class(parallel, v) for i, v in enumerate(ids)}
     assert integrate(parallel, values) == 10 == _reference(parallel, values)
+
+
+def test_integration_outside_rank_two_is_a_scope_error():
+    # Integrating over the rank-3 CP^3 would need a three-component generic
+    # direction and classes in three variables; neither can be built.
+    with pytest.raises(ScopeError, match="rank 2"):
+        orient(corpus("cp3-k4").graph, (1, 2, 4))
+    with pytest.raises(ValueError, match="bad exponent"):
+        Polynomial({(3, 0, 0): 1})

@@ -288,6 +288,16 @@ def test_inputs_outside_rank_two_are_rejected(make, error, message):
     assert type(exc.value) is error
 
 
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("make", [
+    lambda rank: lin_form(Vector((1,) * rank)),
+    lambda rank: lin_form((1,) * rank),
+], ids=["lin_form", "lin_form-tuple"])
+def test_ranks_other_than_two_are_a_scope_error(make, rank):
+    with pytest.raises(ScopeError, match="rank 2"):
+        make(rank)
+
+
 @pytest.mark.parametrize("make", [
     lambda: Polynomial({(1, 0): "3/2"}),
     lambda: Polynomial({(1, 0): True}),
