@@ -19,14 +19,13 @@ from .errors import GkmError, ParseError, ValidationError
 from .graph import GkmGraph, find_index_increasing_xi, orient
 from .jsonio import graph_to_document, load_graph, parse_rational
 from .lefschetz import hard_lefschetz_report
-from .polynomial import Vector
+from .polynomial import Vector, ratio_vector
 from .render import render_svg
 
 
 def _parse_xi_flag(text: str) -> Vector:
-    parts = text.split(",")
-    return Vector(tuple(parse_rational(p, f"--xi component {i}")
-                        for i, p in enumerate(parts)))
+    return ratio_vector([parse_rational(p, f"--xi component {i}")
+                         for i, p in enumerate(text.split(","))])
 
 
 def _choose_xi(graph: GkmGraph, file_xi: Optional[Vector],
@@ -90,9 +89,10 @@ def _cmd_render(args) -> int:
         override = _parse_xi_flag(args.xi) if args.xi is not None else None
         try:
             xi, _ = _choose_xi(graph, file_xi, override)
-            og = orient(graph, xi)
         except GkmError:
-            og = None  # draw unoriented rather than fail
+            og = None  # only the covector search fails here: draw unoriented
+        else:
+            og = orient(graph, xi)  # a given xi that is not generic is an error
         svg = render_svg(graph, og, title=Path(args.file).stem)
     except GkmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,10 +34,9 @@ def convex_hull(points: Sequence[Vector]) -> list[Vector]:
 
     Points in the relative interior of hull edges are not returned.
     """
-    unique = sorted({(p[0], p[1]) for p in points})
-    if len(unique) <= 2:
-        return [Vector(p) for p in unique]
-    pts = [Vector(p) for p in unique]
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
 
     def chain(sequence):
         out: list[Vector] = []
@@ -60,7 +59,7 @@ def classify_tetragon(a: Vector, b: Vector, c: Vector, d: Vector) -> str:
     collinear triple is outside the trichotomy and raises Degenerate.
     """
     quad = (a, b, c, d)
-    if len({(p[0], p[1]) for p in quad}) != 4:
+    if len(set(quad)) != 4:
         raise Degenerate("tetragon vertices must be distinct")
     signs = [
         orientation_sign(quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4])

@@ -23,13 +23,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .errors import ParseError, ValidationError
 from .graph import Edge, GkmGraph, ValidationReport, Vertex
-from .polynomial import Vector
+from .polynomial import Vector, ratio_vector
 
 _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -55,12 +54,12 @@ def _too_long(where: str, digits: str) -> ParseError:
                       f"the conversion limit of {sys.get_int_max_str_digits()}")
 
 
-def parse_rational(value, where: str) -> Fraction:
-    """Parse "a/b" / "a" strings (or JSON integers) into an exact rational."""
+def parse_rational(value, where: str) -> tuple[int, int]:
+    """Parse "a/b" / "a" strings (or JSON integers) into int (numerator, denominator)."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational string, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, _LongInteger):
         raise _too_long(where, value.digits)
     if isinstance(value, float):
@@ -77,7 +76,7 @@ def parse_rational(value, where: str) -> Fraction:
         raise _too_long(where, max(match.groups(""), key=len)) from None
     if denominator == 0:
         raise ParseError(f"{where}: zero denominator in {value!r}")
-    return Fraction(numerator, denominator)
+    return numerator, denominator
 
 
 def parse_vector(value, where: str) -> Vector:
@@ -85,7 +84,7 @@ def parse_vector(value, where: str) -> Vector:
         raise ParseError(f"{where}: expected a list of rational strings")
     if len(value) != 2:
         raise ParseError(f"{where}: expected 2 components, got {len(value)}")
-    return Vector(tuple(parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value)))
+    return ratio_vector([parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
 def document_to_graph(doc: dict) -> tuple[GkmGraph, Optional[Vector]]:

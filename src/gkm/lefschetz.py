@@ -58,7 +58,7 @@ def moment_ratio(og: OrientedGkmGraph, p: str, q: str) -> Fraction:
     step, w = og.graph.mu(q) - og.graph.mu(p), edge.weight_from(p)
     if step.cross(w) != 0:
         raise NotParallel(f"moment difference across {edge} is not parallel to its weight")
-    return step.dot(w) / w.dot(w)
+    return Fraction(step.dot(w), w.dot(w))
 
 
 def below_neighbor(og: OrientedGkmGraph, q: str, excluding: str) -> str:

@@ -86,13 +86,13 @@ def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polyn
         num = dict.fromkeys(graph.vertex_ids(), 1)
         den = dict.fromkeys(graph.vertex_ids(), 1)
         for e, (a, b) in zip(graph.edges, graph.edge_points()):
-            d = (-b, a) if (a, b) > (0, 0) else (b, -a)
-            k = 0 if d[0] else 1
-            w = e.weight[k]  # s_e = w / d[k] from e.first, -s_e from e.second
+            d = Vector((-b, a) if (a, b) > (0, 0) else (b, -a))
+            w = e.weight  # s_e = w / d from e.first, -s_e from e.second
+            top, bottom = (w.x, d.x) if d.x else (w.y, d.y)
             for v, sign in ((e.first, 1), (e.second, -1)):
                 counts[v][d] += 1
-                num[v] *= sign * w.numerator
-                den[v] *= w.denominator * d[k]
+                num[v] *= sign * top
+                den[v] *= w.denominator * bottom
         most = Counter()
         for c in counts.values():
             most |= c

@@ -8,6 +8,13 @@ are rejected on construction so that every divisibility and determinant
 test stays decidable.  Degrees are plain polynomial degrees; the
 cohomological degree of a homogeneous element is twice that.
 
+A vector is two integer numerators over one positive denominator, in
+lowest terms.  Its sums, multiples, ``dot`` and ``cross`` are integer
+arithmetic, with no gcd when both denominators are 1, and ``form_product``
+reads the numerators and denominator directly.  Iteration and indexing
+give the components as Fractions; a ``dot`` or ``cross`` result is an int
+when both denominators are 1 and a Fraction otherwise.
+
 A polynomial is a tuple of coefficient rows, one per degree: row d holds
 the d + 1 numerators of x1^d, x1^(d-1)*x2, ..., x2^d, or is empty where
 the degree-d part is zero.  The last row is nonempty and all numerators
@@ -35,103 +42,119 @@ from .errors import NotDivisible, ScopeError
 Scalar = Union[int, Fraction]
 
 
-def _frac(x) -> Fraction:
-    """Coerce an int or Fraction to Fraction; anything else, a float, str
-    or bool included, is a TypeError (exactness guard)."""
+def _ratio(x) -> tuple[int, int]:
+    """An int or Fraction as its numerator and positive denominator; anything
+    else, a float, str or bool included, is a TypeError (exactness guard)."""
     if type(x) is bool or not isinstance(x, (int, Fraction)):
         raise TypeError(f"exact arithmetic takes int or Fraction, not {type(x).__name__}")
-    return Fraction(x)
+    return x.numerator, x.denominator
 
 
 class Vector:
     """A rational plane vector: weight, moment position, or covector.
 
-    Immutable; componentwise arithmetic plus the exact predicates the
+    Immutable: int numerators ``x``, ``y`` over a positive ``denominator``,
+    in lowest terms.  Componentwise arithmetic plus the exact predicates the
     graph layer needs: the pairing ``dot`` and the 2D ``cross`` product,
-    zero exactly for parallel vectors.  The public constructor coerces
-    both int or Fraction components to Fraction and rejects anything else,
-    and any count but two; arithmetic results, already Fraction pairs, are
-    built by ``_vector`` without a second check.
+    zero exactly for parallel vectors.  The public constructor takes two int
+    or Fraction components and rejects anything else.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("x", "y", "denominator")
 
-    def __init__(self, components: Iterable):
-        c = tuple(_frac(x) for x in components)
-        if len(c) != 2:
-            raise ScopeError(f"vectors are planar (rank 2), got {len(c)} components")
-        object.__setattr__(self, "components", c)
+    def __new__(cls, components: Iterable) -> "Vector":
+        return ratio_vector([_ratio(c) for c in components])
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.components)
+        return iter((self[0], self[1]))
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.components[i]
+        return Fraction((self.x, self.y)[i], self.denominator)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.components == other.components
+        return (isinstance(other, Vector) and self.x == other.x and self.y == other.y
+                and self.denominator == other.denominator)
 
     def __hash__(self) -> int:
-        return hash(self.components)
+        return hash((self.x, self.y, self.denominator))
+
+    def __lt__(self, other: "Vector") -> bool:
+        """Lexicographic order of the components."""
+        m, n = self.denominator, other.denominator
+        return (self.x * n, self.y * n) < (other.x * m, other.y * m)
 
     def __repr__(self) -> str:
-        return "Vector(%s, %s)" % self.components
+        return "Vector(%s, %s)" % tuple(self)
 
     def __add__(self, other: "Vector") -> "Vector":
-        (a, b), (c, d) = self.components, other.components
-        return _vector((a + c, b + d))
+        m, n = self.denominator, other.denominator
+        return _vector(self.x * n + other.x * m, self.y * n + other.y * m, m * n)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        (a, b), (c, d) = self.components, other.components
-        return _vector((a - c, b - d))
+        m, n = self.denominator, other.denominator
+        return _vector(self.x * n - other.x * m, self.y * n - other.y * m, m * n)
 
     def __neg__(self) -> "Vector":
-        a, b = self.components
-        return _vector((-a, -b))
+        return _vector(-self.x, -self.y, self.denominator)
 
     def __mul__(self, scalar: Scalar) -> "Vector":
-        s = _frac(scalar)
-        a, b = self.components
-        return _vector((a * s, b * s))
+        n, d = _ratio(scalar)
+        return _vector(self.x * n, self.y * n, self.denominator * d)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        a, b = self.components
-        return a == 0 and b == 0
+        return self.x == 0 and self.y == 0
 
-    def dot(self, other: "Vector") -> Fraction:
-        (a, b), (c, d) = self.components, other.components
-        return a * c + b * d
+    def dot(self, other: "Vector") -> Scalar:
+        return _quotient(self.x * other.x + self.y * other.y,
+                         self.denominator * other.denominator)
 
-    def cross(self, other: "Vector") -> Fraction:
+    def cross(self, other: "Vector") -> Scalar:
         """2D cross product a1*b2 - a2*b1: zero exactly when the two are parallel."""
-        (a, b), (c, d) = self.components, other.components
-        return a * d - b * c
+        return _quotient(self.x * other.y - self.y * other.x,
+                         self.denominator * other.denominator)
 
     def perp(self) -> "Vector":
         """A vector perpendicular to self, nonzero when self is."""
-        a, b = self.components
-        return _vector((-b, a))
+        return _vector(-self.y, self.x, self.denominator)
 
     def primitive_perp(self) -> tuple[int, int]:
         """perp() scaled by a positive rational to coprime integers."""
-        a, b = self.perp()
-        scale = lcm(a.denominator, b.denominator)
-        a, b = int(a * scale), int(b * scale)
-        g = gcd(a, b)
-        return a // g, b // g
+        g = gcd(self.x, self.y)
+        return -self.y // g, self.x // g
 
 
-def _vector(components: tuple[Fraction, ...]) -> Vector:
-    """Trusting constructor for Vector's own results: ``components`` must
-    be a pair of Fractions; nothing is checked or coerced."""
+def ratio_vector(ratios: Sequence[tuple[int, int]]) -> Vector:
+    """The Vector with components n/d for int pairs (n, d), d > 0; any count
+    but two is a ScopeError."""
+    if len(ratios) != 2:
+        raise ScopeError(f"vectors are planar (rank 2), got {len(ratios)} components")
+    (a, b), (c, d) = ratios
+    return _vector(a * d, c * b, b * d)
+
+
+def _vector(x: int, y: int, den: int) -> Vector:
+    """Trusting constructor for Vector's own results: int numerators over a
+    positive int denominator; nothing is checked, and one gcd, skipped when
+    the denominator is 1, brings them to lowest terms."""
+    if den != 1:
+        g = gcd(x, y, den)
+        if g != 1:
+            x, y, den = x // g, y // g, den // g
     v = object.__new__(Vector)
-    object.__setattr__(v, "components", components)
+    object.__setattr__(v, "x", x)
+    object.__setattr__(v, "y", y)
+    object.__setattr__(v, "denominator", den)
     return v
+
+
+def _quotient(n: int, d: int) -> Scalar:
+    """n / d for a positive int d: the int n when d is 1, else a Fraction."""
+    return n if d == 1 else Fraction(n, d)
 
 
 class Polynomial:
@@ -155,7 +178,7 @@ class Polynomial:
             e = tuple(exps)
             if len(e) != 2 or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {exps!r}")
-            clean[e] = clean.get(e, 0) + _frac(coeff)
+            clean[e] = clean.get(e, 0) + Fraction(*_ratio(coeff))
         den = lcm(*(c.denominator for c in clean.values()))
         rows = [[0] * (d + 1) for d in range(max((i + j for i, j in clean), default=-1) + 1)]
         for (i, j), c in clean.items():
@@ -174,8 +197,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        c = _frac(value)
-        return _form((c.numerator,), c.denominator)
+        n, d = _ratio(value)
+        return _form((n,), d)
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
@@ -299,16 +322,14 @@ class Polynomial:
     def evaluate(self, point: Vector | Sequence) -> Fraction:
         """Exact evaluation at a rational point of the plane.
 
-        The point is written as (a, b) / m with integers a, b, m, so part d
-        contributes its value at (a, b) over m^d.
+        A Vector is (a, b) / m with integers a, b, m, so part d contributes
+        its value at (a, b) over m^d.
         """
-        x, y = point if isinstance(point, Vector) else Vector(point)
+        p = point if isinstance(point, Vector) else Vector(point)
         if not self.rows:
             return Fraction(0)
-        m = lcm(x.denominator, y.denominator)
-        ab = (x.numerator * (m // x.denominator), y.numerator * (m // y.denominator))
-        top = len(self.rows) - 1
-        total = sum(sum(map(mul, row, power_row(ab, d))) * m ** (top - d)
+        top, m = len(self.rows) - 1, p.denominator
+        total = sum(sum(map(mul, row, power_row((p.x, p.y), d))) * m ** (top - d)
                     for d, row in enumerate(self.rows) if row)
         return Fraction(total, self.denominator * m ** top)
 
@@ -418,19 +439,20 @@ def power_row(point: Sequence[int], degree: int) -> list[int]:
     return [a ** (degree - i) * b ** i for i in range(degree + 1)]
 
 
-def form_product(weights: Iterable, numerator: int = 1, denominator: int = 1) -> Polynomial:
+def form_product(weights: Iterable[Vector], numerator: int = 1,
+                 denominator: int = 1) -> Polynomial:
     """numerator / denominator * prod_k <w_k, x>, for nonzero int
-    ``denominator`` and plane weights with int or Fraction components.
+    ``denominator`` and plane weight Vectors.
 
-    Each factor is an integer pair over its own denominator, and
-    multiplying a row by a*x1 + b*x2 is one pass: c'_i = a*c_i + b*c_(i-1).
+    Each factor reads a weight's integer numerators a, b and multiplies in
+    its denominator; multiplying a row by a*x1 + b*x2 is one pass:
+    c'_i = a*c_i + b*c_(i-1).
     """
     row = [numerator]
-    for x, y in weights:
-        m = lcm(x.denominator, y.denominator)
-        a, b = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
+    for w in weights:
+        a, b = w.x, w.y
         row = [p * a + q * b for p, q in zip(row + [0], [0] + row)]
-        denominator *= m
+        denominator *= w.denominator
     if denominator < 0:
         row, denominator = [-c for c in row], -denominator
     return _form(row, denominator)

@@ -25,11 +25,11 @@ def cp3_file(tmp_path):
 # -- parsing --------------------------------------------------------------------
 
 def test_parse_rational_forms():
-    from fractions import Fraction
-
-    assert parse_rational("3/4", "x") == Fraction(3, 4)
-    assert parse_rational("-2", "x") == -2
-    assert parse_rational(5, "x") == 5
+    """A rational is read as its int numerator and denominator, as written."""
+    assert parse_rational("3/4", "x") == (3, 4)
+    assert parse_rational("6/4", "x") == (6, 4)
+    assert parse_rational("-2", "x") == (-2, 1)
+    assert parse_rational(5, "x") == (5, 1)
 
 
 def test_parse_rational_rejects_zero_denominator():
@@ -173,6 +173,36 @@ def test_render_command_deterministic(cp3_file, tmp_path, capsys):
     assert text.startswith("<svg")
     assert "<polygon" in text  # hull shading and arrowheads
     assert "xi = (1, 3)" in text
+
+
+@pytest.mark.parametrize("given", ["flag", "document"])
+def test_render_non_generic_xi_exits_1(given, tmp_path, capsys):
+    """A covector the user gave, by --xi or in the document, that is not
+    generic exits 1 as `report` does, instead of drawing unoriented."""
+    inst = corpus("cp3-k4")
+    doc = graph_to_document(inst.graph, inst.xi)
+    if given == "document":
+        doc["xi"] = ["0", "0"]
+    path, out = tmp_path / "cp3-k4.json", tmp_path / "m.svg"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    flag = ["--xi", "0,0"] if given == "flag" else []
+    assert main(["render", str(path), "-o", str(out), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: xi is orthogonal")
+    assert not out.exists()
+
+
+def test_render_draws_unoriented_when_the_search_finds_nothing(tmp_path, monkeypatch,
+                                                               capsys):
+    inst = corpus("cp3-k4")
+    path, out = tmp_path / "cp3-k4.json", tmp_path / "m.svg"
+    path.write_text(dumps(inst.graph), encoding="utf-8")  # no xi recorded
+    monkeypatch.setattr("gkm.cli.find_index_increasing_xi", lambda graph, count=1: [])
+    assert main(["render", str(path), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    text = out.read_text(encoding="utf-8")
+    assert text.startswith("<svg") and "xi = " not in text
 
 
 def test_corpus_listing(capsys):

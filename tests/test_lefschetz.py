@@ -10,7 +10,7 @@ from gkm import cohomology, lefschetz, linalg, localization
 from gkm.cohomology import equivariant_symplectic_class, slice_dimension
 from gkm.corpus import corpus, corpus_names
 from gkm.errors import DegreeError, GkmError, NotDivisible, TypeMismatch
-from gkm.graph import Edge, GkmGraph, find_index_increasing_xi, orient
+from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.lefschetz import (
     check_column_independence,
     check_pairing_identity,
@@ -310,6 +310,58 @@ def test_report_invariant_under_positive_scaling():
         a = hard_lefschetz_report(orient(inst.graph, inst.xi))
         b = hard_lefschetz_report(orient(inst.graph, inst.xi * Fraction(7, 3)))
         assert a.to_jsonable() == b.to_jsonable(), inst.name
+
+
+def _scaled(name, s):
+    """The corpus instance with every weight and moment multiplied by s."""
+    inst = corpus(name)
+    g = inst.graph
+    return inst, GkmGraph(g.rank, g.valence, [Vertex(v.id, v.mu * s) for v in g.vertices],
+                          [Edge(e.first, e.second, e.weight * s) for e in g.edges])
+
+
+def _assert_exact_results(og):
+    """dot, cross, mu_xi, moment_ratio and evaluate give an int or a Fraction,
+    never a float; moment_ratio and evaluate always give a Fraction."""
+    g, exact = og.graph, (int, Fraction)
+    for e in g.edges:
+        step = g.mu(e.second) - g.mu(e.first)
+        for value in (e.weight.dot(og.xi), step.dot(e.weight), step.cross(e.weight),
+                      g.mu(e.first).cross(g.mu(e.second))):
+            assert type(value) in exact, (e, value)
+        assert type(moment_ratio(og, e.first, e.second)) is Fraction
+        assert type(moment_ratio(og, e.second, e.first)) is Fraction
+    for v in g.vertex_ids():
+        assert type(og.mu_xi(v)) in exact
+        nu = euler_class(og, v)
+        for point in [*localization.evaluation_points(og), g.mu(v)]:
+            assert type(nu.evaluate(point)) is Fraction
+
+
+def _verdict(report):
+    payload = report.to_jsonable()
+    checks = [(c["name"], c["ok"]) for c in payload.pop("checks")]
+    return checks, {k: payload[k] for k in ("betti", "type", "verdicts", "hard_lefschetz", "ok")}
+
+
+def test_exact_results_on_corpus_orientations():
+    for inst in map(corpus, corpus_names()):
+        for xi in {inst.xi, *find_index_increasing_xi(inst.graph, count=3)}:
+            _assert_exact_results(orient(inst.graph, xi))
+
+
+@pytest.mark.parametrize("name", ["tol-d", "cp3-k4"])
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5)], ids=str)
+def test_exact_results_and_verdicts_under_rational_scaling(name, s):
+    """Weights and moments over denominators 2 or 5 leave the integer fast
+    path: results stay exact and the verdict is the unscaled one."""
+    inst, scaled = _scaled(name, s)
+    assert scaled.validate().ok
+    assert any(e.weight.denominator != 1 for e in scaled.edges)
+    og = orient(scaled, inst.xi)
+    _assert_exact_results(og)
+    assert _verdict(hard_lefschetz_report(og)) == \
+        _verdict(hard_lefschetz_report(orient(inst.graph, inst.xi)))
 
 
 def test_report_text_renders():

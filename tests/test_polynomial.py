@@ -257,7 +257,12 @@ def test_congruence_matches_evaluation_oracle(f, g, q, w, shift):
     lambda: Polynomial({(1, 0): 0.5}),
     lambda: x1 * 0.5,
     lambda: x1 + 0.5,
-], ids=["constant", "constructor", "multiply", "add"])
+    lambda: Vector((0.5, 1)),
+    lambda: Vector((1, 2, 0.5)),  # component types are checked before the count
+    lambda: Vector((1, 2)) * 0.5,
+    lambda: 0.5 * Vector((1, 2)),
+], ids=["constant", "constructor", "multiply", "add", "vector", "vector-3", "vector-scale",
+        "vector-rscale"])
 def test_floats_are_rejected_on_every_way_in(make):
     with pytest.raises(TypeError):
         make()
@@ -273,6 +278,8 @@ def _rank_3_document():
 @pytest.mark.parametrize("make, error, message", [
     (lambda: Vector((1,)), ScopeError, "vectors are planar"),
     (lambda: Vector((1, 2, 3)), ScopeError, "vectors are planar"),
+    (lambda: Vector(iter((1,))), ScopeError, r"planar \(rank 2\), got 1 components"),
+    (lambda: Vector([]), ScopeError, r"planar \(rank 2\), got 0 components"),
     (lambda: lin_form((1, 2, 3)), ScopeError, "vectors are planar"),
     (lambda: x1.evaluate((1, 2, 3)), ScopeError, "vectors are planar"),
     (lambda: GkmGraph(1, 3, _CP3.graph.vertices, _CP3.graph.edges), ValueError,
@@ -280,7 +287,8 @@ def _rank_3_document():
     (lambda: GkmGraph(3, 3, _CP3.graph.vertices, _CP3.graph.edges), ValueError,
      "rank must be 2"),
     (lambda: loads(_rank_3_document()), ParseError, "^rank: expected 2"),
-], ids=["vector-1", "vector-3", "lin_form", "evaluate", "graph-1", "graph-3", "document"])
+], ids=["vector-1", "vector-3", "vector-iterator-1", "vector-0", "lin_form", "evaluate",
+        "graph-1", "graph-3", "document"])
 def test_inputs_outside_rank_two_are_rejected(make, error, message):
     """Every entry point that takes outside input rejects anything but the plane."""
     with pytest.raises(error, match=message) as exc:
@@ -471,3 +479,60 @@ def test_every_operation_matches_the_fraction_reference(case):
             f.divide_by_linear(ell)
     else:
         assert_matches(f.divide_by_linear(ell), q)
+
+
+# -- Vector against a Fraction-pair reference ------------------------------------
+#
+# The reference keeps a vector as a tuple of two Fractions, as the class
+# itself once did, and does each operation componentwise.
+
+scalars = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12))
+
+
+def assert_vector_matches(v, ref):
+    """v has the components ``ref``, prints as they do, and is stored as
+    coprime int numerators over a positive int denominator."""
+    assert list(v) == list(ref) and (v[0], v[1]) == ref
+    assert all(type(c) is Fraction for c in v)
+    assert repr(v) == "Vector(%s, %s)" % ref
+    assert all(type(n) is int for n in (v.x, v.y, v.denominator))
+    assert v.denominator > 0 and gcd(v.x, v.y, v.denominator) == 1
+
+
+def assert_exact(value, ref, integral):
+    """An int over a denominator product of 1, a Fraction otherwise."""
+    assert value == ref
+    assert type(value) is (int if integral else Fraction)
+
+
+@settings(max_examples=150)
+@given(st.tuples(scalars, scalars), st.tuples(scalars, scalars), scalars)
+def test_vector_matches_the_fraction_pair_reference(a, b, s):
+    u, v = Vector(a), Vector(b)
+    (p, q), (r, t) = map(Fraction, a), map(Fraction, b)
+    assert_vector_matches(u, (p, q))
+    assert_vector_matches(u + v, (p + r, q + t))
+    assert_vector_matches(u - v, (p - r, q - t))
+    assert_vector_matches(-u, (-p, -q))
+    assert_vector_matches(u * s, (p * s, q * s))
+    assert_vector_matches(s * u, (p * s, q * s))
+    assert_vector_matches(u.perp(), (-q, p))
+    integral = u.denominator * v.denominator == 1
+    assert_exact(u.dot(v), p * r + q * t, integral)
+    assert_exact(u.cross(v), p * t - q * r, integral)
+    assert u.is_zero() == (p == q == 0)
+    if not u.is_zero():
+        m, n = u.primitive_perp()
+        assert type(m) is int and type(n) is int and gcd(m, n) == 1
+        assert m * p + n * q == 0 and -m * q + n * p > 0  # a positive multiple of perp
+    assert (u == v) == ((p, q) == (r, t))
+    assert (u == v) <= (hash(u) == hash(v))
+    assert (u < v) == ((p, q) < (r, t))
+    assert u == Vector((p, q)) == Vector(iter(a)) and hash(u) == hash(Vector((p, q)))
+
+
+def test_unreduced_components_give_the_same_vector():
+    assert Vector((Fraction(4, 2), 1)) == Vector((2, 1))
+    assert hash(Vector((Fraction(4, 2), 1))) == hash(Vector((2, 1)))
+    assert Vector((Fraction(6, 4), Fraction(1, 2))) == Vector((Fraction(3, 2), Fraction(1, 2)))
+    assert Vector((Fraction(1, 2), Fraction(1, 2))) * 2 == Vector((1, 1))
