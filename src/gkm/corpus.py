@@ -9,7 +9,7 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import gcd
 
@@ -50,7 +50,6 @@ class CorpusInstance:
     expected_type: str
     expected_betti: tuple[int, ...]
     expected_hl: bool
-    notes: dict = field(default_factory=dict)
 
 
 def _simplex() -> tuple[dict[str, tuple], list[tuple[str, str, tuple]]]:
@@ -123,22 +122,13 @@ _TOL_D_MULTIPLES = {
 }
 
 
-def tol_d_edge_directions() -> dict[tuple[str, str], tuple[int, int]]:
-    """Primitive direction of each tol-d edge, read from its first endpoint."""
-    out = {}
-    for (u, v) in _TOL_D_MULTIPLES:
-        direction = tuple(b - a for a, b in zip(_TOL_D_POSITIONS[u], _TOL_D_POSITIONS[v]))
-        out[(u, v)] = _primitive(direction)
-    return out
-
-
 def _tol_d() -> CorpusInstance:
     vertices = [Vertex(vid, Vector(mu)) for vid, mu in _TOL_D_POSITIONS.items()]
-    directions = tol_d_edge_directions()
-    edges = [
-        Edge(u, v, Vector(tuple(m * d for d in directions[(u, v)])))
-        for (u, v), m in _TOL_D_MULTIPLES.items()
-    ]
+    edges = []
+    for (u, v), m in _TOL_D_MULTIPLES.items():
+        direction = _primitive(tuple(
+            b - a for a, b in zip(_TOL_D_POSITIONS[u], _TOL_D_POSITIONS[v])))
+        edges.append(Edge(u, v, Vector(tuple(m * d for d in direction))))
     return CorpusInstance(
         name="tol-d",
         title="six vertices on a tetragon with an interior ascending pair",
@@ -147,8 +137,6 @@ def _tol_d() -> CorpusInstance:
         expected_type="d",
         expected_betti=(1, 2, 2, 1),
         expected_hl=True,
-        notes={"axial_multiples": {f"{u}-{v}": m for (u, v), m in _TOL_D_MULTIPLES.items()},
-               "derivation_bound": 16},
     )
 
 

@@ -181,9 +181,6 @@ class GkmGraph(_Derived):
     def adjacent(self, u: str, v: str) -> bool:
         return self.edge_between(u, v) is not None
 
-    def degree(self, vid: str) -> int:
-        return len(self._adjacent[vid])
-
     def edge_points(self) -> tuple[tuple[int, int], ...]:
         """Each edge's ``weight.primitive_perp()`` in ``edges`` order, stored."""
         return self.derived("edge_points", lambda: tuple(
@@ -208,19 +205,15 @@ class GkmGraph(_Derived):
     def validate(self) -> ValidationReport:
         checks: list[Check] = []
 
-        bad = [v.id for v in self.vertices if self.degree(v.id) != self.valence]
-        checks.append(Check(
-            "valence",
-            not bad,
-            "" if not bad else f"vertices with degree != {self.valence}: {', '.join(bad)}",
-        ))
+        def check(name: str, ok: bool, detail: str) -> None:
+            checks.append(Check(name, ok, "" if ok else detail))
 
-        ok = 2 * len(self.edges) == self.valence * len(self.vertices)
-        checks.append(Check(
-            "edge-count",
-            ok,
-            "" if ok else f"2|E|={2 * len(self.edges)} but n|V|={self.valence * len(self.vertices)}",
-        ))
+        bad = [v.id for v in self.vertices if len(self._adjacent[v.id]) != self.valence]
+        check("valence", not bad,
+              f"vertices with degree != {self.valence}: {', '.join(bad)}")
+
+        check("edge-count", 2 * len(self.edges) == self.valence * len(self.vertices),
+              f"2|E|={2 * len(self.edges)} but n|V|={self.valence * len(self.vertices)}")
 
         dep = []
         for v in self.vertices:
@@ -229,33 +222,22 @@ class GkmGraph(_Derived):
                 if a.cross(b) == 0:
                     dep.append(v.id)
                     break
-        checks.append(Check(
-            "weight-independence",
-            not dep,
-            "" if not dep else f"linearly dependent weights at: {', '.join(dep)}",
-        ))
+        check("weight-independence", not dep,
+              f"linearly dependent weights at: {', '.join(dep)}")
 
         incompat = []
         for e in self.edges:
             step = self.mu(e.second) - self.mu(e.first)
             if step.cross(e.weight) != 0 or step.dot(e.weight) <= 0:
                 incompat.append(str(e))
-        checks.append(Check(
-            "moment-compatibility",
-            not incompat,
-            "" if not incompat else f"edges violating positive parallelism: {', '.join(incompat)}",
-        ))
+        check("moment-compatibility", not incompat,
+              f"edges violating positive parallelism: {', '.join(incompat)}")
 
         unmatched = [str(e) for e in self.edges if not self._has_weight_matching(e)]
-        checks.append(Check(
-            "weight-matching",
-            not unmatched,
-            "" if not unmatched else f"edges without a congruence matching: {', '.join(unmatched)}",
-        ))
+        check("weight-matching", not unmatched,
+              f"edges without a congruence matching: {', '.join(unmatched)}")
 
-        connected = self.is_connected()
-        checks.append(Check("connected", connected,
-                            "" if connected else "graph is disconnected"))
+        check("connected", self.is_connected(), "graph is disconnected")
 
         return ValidationReport(checks)
 
@@ -287,25 +269,28 @@ class OrientedGkmGraph(_Derived):
     edges arriving at a vertex is its down-degree d_v, and the Morse index
     is 2 d_v.
 
-    Whether the orientation is index-increasing is decided on construction.
-    Data derived from the covector is computed once and kept in the store
-    behind :meth:`derived`; what depends only on the graph is in ``graph``'s.
+    Construction decides, in one pass over the edges, that the covector is
+    generic, each vertex's up and down edges (in ``graph.edges`` order), and
+    whether the orientation is index-increasing.  Other data derived from
+    the covector is computed once and kept in the store behind
+    :meth:`derived`; what depends only on the graph is in ``graph``'s.
     """
 
     def __init__(self, graph: GkmGraph, xi: Vector):
         self.graph = graph
         self.xi = xi
-        self._head: dict[frozenset, str] = {}
+        self._up: dict[str, list[Edge]] = _ByVertex((v, []) for v in graph.vertex_ids())
+        self._down: dict[str, list[Edge]] = _ByVertex((v, []) for v in graph.vertex_ids())
         for e in graph.edges:
             pairing = e.weight.dot(xi)
             if pairing == 0:
                 raise NotGeneric(f"xi is orthogonal to the weight of edge {e}")
-            self._head[e.pair] = e.second if pairing > 0 else e.first
-        self._down: dict[str, int] = _ByVertex.fromkeys(graph.vertex_ids(), 0)
-        for e in graph.edges:
-            self._down[self._head[e.pair]] += 1
+            tail, head = (e.first, e.second) if pairing > 0 else (e.second, e.first)
+            self._up[tail].append(e)
+            self._down[head].append(e)
         self._index_increasing = all(
-            self._down[self.tail(e)] < self._down[self.head(e)] for e in graph.edges)
+            len(self._down[v]) < len(self._down[e.other(v)])
+            for v, ups in self._up.items() for e in ups)
         self._derived: dict = {}
 
     # -- basic queries --------------------------------------------------------
@@ -315,37 +300,37 @@ class OrientedGkmGraph(_Derived):
 
     def head(self, e: Edge) -> str:
         """Terminal vertex of the ascending orientation of e."""
-        return self._head[e.pair]
+        return e.second if e.weight.dot(self.xi) > 0 else e.first
 
     def tail(self, e: Edge) -> str:
-        return e.other(self._head[e.pair])
+        return e.other(self.head(e))
 
     def down_degree(self, vid: str) -> int:
-        return self._down[vid]
+        return len(self._down[vid])
 
     def down_edges(self, vid: str) -> list[Edge]:
         """Edges that descend when read from vid (ascending head is vid)."""
-        return [e for e in self.graph.edges_at(vid) if self.head(e) == vid]
+        return list(self._down[vid])
 
     def up_edges(self, vid: str) -> list[Edge]:
-        return [e for e in self.graph.edges_at(vid) if self.tail(e) == vid]
+        return list(self._up[vid])
 
     def up_neighbors(self, vid: str) -> list[str]:
-        return [self.head(e) for e in self.up_edges(vid)]
+        return [e.other(vid) for e in self._up[vid]]
 
     def down_neighbors(self, vid: str) -> list[str]:
-        return [self.tail(e) for e in self.down_edges(vid)]
+        return [e.other(vid) for e in self._down[vid]]
 
     def vertices_of_index(self, d: int) -> list[str]:
         """Vertices with down-degree d, sorted by moment pairing then id."""
         order = self.derived("vertex_order", lambda: sorted(
             self.graph.vertex_ids(), key=lambda v: (self.mu_xi(v), v)))
-        return [v for v in order if self._down[v] == d]
+        return [v for v in order if len(self._down[v]) == d]
 
     def betti(self) -> tuple[int, ...]:
         counts = [0] * (self.graph.valence + 1)
-        for v in self.graph.vertex_ids():
-            counts[self._down[v]] += 1
+        for downs in self._down.values():
+            counts[len(downs)] += 1
         return tuple(counts)
 
     def o_vertex(self) -> str:
@@ -390,14 +375,17 @@ class OrientedGkmGraph(_Derived):
         """The cycle through an index-two vertex and everything above it.
 
         Returns the vertices in traversal order; length 3 exactly when p is
-        adjacent to the top vertex.
+        adjacent to the top vertex.  Found and checked once per orientation.
         """
+        return self.derived(("ascending_cycle", p), lambda: self._ascending_cycle(p))
+
+    def _ascending_cycle(self, p: str) -> tuple[str, ...]:
         if self.graph.valence != 3:
             raise ScopeError("ascending cycles require a 3-valent graph")
         if not self.is_index_increasing():
             raise NotIndexIncreasing("ascending cycles require an index-increasing orientation")
-        if self._down[p] != 1:
-            raise PreconditionError(f"{p} has down-degree {self._down[p]}, expected 1")
+        if self.down_degree(p) != 1:
+            raise PreconditionError(f"{p} has down-degree {self.down_degree(p)}, expected 1")
         r = self.r_vertex()
         reach = self.ascending_reachable(p)
         ups = sorted(self.up_neighbors(p), key=lambda v: (self.mu_xi(v), v))

@@ -326,8 +326,8 @@ def check_sign_conditions(og: OrientedGkmGraph) -> list[dict]:
     return witnesses
 
 
-def _check_type_g_determinant(og: OrientedGkmGraph, a: list[list[Fraction]],
-                              shapes: dict[str, CycleShape]) -> dict:
+def _check_type_g_determinant(a: list[list[Fraction]],
+                              shapes: dict[str, CycleShape]) -> None:
     """Zeros permute to the diagonal; the determinant reduces to the two
     3-cycle products and is negative when every cycle is convex."""
     zero_cols = []
@@ -343,8 +343,7 @@ def _check_type_g_determinant(og: OrientedGkmGraph, a: list[list[Fraction]],
     formula = b[0][1] * b[1][2] * b[2][0] + b[0][2] * b[1][0] * b[2][1]
     if linalg.determinant(b) != formula:
         raise Mismatch("permuted type (g) determinant does not match the 3-cycle formula")
-    all_convex = all(s.tetra_class == "convex" for s in shapes.values())
-    if all_convex:
+    if all(s.tetra_class == "convex" for s in shapes.values()):
         negatives = all(
             entry < 0 for j, row in enumerate(b) for k, entry in enumerate(row) if k != j
         )
@@ -352,7 +351,6 @@ def _check_type_g_determinant(og: OrientedGkmGraph, a: list[list[Fraction]],
             raise ConditionViolated(
                 "convex type (g) instance must have negative entries and determinant"
             )
-    return {"determinant": str(formula), "all_convex": all_convex}
 
 
 @dataclass
@@ -522,8 +520,7 @@ def hard_lefschetz_report(og: OrientedGkmGraph) -> LefschetzReport:
     if table is not None and table.label in ("d", "f"):
         run("column-independence", lambda: check_column_independence(og))
     if table is not None and table.label == "g" and matrix is not None and shapes:
-        run("type-g-determinant",
-            lambda: _check_type_g_determinant(og, matrix, shapes))
+        run("type-g-determinant", lambda: _check_type_g_determinant(matrix, shapes))
 
     def hr_sweep():
         for k in range(0, 2 * og.graph.valence + 1, 2):

@@ -9,7 +9,7 @@ pivoting to do in exact arithmetic -- which makes echelon forms, and
 everything derived from them, deterministic.
 
 Matrices are plain lists of lists of ints or Fractions; any other entry
-(a float, a string) is a TypeError naming its cell.  Exact solutions come
+(a float, a string, a bool) is a TypeError naming its cell.  Exact solutions come
 back as integers over one denominator: a pair ``(y, d)`` of int numerators
 and an int ``d > 0`` stands for the rational vector ``y / d``, so that
 ``A·y == d·b`` for ``solve`` and ``A·y == 0`` for ``nullspace``.  There
@@ -34,15 +34,15 @@ def _row_to_int(row, i: int) -> tuple[list[int], int]:
     """Row ``i`` as a new list of ints and the factor it was scaled by.
 
     An int row is copied unscaled.  Otherwise only ints and Fractions are
-    accepted -- a float or a string would make the elimination inexact or
-    silently reinterpret the entry -- and the row is scaled by the lcm of
-    its denominators.
+    accepted -- a float, a string or a bool would make the elimination
+    inexact or silently reinterpret the entry -- and the row is scaled by
+    the lcm of its denominators.
     """
     if {int}.issuperset(map(type, row)):
         return list(row), 1
     scale = 1
     for j, x in enumerate(row):
-        if not isinstance(x, (int, Fraction)):
+        if type(x) is bool or not isinstance(x, (int, Fraction)):
             raise TypeError(
                 f"matrix entry at row {i}, column {j} is {type(x).__name__} {x!r}; "
                 "expected int or Fraction"
@@ -118,8 +118,6 @@ def echelon(matrix: Matrix) -> Echelon:
 
 
 def rank(matrix: Matrix) -> int:
-    if not matrix:
-        return 0
     return echelon(matrix).rank
 
 
@@ -177,8 +175,6 @@ def nullspace(matrix: Matrix, ncols: int) -> list[Solution]:
 
     Each basis vector is ``y / d`` with ``A·y == 0`` and ``d > 0``.
     """
-    if not matrix:
-        return [([int(i == j) for j in range(ncols)], 1) for i in range(ncols)]
     ech = echelon(matrix)
     pivots = set(ech.pivot_cols)
     basis = []

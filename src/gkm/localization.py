@@ -173,7 +173,6 @@ def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
         point = Vector((1, t))
         if all(nu.evaluate(point) != 0 for nu in eulers):
             found.append(point)
-    raise AssertionError("unreachable")
 
 
 def sum_at_point(og: OrientedGkmGraph, f, point: Vector) -> Fraction:
@@ -186,6 +185,6 @@ def sum_at_point(og: OrientedGkmGraph, f, point: Vector) -> Fraction:
             continue
         nu = euler_class(og, vid).evaluate(point)
         if nu == 0:
-            raise ValueError(f"evaluation point kills the Euler class at {vid}")
+            raise PreconditionError(f"evaluation point kills the Euler class at {vid}")
         total += fv.evaluate(point) / nu
     return total

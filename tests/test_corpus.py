@@ -138,17 +138,6 @@ def test_tol_d_axial_function_is_the_unique_minimal_solution():
         assert e.weight == d * m, f"edge {e}: weight {e.weight} != {m} * {d}"
 
 
-def test_tol_d_recorded_multiples_match_notes():
-    inst = corpus("tol-d")
-    recorded = inst.notes["axial_multiples"]
-    for e in inst.graph.edges:
-        d = _primitive_direction(inst.graph.mu(e.first), inst.graph.mu(e.second))
-        assert e.weight.cross(d) == 0
-        ratio = e.weight.dot(d) / d.dot(d)
-        key = f"{e.first}-{e.second}"
-        assert recorded[key] == ratio
-
-
 def test_tol_d_positions_are_the_documented_ones():
     g = corpus("tol-d").graph
     assert g.mu("o") == Vector((0, 0))

@@ -9,6 +9,7 @@ from gkm import cohomology, lefschetz, localization
 from gkm.corpus import corpus, corpus_names
 from gkm.errors import GkmError, NotGeneric, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
+from gkm.jsonio import document_to_graph, graph_to_document
 from gkm.polynomial import Vector
 
 
@@ -88,6 +89,80 @@ def test_disconnected_graph_reported():
     assert "connected" in failed
 
 
+def _cp3_document(edit):
+    doc = graph_to_document(corpus("cp3-k4").graph)
+    edit(doc)
+    return doc
+
+
+def _drop_edge_b_d(doc):
+    doc["edges"] = [e for e in doc["edges"] if (e["from"], e["to"]) != ("B", "D")]
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    return edit
+
+
+_TWO_SEGMENTS = {
+    "rank": 2, "valence": 1,
+    "vertices": [{"id": v, "mu": mu} for v, mu in
+                 [("a", ["0", "0"]), ("b", ["1", "0"]), ("c", ["0", "1"]), ("d", ["1", "1"])]],
+    "edges": [{"from": "a", "to": "b", "weight": ["1", "0"]},
+              {"from": "c", "to": "d", "weight": ["1", "0"]}],
+}
+
+# One document per validation check, each built to break that check; the
+# full report, other checks included, is pinned as text and as JSON.
+_BROKEN_DOCUMENTS = {
+    "valence": (_cp3_document(_drop_edge_b_d), {
+        "valence": "vertices with degree != 3: B, D",
+        "edge-count": "2|E|=10 but n|V|=12",
+        "weight-matching": "edges without a congruence matching: A-B, A-D, B-C, C-D",
+    }),
+    "edge-count": (_cp3_document(_set(["valence"], 4)), {
+        "valence": "vertices with degree != 4: A, B, C, D",
+        "edge-count": "2|E|=12 but n|V|=16",
+    }),
+    # The A-D weight along A-B: dependent at A, and no longer along mu(D) - mu(A).
+    "weight-independence": (_cp3_document(_set(["edges", 2, "weight"], ["2", "0"])), {
+        "weight-independence": "linearly dependent weights at: A",
+        "moment-compatibility": "edges violating positive parallelism: A-D",
+        "weight-matching": "edges without a congruence matching: A-B, A-C, A-D, B-D, C-D",
+    }),
+    "moment-compatibility": (_cp3_document(_set(["edges", 0, "weight"], ["-1", "0"])), {
+        "moment-compatibility": "edges violating positive parallelism: A-B",
+        "weight-matching": "edges without a congruence matching: A-C, A-D, B-C, B-D",
+    }),
+    "weight-matching": (_cp3_document(_set(["edges", 4, "weight"], ["-1", "-1"])), {
+        "weight-matching": "edges without a congruence matching: A-B, A-D, B-C, C-D",
+    }),
+    "connected": (_TWO_SEGMENTS, {"connected": "graph is disconnected"}),
+}
+
+_CHECK_NAMES = ["valence", "edge-count", "weight-independence", "moment-compatibility",
+                "weight-matching", "connected"]
+
+
+@pytest.mark.parametrize("broken", list(_BROKEN_DOCUMENTS))
+def test_failing_validation_output_is_pinned(broken):
+    doc, failed = _BROKEN_DOCUMENTS[broken]
+    graph, _ = document_to_graph(doc)
+    report = graph.validate()
+    assert broken in failed and not report.ok
+    assert str(report) == "\n".join(
+        f"[FAIL] {name}: {failed[name]}" if name in failed else f"[ok] {name}"
+        for name in _CHECK_NAMES)
+    assert report.to_jsonable() == [
+        {"check": name, "ok": name not in failed, "detail": failed.get(name, "")}
+        for name in _CHECK_NAMES]
+
+
 # -- orientation -----------------------------------------------------------------
 
 def test_cp3_orientation_with_xi_1_3(cp3):
@@ -111,6 +186,26 @@ def test_orientation_reversal_flips_down_degrees():
         for v in inst.graph.vertex_ids():
             assert rev.down_degree(v) == n - og.down_degree(v)
         assert og.is_index_increasing() == rev.is_index_increasing()
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_each_edge_is_stored_once_up_and_once_down(name):
+    g = corpus(name).graph
+    xis = find_index_increasing_xi(g, count=13)
+    assert len(xis) == 13
+    for xi in xis + [-xi for xi in xis]:
+        og = orient(g, xi)
+        ups = [e for v in g.vertex_ids() for e in og.up_edges(v)]
+        downs = [e for v in g.vertex_ids() for e in og.down_edges(v)]
+        assert sorted(map(str, ups)) == sorted(map(str, downs)) == sorted(map(str, g.edges))
+        for e in g.edges:
+            assert e in og.down_edges(og.head(e)) and e in og.up_edges(og.tail(e))
+        for v in g.vertex_ids():
+            assert og.down_degree(v) + len(og.up_edges(v)) == len(g.edges_at(v))
+            # Stored in ``graph.edges`` order, as the filtered adjacency gives them.
+            assert og.down_edges(v) == [e for e in g.edges_at(v) if og.head(e) == v]
+            assert og.up_edges(v) == [e for e in g.edges_at(v) if og.tail(e) == v]
+        assert sum(og.betti()) == len(g.vertices)
 
 
 def test_betti_numbers_and_down_degrees():

@@ -10,7 +10,14 @@ from gkm import cohomology, lefschetz, linalg, localization
 from gkm.cohomology import equivariant_symplectic_class, slice_dimension
 from gkm.corpus import corpus, corpus_names
 from gkm.errors import DegreeError, GkmError, NotDivisible, TypeMismatch
-from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
+from gkm.graph import (
+    Edge,
+    GkmGraph,
+    OrientedGkmGraph,
+    Vertex,
+    find_index_increasing_xi,
+    orient,
+)
 from gkm.lefschetz import (
     check_column_independence,
     check_pairing_identity,
@@ -477,6 +484,17 @@ def test_report_classifies_and_shapes_cycles_once(name, monkeypatch):
     assert hard_lefschetz_report(og).ok
     assert len(types) == 1
     assert len(shapes) == len(og.vertices_of_index(1))
+
+
+@pytest.mark.parametrize("name", ["cube-g", "tol-d"])
+def test_report_finds_and_checks_each_ascending_cycle_once(name, monkeypatch):
+    # classify-type and cycle-shapes both read the cycle at each index-two vertex.
+    bodies = []
+    monkeypatch.setattr(OrientedGkmGraph, "_ascending_cycle",
+                        _counted(bodies, OrientedGkmGraph._ascending_cycle))
+    og = oriented(name)
+    assert hard_lefschetz_report(og).ok
+    assert sorted(p for _, p in bodies) == sorted(og.vertices_of_index(1))
 
 
 # -- low-degree vanishing is certified on the Thom classes --------------------------

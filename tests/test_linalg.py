@@ -103,7 +103,7 @@ def test_solve_nullity_and_consistency_from_one_elimination(m, data):
             assert dot(row, y) == d * bi
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
 def test_inexact_entries_raise_type_error_naming_the_cell(bad):
     with pytest.raises(TypeError, match=r"row 1, column 0 .*expected int or Fraction"):
         linalg.echelon([[1, 2], [bad, 3]])
@@ -116,6 +116,7 @@ def test_inexact_entries_raise_type_error_naming_the_cell(bad):
 _INEXACT_ROWS = [
     ([[1, 0, 0], [1, 2, 2.0], [0, 0, 1]], 2),
     ([[1, 0], [1, "3"]], 1),
+    ([[1, 0], [1, True]], 1),
 ]
 
 
@@ -136,6 +137,8 @@ def test_int_rows_with_one_inexact_entry_still_raise_naming_the_cell(matrix, col
 def test_inexact_right_hand_side_raises_naming_its_cell():
     with pytest.raises(TypeError, match=r"row 1, column 2 is float"):
         linalg.solve([[1, 0], [0, 1]], [1, 2.0])
+    with pytest.raises(TypeError, match=r"row 1, column 2 is bool"):
+        linalg.solve([[1, 0], [0, 1]], [1, True])
 
 
 def test_singular_determinant_is_zero():

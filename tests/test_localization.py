@@ -216,6 +216,13 @@ def test_values_at_unknown_vertices_are_a_precondition_error(cp3):
         sum_at_point(cp3, {"Z": x1, "Y": x1}, evaluation_points(cp3, 1)[0])
 
 
+@pytest.mark.parametrize("point", [(0, 0), (1, 0)])
+def test_a_point_that_kills_an_euler_class_is_a_precondition_error(cp3, point):
+    ones = {v: Polynomial.constant(1) for v in cp3.graph.vertex_ids()}
+    with pytest.raises(PreconditionError, match="evaluation point kills the Euler class at A"):
+        sum_at_point(cp3, ones, Vector(point))
+
+
 # -- the common multiple L of the Euler classes ----------------------------------------
 
 def _reference_products(og):
