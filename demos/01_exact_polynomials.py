@@ -9,7 +9,7 @@ reference that ``congruent_mod_linear`` uses.
 
 from fractions import Fraction
 
-from gkm import Polynomial, Vector, congruent_mod_linear, lin_form
+from gkm import GkmError, Polynomial, Vector, congruent_mod_linear, lin_form
 
 x1 = Polynomial.variable(0)
 x2 = Polynomial.variable(1)
@@ -21,9 +21,14 @@ print("lin_form((-1,-2)) =", lin_form(alpha))
 # Two vectors are parallel exactly when their cross product is zero.
 print("(-1,-2) x (2,4) =", alpha.cross(Vector((2, 4))), "; dot =", alpha.dot(Vector((2, 4))))
 
-# Arithmetic is exact; text form is graded-lex, leading terms first.
-f = (x1 + x2) * (x1 - x2) + Fraction(1, 3)
+# Polynomials are binary forms: arithmetic is exact, the text form lists
+# x1-heavy terms first, and adding forms of two degrees is a DegreeError.
+f = (x1 + x2) * (x1 - x2) + Fraction(1, 3) * x1 * x2
 print("f =", f)
+try:
+    x1 + 1
+except GkmError as exc:
+    print(f"x1 + 1: {type(exc).__name__}: {exc}")
 
 # Division by a linear form either succeeds exactly or raises.
 g = (x1 - x2) * (x1 + 5 * x2)

@@ -5,19 +5,20 @@ the two values are congruent modulo the edge's weight form.  Degree slices
 are finite-dimensional rational vector spaces; bases come from an exact
 linear solve whose unknowns are the vertex-polynomial coefficients.  All
 of it is rank 2, the paper's setting, where every weight is a plane
-vector: there <w, x> divides a binary form exactly when each homogeneous
-part vanishes at w's primitive perpendicular, the integer point
-``GkmGraph.edge_points`` keeps per edge.  A degree-d part's value there is the dot product of its
-coefficient row with ``power_row(point, d)``.  So a congruence is tested by
-evaluating both values there, degree by degree, and in a linear system it
-is one integer row, the power row of the system's degree.
+vector: there <w, x> divides a binary form exactly when it vanishes at
+w's primitive perpendicular, the integer point ``GkmGraph.edge_points``
+keeps per edge.  A degree-d form's value there is the dot product of its
+numerators with ``power_row(point, d)``.  So a congruence is tested by
+evaluating both values there, and in a linear system it is one integer
+row, the power row of the system's degree.
 
-Classes are checked once, where values enter: the constructor, solver
-output and ``equivariant_symplectic_class``, whose checked values are
-kept once per graph in its store (as the slice dimensions are).
-Pointwise sums and products of classes are classes, as f(u)g(u) -
-f(v)g(v) = f(u)(g(u) - g(v)) + g(v)(f(u) - f(v)), so ring operations do
-not re-check; tests prove it.
+A class has one degree.  Classes are checked once, where values enter:
+the constructor, solver output and ``equivariant_symplectic_class``,
+whose checked values are kept once per graph in its store (as the slice
+dimensions are).  Pointwise sums and products of classes are classes, as
+f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v)) + g(v)(f(u) - f(v)), so ring
+operations do not re-check; tests prove it.  A sum keeps the degree or
+is a DegreeError, and a product adds the degrees.
 
 Every system has one row rule: over a support, one integer row per edge
 that meets it, the power row of the edge's point with + at its first end
@@ -37,13 +38,13 @@ solve doubles as a verification.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import linalg
 from .errors import (
+    DegreeError,
     Infeasible,
     NonUnique,
     NotAClass,
@@ -51,25 +52,24 @@ from .errors import (
     PreconditionError,
 )
 from .graph import GkmGraph, OrientedGkmGraph
-from .localization import class_degree, euler_class
+from .localization import _values_of, class_degree, euler_class
 # congruent_mod_linear is unused here; perfbench's tracer self-test expects it.
 from .polynomial import (  # noqa: F401
-    Polynomial, _form, congruent_mod_linear, lin_form, power_row)
+    Polynomial, _make, congruent_mod_linear, lin_form, power_row)
 
 
 class CohomologyElement:
-    """A vertex assignment satisfying every edge congruence, checked on
-    construction; ring operations build their results by ``_element``.
-    ``values`` is a read-only view, so a stored class cannot be edited."""
+    """Polynomials of one degree at the vertices, satisfying every edge
+    congruence, checked on construction; ring operations build theirs by
+    ``_element``.  ``values`` is read-only, so a stored class cannot change."""
 
     def __init__(self, graph: GkmGraph, values: Mapping[str, Polynomial]):
         self.graph = graph
+        values = _values_of(graph, values)
         zero = Polynomial.zero()
-        complete = {vid: values.get(vid, zero) for vid in graph.vertex_ids()}
-        extra = set(values) - set(complete)
-        if extra:
-            raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
-        self.values = MappingProxyType(complete)
+        self.values = MappingProxyType({vid: values.get(vid, zero)
+                                        for vid in graph.vertex_ids()})
+        class_degree(self.values)
         bad = _first_violation(graph, self.values)
         if bad is not None:
             raise NotAClass(bad)
@@ -156,18 +156,19 @@ def _element(graph: GkmGraph, values: Mapping[str, Polynomial]) -> CohomologyEle
 
 
 def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
-    """The first failing edge congruence and its witness, as text, or None."""
+    """The first failing edge congruence and its witness, as text, or None,
+    for complete values of one degree."""
     for e, point in zip(graph.edges, graph.edge_points()):
         f, h = values[e.first], values[e.second]
-        for d, (fr, hr) in enumerate(zip_longest(f.rows, h.rows, fillvalue=())):
-            if not (fr or hr):
-                continue
-            powers = power_row(point, d)
-            fv, hv = (sum(map(mul, row, powers)) for row in (fr, hr))
-            if fv * h.denominator != hv * f.denominator:
-                value = Fraction(fv, f.denominator) - Fraction(hv, h.denominator)
-                return (f"edge congruence fails across {e}: the degree-{d} part of "
-                        f"f({e.first}) - f({e.second}) is {value} at {point}, not 0")
+        d = len(f.numerators or h.numerators) - 1
+        if d < 0:
+            continue
+        powers = power_row(point, d)
+        fv, hv = (sum(map(mul, p.numerators, powers)) for p in (f, h))
+        if fv * h.denominator != hv * f.denominator:
+            value = Fraction(fv, f.denominator) - Fraction(hv, h.denominator)
+            return (f"edge congruence fails across {e}: the degree-{d} part of "
+                    f"f({e.first}) - f({e.second}) is {value} at {point}, not 0")
     return None
 
 
@@ -225,7 +226,7 @@ class _System:
         """The class with coefficients y / d (int numerators, d > 0),
         checked on construction."""
         n = self.degree + 1
-        values = {v: _form(y[k * n:(k + 1) * n], d) for k, v in enumerate(self.support)}
+        values = {v: _make(y[k * n:(k + 1) * n], d) for k, v in enumerate(self.support)}
         return CohomologyElement(self.graph, values)
 
 
@@ -267,7 +268,8 @@ def _thom_system(og: OrientedGkmGraph, vid: str,
     """The linear system whose unique solution is the Thom class of vid:
     the congruence rows over its support, then one row per coefficient
     that fixes the value at vid to the Euler factor (its denominator in the
-    matrix, its numerator on the right); the right-hand side is 0 elsewhere."""
+    matrix, its numerator on the right); the right-hand side is 0 elsewhere.
+    An Euler factor of another degree than the class is a DegreeError."""
     n = og.graph.valence
     if direction == "plus":
         support = og.ascending_reachable(vid)
@@ -275,14 +277,17 @@ def _thom_system(og: OrientedGkmGraph, vid: str,
     else:
         support = og.descending_reachable(vid)
         degree = n - og.down_degree(vid)
-    normalization = euler_class(og, vid, direction)
+    factor = euler_class(og, vid, direction)
+    if factor.homogeneous_degree != degree:
+        raise DegreeError(f"the {direction} Euler factor at {vid} has degree "
+                          f"{factor.homogeneous_degree}, but its Thom class has degree {degree}")
 
     system = _System(og.graph, degree, support)
     rhs = [0] * len(system.rows)
     start = system.support.index(vid) * (degree + 1)
-    for j, c in enumerate(normalization.rows[degree]):
+    for j, c in enumerate(factor.numerators):
         row = [0] * system.ncols
-        row[start + j] = normalization.denominator
+        row[start + j] = factor.denominator
         system.rows.append(row)
         rhs.append(c)
     return system, rhs

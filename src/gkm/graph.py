@@ -298,13 +298,6 @@ class OrientedGkmGraph(_Derived):
     def mu_xi(self, vid: str) -> Fraction:
         return self.graph.mu(vid).dot(self.xi)
 
-    def head(self, e: Edge) -> str:
-        """Terminal vertex of the ascending orientation of e."""
-        return e.second if e.weight.dot(self.xi) > 0 else e.first
-
-    def tail(self, e: Edge) -> str:
-        return e.other(self.head(e))
-
     def down_degree(self, vid: str) -> int:
         return len(self._down[vid])
 

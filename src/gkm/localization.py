@@ -16,9 +16,10 @@ from collections import Counter
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import isqrt
+from types import MappingProxyType
 
 from .errors import DegreeError, NonConstant, NonZero, PreconditionError
-from .graph import OrientedGkmGraph
+from .graph import GkmGraph, OrientedGkmGraph
 from .polynomial import Polynomial, Vector, form_product
 
 _VARIANTS = ("full", "plus", "minus")
@@ -45,30 +46,30 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
     return (og.graph if variant == "full" else og).derived(("euler", vid, variant), compute)
 
 
-def _values_of(og: OrientedGkmGraph, f) -> Mapping[str, Polynomial]:
+def _values_of(graph: GkmGraph, f) -> Mapping[str, Polynomial]:
+    """A class's values, or the mapping ``f`` once it is checked to map
+    known vertex ids to Polynomials; anything else is a PreconditionError."""
     if not isinstance(f, Mapping):
+        if type(getattr(f, "values", None)) is not MappingProxyType:  # not a class
+            raise PreconditionError("expected a class or a mapping of vertex ids "
+                                    f"to polynomials, got {type(f).__name__}")
         return f.values
-    extra = set(f).difference(og.graph.vertex_ids())
+    extra = set(f).difference(graph.vertex_ids())
     if extra:
         raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
+    for vid, p in f.items():
+        if not isinstance(p, Polynomial):
+            raise PreconditionError(
+                f"the value at {vid} has type {type(p).__name__}, not Polynomial")
     return f
 
 
 def class_degree(values: Mapping[str, Polynomial]) -> int | None:
-    """Common homogeneous degree of the nonzero values; None if all zero."""
-    degrees = set()
-    for poly in values.values():
-        if poly.is_zero():
-            continue
-        try:
-            degrees.add(poly.homogeneous_degree)
-        except ValueError:
-            raise DegreeError("class value is not homogeneous") from None
-    if not degrees:
-        return None
+    """Common degree of the nonzero values; None if all zero."""
+    degrees = sorted({p.homogeneous_degree for p in values.values()} - {None})
     if len(degrees) > 1:
-        raise DegreeError(f"class values have mixed degrees {sorted(degrees)}")
-    return degrees.pop()
+        raise DegreeError(f"class values have mixed degrees {degrees}")
+    return degrees[0] if degrees else None
 
 
 def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polynomial]:
@@ -118,7 +119,7 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
     degree is not the valence, NonConstant when the sum fails to reduce to
     a rational number (impossible for genuine classes).
     """
-    values = _values_of(og, f)
+    values = _values_of(og.graph, f)
     n = og.graph.valence
     degree = class_degree(values)
     if degree is None:
@@ -134,7 +135,7 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
 
 def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> bool:
     """Assert the exact numerator sum vanishes for a class of degree < n."""
-    values = _values_of(og, f)
+    values = _values_of(og.graph, f)
     n = og.graph.valence
     degree = class_degree(values)
     if degree is None:
@@ -177,7 +178,7 @@ def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
 
 def sum_at_point(og: OrientedGkmGraph, f, point: Vector) -> Fraction:
     """Evaluate sum_v f(v)/nu_v at a rational point (cross-check oracle)."""
-    values = _values_of(og, f)
+    values = _values_of(og.graph, f)
     total = Fraction(0)
     for vid in og.graph.vertex_ids():
         fv = values.get(vid)

@@ -15,29 +15,30 @@ reads the numerators and denominator directly.  Iteration and indexing
 give the components as Fractions; a ``dot`` or ``cross`` result is an int
 when both denominators are 1 and a Fraction otherwise.
 
-A polynomial is a tuple of coefficient rows, one per degree: row d holds
-the d + 1 numerators of x1^d, x1^(d-1)*x2, ..., x2^d, or is empty where
-the degree-d part is zero.  The last row is nonempty and all numerators
-share one positive denominator, in lowest terms, so equal polynomials have
-equal rows and ``Fraction`` appears only at the API boundary.  A product
-is a convolution of rows; a degree-d part's value at an integer point
-(a, b) is the dot product of its row with ``power_row((a, b), d)``.
+A polynomial is one binary form: the d + 1 integer ``numerators`` of
+x1^d, x1^(d-1)*x2, ..., x2^d over one positive denominator, in lowest
+terms, and no numerators for the zero form.  So equal forms have equal
+numerators, and ``Fraction`` appears only at the API boundary.  Every
+object of the paper is homogeneous, so a sum of two nonzero forms of
+different degrees is a DegreeError, and so is ``Polynomial(terms)`` whose
+nonzero terms have two degrees.  A product is a convolution of numerators;
+the value at an integer point (a, b) is their dot product with
+``power_row((a, b), d)``.
 
 The public ``Polynomial(terms)`` takes exponent pairs and int or
 Fraction coefficients from outside and checks them.  The private ``_make``
-trusts integer rows and a denominator from the module's own arithmetic,
-only emptying zero rows and dividing out one gcd.
+trusts integer numerators and a denominator from the module's own
+arithmetic, and only divides out one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import NotDivisible, ScopeError
+from .errors import DegreeError, NotDivisible, ScopeError
 
 Scalar = Union[int, Fraction]
 
@@ -158,20 +159,22 @@ def _quotient(n: int, d: int) -> Scalar:
 
 
 class Polynomial:
-    """Exact binary form (or sum of forms) with rational coefficients.
+    """Exact binary form with rational coefficients.
 
-    ``rows[d]`` holds the integer numerators of the degree-d part, x1-heavy
-    first, over the positive ``denominator``.  Instances are immutable.
+    ``numerators`` holds the d + 1 integer numerators of the degree-d form,
+    x1-heavy first, over the positive ``denominator``; the zero form has
+    none.  Instances are immutable.
     """
 
-    __slots__ = ("rows", "denominator")
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
         """Validating constructor for terms from outside the class.
 
         Every key must be a pair of non-negative ints (exponents of x1 and
-        x2); coefficients must be ints or Fractions, and terms with equal
-        exponents are summed.
+        x2); coefficients must be ints or Fractions.  Terms with equal
+        exponents are summed and zero terms dropped; the rest must share
+        one degree, else DegreeError.
         """
         clean: dict[tuple, Fraction] = {}
         for exps, coeff in (terms or {}).items():
@@ -179,12 +182,16 @@ class Polynomial:
             if len(e) != 2 or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {exps!r}")
             clean[e] = clean.get(e, 0) + Fraction(*_ratio(coeff))
+        clean = {e: c for e, c in clean.items() if c}
+        degrees = sorted({i + j for i, j in clean})
+        if len(degrees) > 1:
+            raise DegreeError(f"terms have degrees {degrees}; a polynomial is one binary form")
         den = lcm(*(c.denominator for c in clean.values()))
-        rows = [[0] * (d + 1) for d in range(max((i + j for i, j in clean), default=-1) + 1)]
+        row = [0] * (degrees[0] + 1 if degrees else 0)
         for (i, j), c in clean.items():
-            rows[i + j][j] += c.numerator * (den // c.denominator)
-        p = _make(rows, den)
-        _init(self, p.rows, p.denominator)
+            row[j] = c.numerator * (den // c.denominator)
+        p = _make(row, den)
+        _init(self, p.numerators, p.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -198,28 +205,24 @@ class Polynomial:
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
         n, d = _ratio(value)
-        return _form((n,), d)
+        return _make((n,), d)
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
         """The variable x_{index+1} (0-based index)."""
         if type(index) is not int or not 0 <= index < 2:
             raise ValueError(f"variable index must be an int in 0..1, got {index!r}")
-        return _form((1, 0) if index == 0 else (0, 1), 1)
+        return _make((1, 0) if index == 0 else (0, 1), 1)
 
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.numerators
 
     @property
     def homogeneous_degree(self) -> int | None:
-        """Degree if homogeneous and nonzero, None for zero, error otherwise."""
-        if not self.rows:
-            return None
-        if self.rows.count(()) != len(self.rows) - 1:
-            raise ValueError("polynomial is not homogeneous")
-        return len(self.rows) - 1
+        """The degree of the form; None for zero."""
+        return len(self.numerators) - 1 if self.numerators else None
 
     # -- ring structure ----------------------------------------------------
 
@@ -231,19 +234,22 @@ class Polynomial:
         return None
 
     def _combine(self, other, sign: int) -> "Polynomial":
-        """self + sign * other, over the lcm of the two denominators."""
+        """self + sign * other, over the lcm of the two denominators; two
+        nonzero forms of different degrees are a DegreeError."""
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        if not p.rows:
+        if not p.numerators:
             return self
-        if not self.rows:
+        if not self.numerators:
             return p if sign == 1 else -p
+        if len(self.numerators) != len(p.numerators):
+            raise DegreeError(f"cannot add forms of degrees {len(self.numerators) - 1} "
+                              f"and {len(p.numerators) - 1}")
         d1, d2 = self.denominator, p.denominator
         g = gcd(d1, d2)
         s1, s2 = d2 // g, sign * (d1 // g)
-        return _make([[x * s1 + y * s2 for x, y in zip_longest(a, b, fillvalue=0)] if a or b
-                      else () for a, b in zip_longest(self.rows, p.rows, fillvalue=())], d1 * s1)
+        return _make([x * s1 + y * s2 for x, y in zip(self.numerators, p.numerators)], d1 * s1)
 
     def __add__(self, other) -> "Polynomial":
         return self._combine(other, 1)
@@ -257,20 +263,15 @@ class Polynomial:
         return -(self - other)
 
     def __neg__(self) -> "Polynomial":
-        return _make([[-c for c in row] for row in self.rows], self.denominator)
+        return _make([-c for c in self.numerators], self.denominator)
 
     def __mul__(self, other) -> "Polynomial":
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        if not self.rows or not p.rows:
+        if not self.numerators or not p.numerators:
             return _ZERO
-        out: list = [()] * (len(self.rows) + len(p.rows) - 1)
-        for d1, r1 in enumerate(self.rows):
-            for d2, r2 in enumerate(p.rows):
-                if r1 and r2:
-                    out[d1 + d2] = _convolve(r1, r2, out[d1 + d2])
-        return _make(out, self.denominator * p.denominator)
+        return _make(_convolve(self.numerators, p.numerators), self.denominator * p.denominator)
 
     __rmul__ = __mul__
 
@@ -292,26 +293,26 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.denominator == other.denominator
-            and self.rows == other.rows
+            and self.numerators == other.numerators
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.denominator))
+        return hash((self.numerators, self.denominator))
 
     def parallel_ratio(self, other: "Polynomial") -> Fraction | None:
         """Return r with self == r * other, or None if no such rational exists.
 
-        ``other`` must be nonzero.  The nonzero parts must have the same
-        degrees, and each pair of numerators s, o must satisfy s*b == a*o,
-        a and b those of one position where other's numerator is nonzero.
+        ``other`` must be nonzero.  The two must have the same degree, and
+        each pair of numerators s, o must satisfy s*b == a*o, a and b those
+        of one position where other's numerator is nonzero.
         """
-        if not other.rows:
+        if not other.numerators:
             raise ValueError("parallel_ratio against the zero polynomial")
-        if not self.rows:
+        if not self.numerators:
             return Fraction(0)
-        if list(map(len, self.rows)) != list(map(len, other.rows)):
+        if len(self.numerators) != len(other.numerators):
             return None
-        pairs = list(zip(chain.from_iterable(self.rows), chain.from_iterable(other.rows)))
+        pairs = list(zip(self.numerators, other.numerators))
         a, b = next((s, o) for s, o in pairs if o)
         if any(s * b != a * o for s, o in pairs):
             return None
@@ -322,102 +323,92 @@ class Polynomial:
     def evaluate(self, point: Vector | Sequence) -> Fraction:
         """Exact evaluation at a rational point of the plane.
 
-        A Vector is (a, b) / m with integers a, b, m, so part d contributes
-        its value at (a, b) over m^d.
+        A Vector is (a, b) / m with integers a, b, m, so a degree-d form
+        takes its value at (a, b) over m^d.
         """
         p = point if isinstance(point, Vector) else Vector(point)
-        if not self.rows:
+        if not self.numerators:
             return Fraction(0)
-        top, m = len(self.rows) - 1, p.denominator
-        total = sum(sum(map(mul, row, power_row((p.x, p.y), d))) * m ** (top - d)
-                    for d, row in enumerate(self.rows) if row)
-        return Fraction(total, self.denominator * m ** top)
+        d = len(self.numerators) - 1
+        return Fraction(sum(map(mul, self.numerators, power_row((p.x, p.y), d))),
+                        self.denominator * p.denominator ** d)
 
     def divide_by_linear(self, ell: "Polynomial") -> "Polynomial":
-        """Exact quotient self / ell for a nonzero degree-1 homogeneous ell.
+        """Exact quotient self / ell for a nonzero linear form ell.
 
         Raises NotDivisible when no exact quotient exists.  Synthetic
-        division, one pass per row: for ell = a*x1 + b*x2 with a != 0 (else
-        x1 and x2 swap), a row c and its quotient row q satisfy c_i = a*q_i
-        + b*q_(i-1), and the remainder is c_last - b*q_last.  Numerators are
-        first scaled by ell's denominator and |a|^top, top the highest
-        degree, so each division by a is exact.
+        division: for ell = a*x1 + b*x2 with a != 0 (else x1 and x2 swap),
+        the numerators c and the quotient's q satisfy c_i = a*q_i +
+        b*q_(i-1), and the remainder is c_last - b*q_last.  Numerators are
+        first scaled by ell's denominator and |a|^d, d the degree, so each
+        division by a is exact.
         """
         if not isinstance(ell, Polynomial) or ell.homogeneous_degree != 1:
-            raise ValueError("divisor must be nonzero homogeneous of degree 1")
-        a, b = ell.rows[1]
+            raise ValueError("divisor must be a nonzero linear form")
+        a, b = ell.numerators
         mirror = a == 0
         if mirror:
             a, b = b, a
-        scale = abs(a) ** max(len(self.rows) - 1, 0)
+        c = self.numerators[::-1] if mirror else self.numerators
+        scale = abs(a) ** max(len(c) - 1, 0)
         k = scale * ell.denominator
-        quotient: list = []
-        for row in self.rows:
-            c = row[::-1] if mirror else row
-            q: list[int] = []
-            last = 0
-            for x in c[:-1]:
-                last = (x * k - b * last) // a
-                q.append(last)
-            if c and c[-1] * k != b * last:
-                raise NotDivisible(f"({self}) is not divisible by ({ell})")
-            quotient.append(q[::-1] if mirror else q)
-        return _make(quotient[1:], self.denominator * scale)
+        q: list[int] = []
+        last = 0
+        for x in c[:-1]:
+            last = (x * k - b * last) // a
+            q.append(last)
+        if c and c[-1] * k != b * last:
+            raise NotDivisible(f"({self}) is not divisible by ({ell})")
+        return _make(q[::-1] if mirror else q, self.denominator * scale)
 
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
-        """Signed sum of terms like ``x1^2 - 2*x1*x2 + 1/3``, graded-lex order:
-        highest degree first, then x1-heavy first."""
+        """Signed sum of terms like ``x1^2 - 2*x1*x2 + 1/3*x2^2``, x1-heavy
+        first."""
         text = ""
-        for d in range(len(self.rows) - 1, -1, -1):
-            for i, n in enumerate(self.rows[d]):
-                if n:
-                    mag = Fraction(abs(n), self.denominator)
-                    factors = [f"x{k}" if e == 1 else f"x{k}^{e}"
-                               for k, e in ((1, d - i), (2, i)) if e]
-                    body = "*".join(factors if factors and mag == 1 else [str(mag)] + factors)
-                    sign = (" - " if n < 0 else " + ") if text else ("-" if n < 0 else "")
-                    text += sign + body
+        d = len(self.numerators) - 1
+        for i, n in enumerate(self.numerators):
+            if n:
+                mag = Fraction(abs(n), self.denominator)
+                factors = [f"x{k}" if e == 1 else f"x{k}^{e}" for k, e in ((1, d - i), (2, i)) if e]
+                body = "*".join(factors if factors and mag == 1 else [str(mag)] + factors)
+                sign = (" - " if n < 0 else " + ") if text else ("-" if n < 0 else "")
+                text += sign + body
         return text or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
 
-def _init(p: Polynomial, rows: tuple, den: int) -> None:
-    object.__setattr__(p, "rows", rows)
+def _init(p: Polynomial, numerators: tuple, den: int) -> None:
+    object.__setattr__(p, "numerators", numerators)
     object.__setattr__(p, "denominator", den)
 
 
-def _make(rows: Iterable[Sequence[int]], den: int) -> Polynomial:
-    """Trusting constructor for the module's own arithmetic.
-
-    ``rows`` must hold d + 1 int numerators (or none) at each index d, over
-    the positive int ``den``; nothing is checked or coerced.  All-zero rows
-    are emptied, trailing empty rows dropped, and one gcd brings the rest
-    to lowest terms.
-    """
-    rows = [tuple(r) if r and any(r) else () for r in rows]
-    while rows and not rows[-1]:
-        rows.pop()
+def _make(numerators: Sequence[int], den: int) -> Polynomial:
+    """Trusting constructor for the module's own arithmetic: the form of
+    degree len(numerators) - 1 with int ``numerators`` over the positive
+    int ``den``; nothing is checked or coerced.  All-zero numerators give
+    the zero form, and one gcd brings the rest to lowest terms."""
+    numerators = tuple(numerators) if any(numerators) else ()
     if den != 1:
-        g = gcd(den, *chain.from_iterable(rows))  # no rows: g = den, den -> 1
+        g = gcd(den, *numerators)  # the zero form: g = den, den -> 1
         if g != 1:
-            rows = [tuple(c // g for c in r) for r in rows]
+            numerators = tuple(c // g for c in numerators)
             den //= g
     p = object.__new__(Polynomial)
-    _init(p, tuple(rows), den)
+    _init(p, numerators, den)
     return p
 
 
 _ZERO = _make((), 1)
 
 
-def _convolve(r1: Sequence[int], r2: Sequence[int], acc: Sequence[int]) -> list[int]:
-    """acc plus the product of two coefficient rows; entry k of the product
-    sums r1[i] * r2[k - i].  An empty ``acc`` counts as zero."""
-    out = list(acc) if acc else [0] * (len(r1) + len(r2) - 1)
+def _convolve(r1: Sequence[int], r2: Sequence[int]) -> list[int]:
+    """The numerators of a product of two forms: entry k sums
+    r1[i] * r2[k - i]."""
+    out = [0] * (len(r1) + len(r2) - 1)
     for i, x in enumerate(r1):
         if x:
             for k, y in enumerate(r2, i):
@@ -425,16 +416,10 @@ def _convolve(r1: Sequence[int], r2: Sequence[int], acc: Sequence[int]) -> list[
     return out
 
 
-def _form(row: Sequence[int], den: int) -> Polynomial:
-    """Trusting constructor of the homogeneous form of degree len(row) - 1
-    with numerators ``row`` over the positive int ``den``."""
-    return _make([()] * (len(row) - 1) + [row], den)
-
-
 def power_row(point: Sequence[int], degree: int) -> list[int]:
     """[a^(d-i) * b^i for i = 0..d]: the degree-d monomials at the integer
-    point (a, b), in row order.  Dotted with a degree-d coefficient row it
-    gives that part's value there, times the polynomial's denominator."""
+    point (a, b), in numerator order.  Dotted with a degree-d form's
+    numerators it gives the form's value there, times its denominator."""
     a, b = point
     return [a ** (degree - i) * b ** i for i in range(degree + 1)]
 
@@ -445,7 +430,7 @@ def form_product(weights: Iterable[Vector], numerator: int = 1,
     ``denominator`` and plane weight Vectors.
 
     Each factor reads a weight's integer numerators a, b and multiplies in
-    its denominator; multiplying a row by a*x1 + b*x2 is one pass:
+    its denominator; multiplying numerators by a*x1 + b*x2 is one pass:
     c'_i = a*c_i + b*c_(i-1).
     """
     row = [numerator]
@@ -455,7 +440,7 @@ def form_product(weights: Iterable[Vector], numerator: int = 1,
         denominator *= w.denominator
     if denominator < 0:
         row, denominator = [-c for c in row], -denominator
-    return _form(row, denominator)
+    return _make(row, denominator)
 
 
 def lin_form(w: Vector | Sequence) -> Polynomial:

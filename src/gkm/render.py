@@ -75,7 +75,8 @@ def render_svg(graph: GkmGraph, oriented: Optional[OrientedGkmGraph] = None,
             f'stroke="black" stroke-width="1.5"/>'
         )
         if oriented is not None:
-            tail, head = oriented.tail(e), oriented.head(e)
+            up = e in oriented.up_edges(e.first)
+            tail, head = (e.first, e.second) if up else (e.second, e.first)
             ax, ay = to_screen(graph.mu(tail))
             bx, by = to_screen(graph.mu(head))
             mx, my = ax + 0.55 * (bx - ax), ay + 0.55 * (by - ay)

@@ -17,7 +17,7 @@ from gkm.cohomology import (
     unity,
 )
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError, NotAClass, PreconditionError, ScopeError
+from gkm.errors import DegreeError, GkmError, NotAClass, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, orient
 from gkm.lefschetz import thom_coefficient
 from gkm.localization import euler_class
@@ -47,15 +47,6 @@ def is_class(graph, values):
     return cohomology._first_violation(graph, values) is None
 
 
-def graded_values(p, point):
-    """Each nonzero homogeneous part's value at an integer point, by degree."""
-    parts = {d: Polynomial({(d - i, i): Fraction(n, p.denominator)
-                               for i, n in enumerate(row)})
-             for d, row in enumerate(p.rows)}
-    values = {d: part.evaluate(point) for d, part in parts.items()}
-    return {d: v for d, v in values.items() if v}
-
-
 # -- membership -----------------------------------------------------------------
 
 def test_constant_assignment_is_class(cp3):
@@ -76,9 +67,9 @@ def test_single_vertex_linear_value_is_not_class(cp3):
 
 
 def test_not_a_class_names_edge_degree_and_value(cp3):
-    # omega plus x2^2 at A: the degree-1 parts still agree on every edge,
-    # the degree-2 part at A is b^2 at the edge's point (a, b).
-    values = dict(equivariant_symplectic_class(cp3).values)
+    # omega^2 plus x2^2 at A: omega^2 agrees on every edge, and the extra
+    # term at A is b^2 at the edge's point (a, b).
+    values = dict((equivariant_symplectic_class(cp3) ** 2).values)
     values["A"] = values["A"] + x2 * x2
     e, (a, b) = next((e, p) for e, p in zip(cp3.edges, cp3.edge_points())
                      if "A" in (e.first, e.second))
@@ -94,6 +85,30 @@ def test_not_a_class_names_edge_degree_and_value(cp3):
 def test_values_at_unknown_vertices_are_a_precondition_error(cp3):
     with pytest.raises(PreconditionError, match="unknown vertices"):
         CohomologyElement(cp3, {"A": x1, "Z": x2})
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"A": 1}, "the value at A has type int, not Polynomial"),
+    ({"A": x1, "B": "x1"}, "the value at B has type str, not Polynomial"),
+    ([1], "expected a class or a mapping of vertex ids to polynomials, got list"),
+    (0, "expected a class .*, got int"),
+], ids=["int-value", "str-value", "list", "int"])
+def test_values_that_are_not_polynomials_are_a_precondition_error(cp3, values, message):
+    with pytest.raises(PreconditionError, match=message):
+        CohomologyElement(cp3, values)
+
+
+def test_mixed_degree_values_are_refused_on_construction(cp3):
+    # x1 at A and x1^2 at B: each value is a form, but the class has no degree.
+    with pytest.raises(DegreeError, match=r"class values have mixed degrees \[1, 2\]"):
+        CohomologyElement(cp3, {"A": x1, "B": x1 * x1})
+
+
+def test_a_class_plus_a_constant_is_a_degree_error(cp3):
+    om = equivariant_symplectic_class(cp3)
+    with pytest.raises(DegreeError, match="degrees 1 and 0"):
+        om + 1
+    assert om + 0 == om and (om * 0).degree is None
 
 
 def test_every_way_in_checks_once_and_ring_operations_never(monkeypatch):
@@ -113,10 +128,12 @@ def test_every_way_in_checks_once_and_ring_operations_never(monkeypatch):
     thom_class(og, og.r_vertex(), "minus")
     assert len(checks) == 4
     checks.clear()
-    p = x1 * x2 + 3
+    p = x1 * x2 + 3 * x2 ** 2
     for result in (f + h, f - h, -f, f * h, 2 * f, Fraction(1, 3) * f, f * p,
-                   f ** 2, unity(g), f + 1, 1 - f):
+                   f ** 2, unity(g), f + x1, x2 - f):
         assert isinstance(result, CohomologyElement)
+    with pytest.raises(DegreeError, match="degrees 1 and 0"):
+        f + 1
     assert checks == []
 
 
@@ -163,26 +180,39 @@ def corpus_classes(name):
     return g, taus + [equivariant_symplectic_class(g), unity(g)]
 
 
-small_forms = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4,
-).map(Polynomial)
+def small_forms(d):
+    """Binary forms of degree d, or zero: terms with exponents (d - i, i)."""
+    return st.dictionaries(
+        st.integers(0, d).map(lambda i: (d - i, i)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4,
+    ).map(Polynomial)
+
+
+def classes_by_degree(name):
+    """The corpus classes of an instance, keyed by their degree."""
+    g, classes = corpus_classes(name)
+    by_degree = {}
+    for c in classes:
+        by_degree.setdefault(c.degree, []).append(c)
+    return g, by_degree
 
 
 @st.composite
 def perturbed_assignments(draw, name):
-    """A sum of corpus classes of several degrees (so values are mixed and
-    non-homogeneous), with some vertex values moved by a multiple of one
-    incident weight, which keeps that edge and may break the others, or
-    by an arbitrary form."""
-    g, classes = corpus_classes(name)
-    picks = draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+    """A sum of corpus classes of one drawn degree d, with some vertex
+    values moved by a weight form of one incident edge times a form of
+    degree d - 1, which keeps that edge and may break the others, or by an
+    arbitrary form of degree d."""
+    g, by_degree = classes_by_degree(name)
+    d = draw(st.sampled_from(sorted(by_degree)))
+    picks = draw(st.lists(st.sampled_from(by_degree[d]), min_size=1, max_size=3))
     values = dict(sum(picks[1:], picks[0]).values)
     for vid in draw(st.lists(st.sampled_from(g.vertex_ids()), max_size=3)):
-        extra = draw(small_forms)
-        if draw(st.booleans()):
+        if d and draw(st.booleans()):
             e = draw(st.sampled_from(g.edges_at(vid)))
-            extra = lin_form(e.weight) * extra
+            extra = lin_form(e.weight) * draw(small_forms(d - 1))
+        else:
+            extra = draw(small_forms(d))
         values[vid] = values[vid] + extra
     return g, values
 
@@ -196,7 +226,7 @@ def test_point_test_agrees_with_division(name, data):
     for e, point in zip(g.edges, g.edge_points()):
         f, h = values[e.first], values[e.second]
         holds = congruent_mod_linear(f, h, lin_form(e.weight))
-        assert (graded_values(f, point) == graded_values(h, point)) == holds
+        assert (f.evaluate(point) == h.evaluate(point)) == holds
         if not holds:
             failing.append(e)
     assert is_class(g, values) == (not failing)
@@ -221,14 +251,22 @@ def test_edge_points_are_primitive_perpendiculars():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(corpus_names()), st.data())
 def test_sums_differences_and_products_of_classes_are_classes(name, data):
-    g, classes = corpus_classes(name)
-    f, h = data.draw(st.lists(st.sampled_from(classes), min_size=2, max_size=2))
+    # f and h share a degree d, so they and the constant class of a form p
+    # of degree d can be added; the class c, of any degree, multiplies.
+    g, by_degree = classes_by_degree(name)
+    d = data.draw(st.sampled_from(sorted(by_degree)))
+    f, h = data.draw(st.lists(st.sampled_from(by_degree[d]), min_size=2, max_size=2))
+    c = data.draw(st.sampled_from(corpus_classes(name)[1]))
     k = data.draw(st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5,
                                                    max_denominator=6))
-    p = data.draw(small_forms)
-    for result in (f + h, f - h, f * h, k * f + h, f * (h - k), -f, f ** 2,
-                   p * f, f + p, k - f):
+    p = data.draw(small_forms(d))
+    q = data.draw(small_forms(data.draw(st.integers(0, 2))))
+    for result in (f + h, f - h, f * c, k * f + h, c * (h - k * f), -f, f ** 2,
+                   q * f, f + p, p - f):
         assert is_class(g, result.values)
+    if d:
+        with pytest.raises(DegreeError, match=f"degrees {d} and 0"):
+            f + 1
 
 
 # -- pointwise operations ---------------------------------------------------------
@@ -352,6 +390,26 @@ def test_thom_duality_under_reversed_covector():
                 thom_class(rev, vid, "minus").values
 
 
+def test_an_euler_factor_of_another_degree_is_a_degree_error():
+    # cp3-k4 without the edge A-B is 3-valent by declaration only.  At
+    # (0, 1) it is index-increasing, and A has one ascending edge, so its
+    # minus Euler factor has degree 1 where the class has degree 3 - 1 = 2.
+    # In three_up_edges_graph, o has four ascending edges and degree 3 - 0.
+    from test_graph import three_up_edges_graph
+
+    cp3 = corpus("cp3-k4").graph
+    g = GkmGraph(2, 3, cp3.vertices,
+                 [e for e in cp3.edges if {e.first, e.second} != {"A", "B"}])
+    og = orient(g, Vector((0, 1)))
+    assert og.is_index_increasing()
+    with pytest.raises(DegreeError, match="minus Euler factor at A has degree 1, "
+                                          "but its Thom class has degree 2"):
+        thom_class(og, "A", "minus")
+    with pytest.raises(DegreeError, match="minus Euler factor at o has degree 4, "
+                                          "but its Thom class has degree 3"):
+        thom_class(three_up_edges_graph(), "o", "minus")
+
+
 def test_thom_uniqueness_breaks_without_index_increasing():
     # tol-d under (1,3) is generic but not index-increasing; the solver must
     # refuse rather than produce something unverified.
@@ -410,14 +468,18 @@ def test_scalar_multiple_across_edge(cp3_oriented):
 
 
 def test_degree_of_inhomogeneous_assignment_is_a_gkm_error(cp3_oriented):
+    # Ring operations do not check, so a sum of classes with disjoint
+    # supports can mix degrees; the checked constructor refuses it, and a
+    # sum of two forms of different degrees is refused at once.
     og, g = cp3_oriented, cp3_oriented.graph
     p = og.vertices_of_index(1)[0]
     mixed = thom_class(og, p, "minus") + thom_class(og, og.r_vertex(), "plus")
     with pytest.raises(GkmError, match="mixed degrees"):
         mixed.degree
-    lumpy = unity(g) + equivariant_symplectic_class(g)
-    with pytest.raises(GkmError, match="not homogeneous"):
-        lumpy.degree
+    with pytest.raises(DegreeError, match=r"class values have mixed degrees \[2, 3\]"):
+        CohomologyElement(g, mixed.values)
+    with pytest.raises(DegreeError, match="degrees 0 and 1"):
+        unity(g) + equivariant_symplectic_class(g)
 
 
 def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):
@@ -426,7 +488,8 @@ def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):
     g = cp3_oriented.graph
     om = equivariant_symplectic_class(g)
     for e in g.edges:
-        tail, head = cp3_oriented.tail(e), cp3_oriented.head(e)
+        up = e.weight.dot(cp3_oriented.xi) > 0
+        tail, head = (e.first, e.second) if up else (e.second, e.first)
         shifted = om - lin_form(g.mu(tail))
         step, w = g.mu(head) - g.mu(tail), e.weight_from(tail)
         assert step.cross(w) == 0

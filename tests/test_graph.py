@@ -198,13 +198,16 @@ def test_each_edge_is_stored_once_up_and_once_down(name):
         ups = [e for v in g.vertex_ids() for e in og.up_edges(v)]
         downs = [e for v in g.vertex_ids() for e in og.down_edges(v)]
         assert sorted(map(str, ups)) == sorted(map(str, downs)) == sorted(map(str, g.edges))
+        # An edge ascends from its first end exactly when xi pairs
+        # positively with its weight.
+        head = {e: e.second if e.weight.dot(xi) > 0 else e.first for e in g.edges}
         for e in g.edges:
-            assert e in og.down_edges(og.head(e)) and e in og.up_edges(og.tail(e))
+            assert e in og.down_edges(head[e]) and e in og.up_edges(e.other(head[e]))
         for v in g.vertex_ids():
             assert og.down_degree(v) + len(og.up_edges(v)) == len(g.edges_at(v))
             # Stored in ``graph.edges`` order, as the filtered adjacency gives them.
-            assert og.down_edges(v) == [e for e in g.edges_at(v) if og.head(e) == v]
-            assert og.up_edges(v) == [e for e in g.edges_at(v) if og.tail(e) == v]
+            assert og.down_edges(v) == [e for e in g.edges_at(v) if head[e] == v]
+            assert og.up_edges(v) == [e for e in g.edges_at(v) if head[e] != v]
         assert sum(og.betti()) == len(g.vertices)
 
 

@@ -216,6 +216,24 @@ def test_values_at_unknown_vertices_are_a_precondition_error(cp3):
         sum_at_point(cp3, {"Z": x1, "Y": x1}, evaluation_points(cp3, 1)[0])
 
 
+@pytest.mark.parametrize("integrand, message", [
+    ({"A": 1}, "the value at A has type int, not Polynomial"),
+    ({"A": Polynomial.variable(0), "B": Fraction(1, 2)},
+     "the value at B has type Fraction, not Polynomial"),
+    (0, "expected a class or a mapping of vertex ids to polynomials, got int"),
+    ([Polynomial.variable(0)], "expected a class .*, got list"),
+], ids=["int-value", "fraction-value", "int", "list"])
+@pytest.mark.parametrize("call", [
+    integrate,
+    check_low_degree_vanishing,
+    lambda og, f: sum_at_point(og, f, evaluation_points(og, 1)[0]),
+], ids=["integrate", "check_low_degree_vanishing", "sum_at_point"])
+def test_integrands_that_are_not_classes_or_polynomial_maps_are_rejected(
+        cp3, call, integrand, message):
+    with pytest.raises(PreconditionError, match=message):
+        call(cp3, integrand)
+
+
 @pytest.mark.parametrize("point", [(0, 0), (1, 0)])
 def test_a_point_that_kills_an_euler_class_is_a_precondition_error(cp3, point):
     ones = {v: Polynomial.constant(1) for v in cp3.graph.vertex_ids()}

@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkm.corpus import corpus
-from gkm.errors import NotDivisible, ParseError, ScopeError
+from gkm.errors import DegreeError, NotDivisible, ParseError, ScopeError
 from gkm.graph import GkmGraph
 from gkm.jsonio import graph_to_document, loads
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form, power_row
 
 
 def terms(p):
-    """(exponents, coefficient) pairs of p read off its rows, graded-lex
-    descending: highest degree first, then x1-heavy first."""
-    return [((d - i, i), Fraction(n, p.denominator))
-            for d in range(len(p.rows) - 1, -1, -1) for i, n in enumerate(p.rows[d]) if n]
+    """(exponents, coefficient) pairs of p read off its numerators,
+    x1-heavy first."""
+    d = len(p.numerators) - 1
+    return [((d - i, i), Fraction(n, p.denominator)) for i, n in enumerate(p.numerators) if n]
 
 
 x1 = Polynomial.variable(0)
@@ -73,6 +73,8 @@ def test_divide_rejects_nonlinear_divisor():
     with pytest.raises(ValueError):
         x1.divide_by_linear(x1 * x1)
     with pytest.raises(ValueError):
+        x1.divide_by_linear(Polynomial.constant(3))
+    with pytest.raises(DegreeError, match="degrees 1 and 0"):
         x1.divide_by_linear(x1 + 1)
 
 
@@ -83,8 +85,10 @@ def test_congruent_squares():
 
 
 def test_congruent_identity():
-    f = 3 * x1 * x2 - x2**2 + 7
+    f = 3 * x1 * x2 - x2**2 + 7 * x1**2
     assert congruent_mod_linear(f, f, x1 + 5 * x2)
+    with pytest.raises(DegreeError, match="degrees 2 and 0"):
+        congruent_mod_linear(f, 7, x1 + 5 * x2)
 
 
 def test_congruent_false():
@@ -98,8 +102,10 @@ def test_evaluate_product_point():
 
 
 def test_evaluate_at_zero_gives_constant_term():
-    f = x1**2 + 5 * x2 + Fraction(7, 3)
-    assert f.evaluate((0, 0)) == Fraction(7, 3)
+    assert Polynomial.constant(Fraction(7, 3)).evaluate((0, 0)) == Fraction(7, 3)
+    assert (x1**2 + 5 * x1 * x2).evaluate((0, 0)) == 0
+    with pytest.raises(DegreeError, match="degrees 2 and 1"):
+        x1**2 + 5 * x2 + Fraction(7, 3)
 
 
 def test_evaluate_difference_of_squares_diagonal():
@@ -114,8 +120,11 @@ def test_evaluate_rejects_floats():
 # -- text form ------------------------------------------------------------------
 
 def test_str_matches_documented_form():
-    f = x1**2 - 2 * x1 * x2 + Fraction(1, 3)
-    assert str(f) == "x1^2 - 2*x1*x2 + 1/3"
+    f = x1**2 - 2 * x1 * x2 + Fraction(1, 3) * x2**2
+    assert str(f) == "x1^2 - 2*x1*x2 + 1/3*x2^2"
+    assert str(Polynomial.constant(Fraction(-1, 3))) == "-1/3"
+    with pytest.raises(DegreeError, match="degrees 2 and 0"):
+        x1**2 - 2 * x1 * x2 + Fraction(1, 3)
 
 
 def test_str_zero():
@@ -129,20 +138,37 @@ def test_str_leading_negative_unit():
 # -- property tests -------------------------------------------------------------
 
 coeffs = st.integers(min_value=-4, max_value=4).map(Fraction)
-exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
-polys = st.dictionaries(exponents, coeffs, max_size=5).map(Polynomial)
+degrees = st.integers(0, 3)
+
+
+def forms_of_degree(d, coefficients=coeffs):
+    """Binary forms of degree d, or zero: terms with exponents (d - i, i)."""
+    return st.dictionaries(st.integers(0, d).map(lambda i: (d - i, i)), coefficients,
+                           max_size=5)
+
+
+polys = degrees.flatmap(forms_of_degree).map(Polynomial)
+
+
+def same_degree(count):
+    """``count`` forms of one drawn degree, so that they can be added."""
+    return degrees.flatmap(lambda d: st.tuples(*[forms_of_degree(d).map(Polynomial)] * count))
+
+
 vectors2 = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(Vector)
 nonzero_vectors2 = vectors2.filter(lambda v: not v.is_zero())
 
 
 @settings(max_examples=60)
-@given(polys, polys, polys)
-def test_ring_axioms(a, b, c):
+@given(same_degree(3), polys)
+def test_ring_axioms(abc, p):
+    # Sums take forms of one degree; p, of any degree, multiplies them.
+    a, b, c = abc
     assert a + b == b + a
-    assert a * b == b * a
+    assert p * a == a * p
     assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert (p * a) * b == p * (a * b)
+    assert p * (b + c) == p * b + p * c
 
 
 @settings(max_examples=60)
@@ -153,8 +179,9 @@ def test_divide_after_multiply_roundtrip(q, w):
 
 
 @settings(max_examples=60)
-@given(polys, polys, nonzero_vectors2)
-def test_congruence_iff_difference_divisible(f, g, w):
+@given(same_degree(2), nonzero_vectors2)
+def test_congruence_iff_difference_divisible(fg, w):
+    f, g = fg
     ell = lin_form(w)
     try:
         (f - g).divide_by_linear(ell)
@@ -165,9 +192,10 @@ def test_congruence_iff_difference_divisible(f, g, w):
 
 
 @settings(max_examples=60)
-@given(polys, polys, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
-def test_evaluate_is_ring_homomorphism(a, b, pt):
-    assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+@given(polys, same_degree(2), st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_evaluate_is_ring_homomorphism(p, ab, pt):
+    a, b = ab
+    assert (p * b).evaluate(pt) == p.evaluate(pt) * b.evaluate(pt)
     assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
 
 
@@ -192,6 +220,27 @@ def test_constructor_takes_only_int_exponents(exps):
         Polynomial({exps: 1})
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: x1 + 1, "cannot add forms of degrees 1 and 0"),
+    (lambda: 1 - x1, "cannot add forms of degrees 1 and 0"),
+    (lambda: x1 * x2 - x2, "cannot add forms of degrees 2 and 1"),
+    (lambda: Polynomial({(1, 0): 1, (0, 0): 1}), r"terms have degrees \[0, 1\]"),
+    (lambda: Polynomial({(2, 0): 1, (0, 1): Fraction(1, 2)}), r"terms have degrees \[1, 2\]"),
+], ids=["add-constant", "rsub-constant", "sub", "constructor", "constructor-fraction"])
+def test_two_degrees_are_a_degree_error(make, message):
+    with pytest.raises(DegreeError, match=message):
+        make()
+
+
+def test_zero_terms_of_another_degree_are_dropped():
+    assert Polynomial({(1, 0): 1, (0, 0): 0}) == x1
+    assert Polynomial({(1, 0): 1, (0, 0): 0, (2, 0): Fraction(0)}) == x1
+    assert Polynomial({(1, 1): 0, (3, 0): 0}) == Polynomial.zero()
+    assert x1 + Polynomial.zero() == x1 == Polynomial.zero() + x1
+    assert (x1 + 0, 0 - x1) == (x1, -x1)
+    assert [p.homogeneous_degree for p in (Polynomial.zero(), x1 ** 0, x1 * x2)] == [None, 0, 2]
+
+
 @pytest.mark.parametrize("index", [True, False, 1.0, "1", -1, 2])
 def test_variable_index_must_be_an_int_in_range(index):
     with pytest.raises(ValueError, match="variable index must be an int in 0..1"):
@@ -206,10 +255,11 @@ def test_powers_take_only_non_negative_int_exponents(n):
 
 
 @settings(max_examples=60)
-@given(polys, polys, nonzero_vectors2)
-def test_arithmetic_results_are_canonical(a, b, w):
+@given(same_degree(2), polys, nonzero_vectors2)
+def test_arithmetic_results_are_canonical(ab, p, w):
+    a, b = ab
     ell = lin_form(w)
-    results = [a + b, a - b, a * b, -a, (a * ell).divide_by_linear(ell), ell]
+    results = [a + b, a - b, a * b, p * a, -a, (a * ell).divide_by_linear(ell), ell]
     for p in results:
         rebuilt = Polynomial(dict(terms(p)))
         assert p == rebuilt
@@ -222,29 +272,29 @@ def test_arithmetic_results_are_canonical(a, b, w):
 
 def test_divide_pivot_second_variable():
     ell = lin_form(Vector((0, Fraction(-3, 2))))
-    q = x1 ** 2 * x2 - 5 * x1 + Fraction(1, 7)
+    q = x1 ** 2 * x2 - 5 * x1 * x2 ** 2 + Fraction(1, 7) * x2 ** 3
     assert (q * ell).divide_by_linear(ell) == q
     with pytest.raises(NotDivisible):
-        (q * ell + x1 ** 3).divide_by_linear(ell)
+        (q * ell + x1 ** 4).divide_by_linear(ell)
 
 
 # -- congruence against an evaluation oracle ----------------------------------------
 
 @settings(max_examples=80)
-@given(polys, polys, polys, nonzero_vectors2, st.booleans())
-def test_congruence_matches_evaluation_oracle(f, g, q, w, shift):
+@given(degrees.flatmap(lambda d: st.tuples(
+    forms_of_degree(d).map(Polynomial), forms_of_degree(d).map(Polynomial),
+    forms_of_degree(d - 1).map(Polynomial) if d else st.just(Polynomial.zero()))),
+    nonzero_vectors2, st.booleans())
+def test_congruence_matches_evaluation_oracle(fgq, w, shift):
     # ell_w vanishes exactly on the line through (w2, -w1), so ell_w divides
-    # h iff every homogeneous component of h vanishes at that point.
+    # a form h iff h vanishes at that point; q has one degree less than f.
+    f, g, q = fgq
     ell = lin_form(w)
     if shift:
         g = f + q * ell
     h = f - g
     point = (w[1], -w[0])
-    h_terms = dict(terms(h))
-    oracle = all(
-        ref_value(ref_component(h_terms, d), point) == 0
-        for d in {sum(e) for e in h_terms}
-    )
+    oracle = ref_value(dict(terms(h)), point) == 0
     assert congruent_mod_linear(f, g, ell) == oracle
     if shift:
         assert oracle
@@ -359,15 +409,6 @@ def ref_value(a, point):
     return total
 
 
-def ref_component(a, degree):
-    return {e: c for e, c in a.items() if sum(e) == degree}
-
-
-def ref_graded_values(a, point):
-    values = {d: ref_value(ref_component(a, d), point) for d in {sum(e) for e in a}}
-    return {d: v for d, v in values.items() if v}
-
-
 def ref_ratio(a, b):
     if not a:
         return Fraction(0)
@@ -393,16 +434,23 @@ def ref_str(a):
     return out or "0"
 
 
+def ref_degree(a):
+    """The one degree of a reference form's terms; None for zero."""
+    degrees = {sum(e) for e in a}
+    assert len(degrees) <= 1
+    return degrees.pop() if degrees else None
+
+
 def assert_matches(p, ref):
-    # Canonical form: row d empty or d + 1 integer numerators, not all zero,
-    # the last row nonempty, over one positive denominator in lowest terms,
-    # which is 1 for the zero polynomial.
+    # Canonical form: d + 1 integer numerators, not all zero, for a form of
+    # degree d, and none for zero, over one positive denominator in lowest
+    # terms, which is 1 for the zero polynomial.
     assert type(p.denominator) is int and p.denominator > 0
-    assert type(p.rows) is tuple and (not p.rows or p.rows[-1])
-    for d, row in enumerate(p.rows):
-        assert type(row) is tuple and (row == () or (len(row) == d + 1 and any(row)))
-        assert all(type(c) is int for c in row)
-    assert gcd(p.denominator, *(c for row in p.rows for c in row)) == 1
+    assert type(p.numerators) is tuple and (p.numerators == () or any(p.numerators))
+    assert all(type(c) is int for c in p.numerators)
+    assert p.homogeneous_degree == ref_degree(ref)
+    assert len(p.numerators) == (0 if not ref else ref_degree(ref) + 1)
+    assert gcd(p.denominator, *p.numerators) == 1
     assert terms(p) == ref_order(ref)
     assert str(p) == ref_str(ref)
     rebuilt = Polynomial(ref)
@@ -417,9 +465,12 @@ rationals = st.one_of(
 
 @st.composite
 def oracle_cases(draw):
-    polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
-                            max_size=5)
-    a, b, q, r = draw(polys), draw(polys), draw(polys), draw(polys)
+    # a and b share a degree in at least half the cases, so that their sum
+    # is a form; q has degree dq and the remainder r degree dq + 1.
+    da = draw(degrees)
+    db = draw(st.one_of(st.just(da), degrees))
+    dq = draw(degrees)
+    a, b, q, r = (draw(forms_of_degree(d, rationals)) for d in (da, db, dq, dq + 1))
     entries = st.fractions(-4, 4, max_denominator=5)
     # Half the divisors have no x1 term, so x2 is the pivot.
     w = draw(st.one_of(st.tuples(entries, entries).filter(any),
@@ -442,8 +493,13 @@ def test_every_operation_matches_the_fraction_reference(case):
     assert_matches(pa, a)
     assert_matches(Polynomial.zero(), {})
     assert_matches(Polynomial.constant(s), ref_clean({(0, 0): s}))
-    assert_matches(pa + pb, ref_add(a, b))
-    assert_matches(pa - pb, ref_add(a, b, -1))
+    if a and b and ref_degree(a) != ref_degree(b):
+        for sign in (1, -1):
+            with pytest.raises(DegreeError, match=f"degrees {ref_degree(a)} and {ref_degree(b)}"):
+                pa + sign * pb
+    else:
+        assert_matches(pa + pb, ref_add(a, b))
+        assert_matches(pa - pb, ref_add(a, b, -1))
     assert_matches(pa * pb, ref_mul(a, b))
     assert_matches(-pa, ref_add({}, a, -1))
     power = {(0, 0): Fraction(1)}
@@ -451,10 +507,9 @@ def test_every_operation_matches_the_fraction_reference(case):
         power = ref_mul(power, a)
     assert_matches(pa**n, power)
     assert pa.evaluate(point) == ref_value(a, point)
-    sums = {d: sum(map(mul, row, power_row(int_point, d))) for d, row in enumerate(pa.rows)}
-    assert all(type(v) is int for v in sums.values())
-    assert {d: Fraction(v, pa.denominator) for d, v in sums.items() if v} == \
-        ref_graded_values(a, int_point)
+    value = sum(map(mul, pa.numerators, power_row(int_point, ref_degree(a) or 0)))
+    assert type(value) is int
+    assert Fraction(value, pa.denominator) == ref_value(a, int_point)
     assert (pa == pb) == (a == b)
     assert (pa == pb) <= (hash(pa) == hash(pb))
 
