@@ -12,27 +12,29 @@ numerators with ``power_row(point, d)``.  So a congruence is tested by
 evaluating both values there, and in a linear system it is one integer
 row, the power row of the system's degree.
 
-A class has one degree.  Classes are checked once, where values enter:
-the constructor, solver output and ``equivariant_symplectic_class``,
-whose checked values are kept once per graph in its store (as the slice
-dimensions are).  Pointwise sums and products of classes are classes, as
+A class has one degree, fixed when it is made.  Classes are checked
+once, where values enter: the constructor, ``linalg`` (which checks each
+solver answer against its rows, every edge congruence not 0 = 0) and
+``equivariant_symplectic_class``, whose checked values are kept once per
+graph in its store (as the slice dimensions are).  Pointwise sums and
+products of classes are classes, as
 f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v)) + g(v)(f(u) - f(v)), so ring
-operations do not re-check; tests prove it.  A sum keeps the degree or
-is a DegreeError, and a product adds the degrees.
+operations do not re-check; tests prove it.  A sum keeps the degree or is
+a DegreeError, and a product adds the degrees.
 
 Every system has one row rule: over a support, one integer row per edge
 that meets it, the power row of the edge's point with + at its first end
 and - at its second, and nothing at an end outside the support.  A degree
 slice is the kernel of these rows over every vertex.  A Thom class takes
-them over a reachability support, adds normalization rows at the base
-vertex and a right-hand side, and ``linalg.solve`` reads it off the
-kernel of (A | b).  Every system is built in integers, and its solution
-comes back from ``linalg`` as integer numerators over one positive
-denominator, which is how ``Polynomial`` stores coefficients; so no
-rational number is formed between the elimination and the class.  The
-elimination that yields the solution also yields its rank; rank equal to
-the column count certifies the uniqueness the theory promises, so the
-solve doubles as a verification.
+them over a reachability support, moves the base vertex's known value,
+the Euler factor, to the right-hand side, and ``linalg.solve`` reads the
+other values off the kernel of (A | b).  Every system is built in integers,
+and its solution comes back from ``linalg`` as integer numerators over
+one positive denominator, which is how ``Polynomial`` stores
+coefficients; so no rational number is formed between the elimination
+and the class.  The elimination that yields the solution also yields its
+rank; rank equal to the column count certifies the uniqueness the theory
+promises, so the solve doubles as a verification.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import GkmGraph, OrientedGkmGraph
-from .localization import _values_of, class_degree, euler_class
+from .localization import _values_of, euler_class
 # congruent_mod_linear is unused here; perfbench's tracer self-test expects it.
 from .polynomial import (  # noqa: F401
     Polynomial, _make, congruent_mod_linear, lin_form, power_row)
@@ -60,16 +62,16 @@ from .polynomial import (  # noqa: F401
 
 class CohomologyElement:
     """Polynomials of one degree at the vertices, satisfying every edge
-    congruence, checked on construction; ring operations build theirs by
-    ``_element``.  ``values`` is read-only, so a stored class cannot change."""
+    congruence, checked on construction; ring operations and solvers build
+    theirs by ``_element``.  ``values`` is read-only, so a stored class
+    cannot change; ``degree`` is fixed when it is made, None if zero."""
 
     def __init__(self, graph: GkmGraph, values: Mapping[str, Polynomial]):
         self.graph = graph
-        values = _values_of(graph, values)
+        values, self.degree = _values_of(graph, values)
         zero = Polynomial.zero()
         self.values = MappingProxyType({vid: values.get(vid, zero)
                                         for vid in graph.vertex_ids()})
-        class_degree(self.values)
         bad = _first_violation(graph, self.values)
         if bad is not None:
             raise NotAClass(bad)
@@ -79,11 +81,6 @@ class CohomologyElement:
 
     def support(self) -> frozenset:
         return frozenset(v for v, p in self.values.items() if not p.is_zero())
-
-    @property
-    def degree(self) -> int | None:
-        """Common homogeneous polynomial degree; None for the zero class."""
-        return class_degree(self.values)
 
     # -- ring operations (pointwise; closure is tested, not re-checked) -------
 
@@ -95,19 +92,25 @@ class CohomologyElement:
         if isinstance(other, (int, Fraction, Polynomial)):
             if not isinstance(other, Polynomial):
                 other = Polynomial.constant(other)
-            return _element(self.graph, {v: other for v in self.graph.vertex_ids()})
+            return _element(self.graph, {v: other for v in self.graph.vertex_ids()},
+                            other.homogeneous_degree)
         return None
 
     def __add__(self, other) -> "CohomologyElement":
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return _element(self.graph, {v: self.values[v] + o.values[v] for v in self.values})
+        degree = self.degree if o.degree is None else o.degree
+        if self.degree not in (None, degree):
+            raise DegreeError(f"cannot add classes of degrees {self.degree} and {o.degree}: "
+                              "the sum would have mixed degrees")
+        return _element(self.graph, {v: self.values[v] + o.values[v] for v in self.values},
+                        degree)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CohomologyElement":
-        return _element(self.graph, {v: -p for v, p in self.values.items()})
+        return _element(self.graph, {v: -p for v, p in self.values.items()}, self.degree)
 
     def __sub__(self, other) -> "CohomologyElement":
         o = self._lift(other)
@@ -122,7 +125,9 @@ class CohomologyElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return _element(self.graph, {v: self.values[v] * o.values[v] for v in self.values})
+        degree = None if None in (self.degree, o.degree) else self.degree + o.degree
+        return _element(self.graph, {v: self.values[v] * o.values[v] for v in self.values},
+                        degree)
 
     __rmul__ = __mul__
 
@@ -146,12 +151,15 @@ class CohomologyElement:
         return f"CohomologyElement({inner})"
 
 
-def _element(graph: GkmGraph, values: Mapping[str, Polynomial]) -> CohomologyElement:
-    """A class from complete values the ring itself produced: no check.
-    A dict is wrapped read-only; a read-only view is shared as it is."""
+def _element(graph: GkmGraph, values: Mapping[str, Polynomial],
+             degree: int | None) -> CohomologyElement:
+    """A class of ``degree`` from complete values the ring or a checked
+    solve produced: no check; all-zero values have no degree.  A dict is
+    wrapped read-only; a read-only view is shared as it is."""
     element = object.__new__(CohomologyElement)
     element.graph = graph
     element.values = values if type(values) is MappingProxyType else MappingProxyType(values)
+    element.degree = degree if any(p.numerators for p in values.values()) else None
     return element
 
 
@@ -174,7 +182,7 @@ def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
 
 def unity(graph: GkmGraph) -> CohomologyElement:
     one = Polynomial.constant(1)
-    return _element(graph, {v: one for v in graph.vertex_ids()})
+    return _element(graph, {v: one for v in graph.vertex_ids()}, 0)
 
 
 def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
@@ -186,7 +194,7 @@ def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
     """
     values = graph.derived("omega", lambda: CohomologyElement(
         graph, {v: lin_form(graph.mu(v)) for v in graph.vertex_ids()}).values)
-    return _element(graph, values)
+    return _element(graph, values, 1)
 
 
 # -- linear-system construction -------------------------------------------------
@@ -201,33 +209,49 @@ class _System:
     support is one integer row: the power row of degree d at the edge's
     point, with + at its first endpoint and - at its second.  An endpoint
     outside the support contributes nothing, so an edge leaving the
-    support asks the inside value to be divisible by its weight.
+    support asks the inside value to be divisible by its weight.  A
+    ``base`` (vertex, form) of the support has a known value: its end of a
+    row moves to ``rhs``, the unknowns are the other values times the
+    form's denominator, and a row left with no unknown tests the form.
     """
 
-    def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str]):
+    def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str],
+                 base: tuple[str, Polynomial] | None = None):
         self.graph = graph
         self.degree = degree
-        self.support = sorted(support)
+        self.base = base
+        vid, form = base or (None, None)
+        self.unknowns = sorted(v for v in support if v != vid)
         n = degree + 1
-        self.ncols = n * len(self.support)
-        offset = {v: k * n for k, v in enumerate(self.support)}
+        self.ncols = n * len(self.unknowns)
+        offset = {v: k * n for k, v in enumerate(self.unknowns)}
         self.rows: list[list[int]] = []
+        self.rhs: list[int] = []
         for e, point in zip(graph.edges, graph.edge_points()):
             ends = [(offset[v], sign) for v, sign in ((e.first, 1), (e.second, -1))
                     if v in offset]
-            if ends:
+            known = 1 if e.first == vid else -1 if e.second == vid else 0
+            if ends or known:
                 values = power_row(point, degree)
                 row = [0] * self.ncols
                 for k, sign in ends:
                     row[k:k + n] = [sign * x for x in values]
                 self.rows.append(row)
+                self.rhs.append(-known * sum(map(mul, form.numerators, values)) if known else 0)
 
     def element_from(self, y: list[int], d: int) -> CohomologyElement:
-        """The class with coefficients y / d (int numerators, d > 0),
-        checked on construction."""
+        """The class with coefficients y / d (int numerators, d > 0) at the
+        unknowns, the base's form at the base and 0 off the support, which
+        ``linalg`` has checked against every row: no check here."""
         n = self.degree + 1
-        values = {v: _make(y[k * n:(k + 1) * n], d) for k, v in enumerate(self.support)}
-        return CohomologyElement(self.graph, values)
+        values = dict.fromkeys(self.graph.vertex_ids(), Polynomial.zero())
+        if self.base is not None:
+            vid, form = self.base
+            values[vid] = form
+            d *= form.denominator
+        for k, v in enumerate(self.unknowns):
+            values[v] = _make(y[k * n:(k + 1) * n], d)
+        return _element(self.graph, values, self.degree)
 
 
 def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
@@ -263,12 +287,10 @@ def thom_class(og: OrientedGkmGraph, vid: str,
                       lambda: _solve_thom_class(og, vid, direction))
 
 
-def _thom_system(og: OrientedGkmGraph, vid: str,
-                 direction: str) -> tuple[_System, list[int]]:
+def _thom_system(og: OrientedGkmGraph, vid: str, direction: str) -> _System:
     """The linear system whose unique solution is the Thom class of vid:
-    the congruence rows over its support, then one row per coefficient
-    that fixes the value at vid to the Euler factor (its denominator in the
-    matrix, its numerator on the right); the right-hand side is 0 elsewhere.
+    the congruence rows over its support, with vid's value fixed to the
+    Euler factor, so only the other vertices of the support are unknown.
     An Euler factor of another degree than the class is a DegreeError."""
     n = og.graph.valence
     if direction == "plus":
@@ -281,22 +303,13 @@ def _thom_system(og: OrientedGkmGraph, vid: str,
     if factor.homogeneous_degree != degree:
         raise DegreeError(f"the {direction} Euler factor at {vid} has degree "
                           f"{factor.homogeneous_degree}, but its Thom class has degree {degree}")
-
-    system = _System(og.graph, degree, support)
-    rhs = [0] * len(system.rows)
-    start = system.support.index(vid) * (degree + 1)
-    for j, c in enumerate(factor.numerators):
-        row = [0] * system.ncols
-        row[start + j] = factor.denominator
-        system.rows.append(row)
-        rhs.append(c)
-    return system, rhs
+    return _System(og.graph, degree, support, base=(vid, factor))
 
 
 def _solve_thom_class(og: OrientedGkmGraph, vid: str,
                       direction: str) -> CohomologyElement:
-    system, rhs = _thom_system(og, vid, direction)
-    solution, nullity = linalg.solve(system.rows, rhs)
+    system = _thom_system(og, vid, direction)
+    solution, nullity = linalg.solve(system.rows, system.rhs)
     if solution is None:
         raise Infeasible(f"no class with the required support exists for {vid}")
     if nullity:

@@ -11,17 +11,19 @@ everything derived from them, deterministic.
 Matrices are plain lists of lists of ints or Fractions; any other entry
 (a float, a string, a bool) is a TypeError naming its cell.  Exact solutions come
 back as integers over one denominator: a pair ``(y, d)`` of int numerators
-and an int ``d > 0`` stands for the rational vector ``y / d``, so that
-``A·y == d·b`` for ``solve`` and ``A·y == 0`` for ``nullspace``.  There
-is one back-substitution, for kernel vectors: ``solve`` eliminates the
-augmented matrix (A | b) and reads x off its kernel vector (x, -1), so
-b pivoting means no solution.  ``determinant`` returns a Fraction.
+and an int ``d > 0`` stands for the rational vector ``y / d``, checked
+before it is returned: ``A·y == d·b`` for ``solve`` and ``A·y == 0`` for
+``nullspace``, else a GkmError naming the failing row.  There is one
+back-substitution, for kernel vectors: ``solve`` eliminates (A | b) and
+reads x off its kernel vector (x, -1), so b pivoting means no solution.
+``determinant`` returns a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import GkmError
@@ -156,10 +158,7 @@ def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int]) -> Solutio
     for i in range(len(pivots) - 1, -1, -1):
         pc = pivots[i]
         row = ech.rows[i]
-        acc = 0
-        for j in range(pc + 1, ncols):
-            if row[j]:
-                acc -= row[j] * y[j]
+        acc = -sum(map(mul, row[pc + 1:ncols], y[pc + 1:]))
         y[pc], rem = divmod(acc, row[pc])
         if rem:
             raise GkmError(f"back-substitution at pivot row {i} (column {pc}) is not "
@@ -169,20 +168,33 @@ def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int]) -> Solutio
     return y, d
 
 
+def _check(matrix: Matrix, rhs: Sequence, solution: Solution, what: str) -> Solution:
+    """``solution`` once ``A·y == d·b`` holds on every row, else a GkmError
+    naming the first row that fails."""
+    y, d = solution
+    for i, (row, b) in enumerate(zip(matrix, rhs)):
+        lhs = sum(map(mul, row, y))
+        if lhs != d * b:
+            raise GkmError(f"{what} fails row {i}: A·y is {lhs}, not {d * b}")
+    return solution
+
+
 def nullspace(matrix: Matrix, ncols: int) -> list[Solution]:
     """Basis of the kernel of a matrix with ``ncols`` columns, one ``(y, d)``
     per free column, deterministic.
 
-    Each basis vector is ``y / d`` with ``A·y == 0`` and ``d > 0``.
+    Each basis vector is ``y / d`` with ``A·y == 0`` (checked), ``d > 0``.
     """
     ech = echelon(matrix)
     pivots = set(ech.pivot_cols)
+    zeros = [0] * len(matrix)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
         fixed = {c: int(c == free) for c in range(ncols) if c not in pivots}
-        basis.append(_back_substitute(ech, ncols, fixed))
+        basis.append(_check(matrix, zeros, _back_substitute(ech, ncols, fixed),
+                            f"kernel vector {len(basis)}"))
     return basis
 
 
@@ -192,7 +204,7 @@ def solve(matrix: Matrix,
     vector of (A | b) from one elimination.
 
     Returns ``(solution, nullity)``.  ``solution`` is ``(y, d)`` with
-    ``A·y == d·b`` and ``d > 0``, so ``x = y / d``, with the free
+    ``A·y == d·b`` (checked) and ``d > 0``, so ``x = y / d``, with the free
     variables set to 0; it is None when the system is inconsistent, that
     is when the column of b pivots.  ``nullity`` is ``ncols - rank(A)``,
     the dimension of the solution family (zero iff a solution, when one
@@ -210,4 +222,4 @@ def solve(matrix: Matrix,
     fixed = {c: 0 for c in range(ncols) if c not in pivots}
     fixed[ncols] = -1
     y, d = _back_substitute(ech, ncols + 1, fixed)
-    return (y[:ncols], d), ncols - ech.rank
+    return _check(matrix, rhs, (y[:ncols], d), "the solution"), ncols - ech.rank

@@ -46,14 +46,18 @@ def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polyno
     return (og.graph if variant == "full" else og).derived(("euler", vid, variant), compute)
 
 
-def _values_of(graph: GkmGraph, f) -> Mapping[str, Polynomial]:
-    """A class's values, or the mapping ``f`` once it is checked to map
-    known vertex ids to Polynomials; anything else is a PreconditionError."""
+def _values_of(graph: GkmGraph, f) -> tuple[Mapping[str, Polynomial], int | None]:
+    """The values and the degree of a class of ``graph``, or of the mapping
+    ``f`` once it is checked to map known vertex ids to Polynomials of one
+    degree; a class of another graph, or anything else, is a
+    PreconditionError."""
     if not isinstance(f, Mapping):
         if type(getattr(f, "values", None)) is not MappingProxyType:  # not a class
             raise PreconditionError("expected a class or a mapping of vertex ids "
                                     f"to polynomials, got {type(f).__name__}")
-        return f.values
+        if f.graph is not graph:
+            raise PreconditionError("the class lives on another graph")
+        return f.values, f.degree
     extra = set(f).difference(graph.vertex_ids())
     if extra:
         raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
@@ -61,7 +65,7 @@ def _values_of(graph: GkmGraph, f) -> Mapping[str, Polynomial]:
         if not isinstance(p, Polynomial):
             raise PreconditionError(
                 f"the value at {vid} has type {type(p).__name__}, not Polynomial")
-    return f
+    return f, class_degree(f)
 
 
 def class_degree(values: Mapping[str, Polynomial]) -> int | None:
@@ -119,9 +123,8 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
     degree is not the valence, NonConstant when the sum fails to reduce to
     a rational number (impossible for genuine classes).
     """
-    values = _values_of(og.graph, f)
+    values, degree = _values_of(og.graph, f)
     n = og.graph.valence
-    degree = class_degree(values)
     if degree is None:
         return Fraction(0)
     if degree != n:
@@ -135,9 +138,8 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
 
 def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> bool:
     """Assert the exact numerator sum vanishes for a class of degree < n."""
-    values = _values_of(og.graph, f)
+    values, degree = _values_of(og.graph, f)
     n = og.graph.valence
-    degree = class_degree(values)
     if degree is None:
         return True
     if degree >= n:
@@ -178,7 +180,7 @@ def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
 
 def sum_at_point(og: OrientedGkmGraph, f, point: Vector) -> Fraction:
     """Evaluate sum_v f(v)/nu_v at a rational point (cross-check oracle)."""
-    values = _values_of(og.graph, f)
+    values, _ = _values_of(og.graph, f)
     total = Fraction(0)
     for vid in og.graph.vertex_ids():
         fv = values.get(vid)

@@ -6,41 +6,56 @@ is supplied), labeled vertices with their down-degrees, and the covector
 in the margin.  Output is a pure function of the input, so files are
 byte-identical across runs.
 
-This is the one module allowed to use floating point: coordinates only
-exist here to be printed into the SVG.
+Coordinates are exact rationals like every other quantity: each is
+rounded to two decimals only when printed, and the arrows' lengths come
+from ``math.isqrt`` of a scaled integer.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 from .geometry import convex_hull
 from .graph import GkmGraph, OrientedGkmGraph
 
-_SIZE = 560.0
-_MARGIN = 60.0
+_SIZE = 560
+_MARGIN = 60
+_ROOT_SCALE = 10 ** 6
 
 
 def _transform(points):
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
-    span = max(max_x - min_x, max_y - min_y) or 1.0
+    span = max(max_x - min_x, max_y - min_y) or Fraction(1)
     scale = (_SIZE - 2 * _MARGIN) / span
-    off_x = (_SIZE - scale * (max_x - min_x)) / 2.0
-    off_y = (_SIZE - scale * (max_y - min_y)) / 2.0
+    off_x = (_SIZE - scale * (max_x - min_x)) / 2
+    off_y = (_SIZE - scale * (max_y - min_y)) / 2
 
     def to_screen(p):
-        x = off_x + (float(p[0]) - min_x) * scale
-        y = _SIZE - (off_y + (float(p[1]) - min_y) * scale)
+        x = off_x + (p[0] - min_x) * scale
+        y = _SIZE - (off_y + (p[1] - min_y) * scale)
         return x, y
 
     return to_screen
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+def _length(dx: Fraction, dy: Fraction) -> Fraction:
+    """The length of (dx, dy) rounded down to a multiple of 1 / _ROOT_SCALE,
+    or 1 where that is 0, as for the zero vector."""
+    q = Fraction(dx * dx + dy * dy)
+    root = isqrt(q.numerator * _ROOT_SCALE ** 2 // q.denominator)
+    return Fraction(root, _ROOT_SCALE) if root else Fraction(1)
+
+
+def _fmt(value) -> str:
+    """An exact number to two decimals, rounding half to even."""
+    hundredths = round(Fraction(value) * 100)
+    whole, cents = divmod(abs(hundredths), 100)
+    return f"{'-' if hundredths < 0 else ''}{whole}.{cents:02d}"
 
 
 def render_svg(graph: GkmGraph, oriented: Optional[OrientedGkmGraph] = None,
@@ -56,7 +71,7 @@ def render_svg(graph: GkmGraph, oriented: Optional[OrientedGkmGraph] = None,
     ]
     if title:
         parts.append(
-            f'<text x="{_fmt(_SIZE / 2)}" y="28" text-anchor="middle" '
+            f'<text x="{_fmt(_SIZE // 2)}" y="28" text-anchor="middle" '
             f'font-family="monospace" font-size="16">{title}</text>'
         )
 
@@ -79,17 +94,15 @@ def render_svg(graph: GkmGraph, oriented: Optional[OrientedGkmGraph] = None,
             tail, head = (e.first, e.second) if up else (e.second, e.first)
             ax, ay = to_screen(graph.mu(tail))
             bx, by = to_screen(graph.mu(head))
-            mx, my = ax + 0.55 * (bx - ax), ay + 0.55 * (by - ay)
             dx, dy = bx - ax, by - ay
-            norm = (dx * dx + dy * dy) ** 0.5 or 1.0
+            mx, my = ax + Fraction(11, 20) * dx, ay + Fraction(11, 20) * dy
+            norm = _length(dx, dy)
             ux, uy = dx / norm, dy / norm
             px, py = -uy, ux
-            size = 7.0
+            size, side = 7, Fraction(21, 5)  # side = 0.6 * size
             tip = (mx + ux * size, my + uy * size)
-            left = (mx - ux * size * 0.6 + px * size * 0.6,
-                    my - uy * size * 0.6 + py * size * 0.6)
-            right = (mx - ux * size * 0.6 - px * size * 0.6,
-                     my - uy * size * 0.6 - py * size * 0.6)
+            left = (mx - ux * side + px * side, my - uy * side + py * side)
+            right = (mx - ux * side - px * side, my - uy * side - py * side)
             coords = " ".join("%s,%s" % tuple(map(_fmt, pt)) for pt in (tip, left, right))
             parts.append(f'<polygon points="{coords}" fill="black"/>')
 
@@ -111,10 +124,9 @@ def render_svg(graph: GkmGraph, oriented: Optional[OrientedGkmGraph] = None,
             f'xi = ({", ".join(str(c) for c in xi)})</text>'
         )
         # Margin arrow in the covector direction.
-        to_unit = (float(xi[0]), float(xi[1]))
-        norm = (to_unit[0] ** 2 + to_unit[1] ** 2) ** 0.5 or 1.0
-        ux, uy = to_unit[0] / norm, -to_unit[1] / norm
-        x0, y0 = 30.0, _SIZE - 50.0
+        norm = _length(xi[0], xi[1])
+        ux, uy = xi[0] / norm, -xi[1] / norm
+        x0, y0 = 30, _SIZE - 50
         x1, y1 = x0 + 24 * ux, y0 + 24 * uy
         parts.append(
             f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '

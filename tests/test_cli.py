@@ -175,6 +175,29 @@ def test_render_command_deterministic(cp3_file, tmp_path, capsys):
     assert "xi = (1, 3)" in text
 
 
+def test_render_prints_exact_coordinates(monkeypatch):
+    """Every printed number reaches the formatter as an int or a Fraction,
+    also for a single vertex, whose picture has no extent."""
+    from fractions import Fraction
+
+    from gkm import render
+    from gkm.graph import GkmGraph, Vertex, orient
+    from gkm.polynomial import Vector
+
+    printed = []
+    real = render._fmt
+    monkeypatch.setattr(render, "_fmt", lambda value: printed.append(value) or real(value))
+    inst = corpus("tol-d")
+    point = GkmGraph(2, 0, [Vertex("o", Vector((1, 2)))], [])
+    for graph, xi in ((inst.graph, inst.xi), (point, Vector((1, 3)))):
+        text = render.render_svg(graph, orient(graph, xi), title="t")
+        assert text.startswith("<svg")
+    assert printed and {type(v) for v in printed} <= {int, Fraction}
+    assert [real(v) for v in (Fraction(-1, 200), Fraction(1, 200), Fraction(3, 200),
+                              Fraction(-2049, 4), 0)] == [
+        "0.00", "0.00", "0.02", "-512.25", "0.00"]
+
+
 @pytest.mark.parametrize("given", ["flag", "document"])
 def test_render_non_generic_xi_exits_1(given, tmp_path, capsys):
     """A covector the user gave, by --xi or in the document, that is not

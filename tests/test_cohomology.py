@@ -112,29 +112,36 @@ def test_a_class_plus_a_constant_is_a_degree_error(cp3):
 
 
 def test_every_way_in_checks_once_and_ring_operations_never(monkeypatch):
+    # Values from outside meet _first_violation; a solved class meets the
+    # check linalg runs on its solver answer, and nothing else.
     og = oriented("cp3-k4")  # a fresh orientation: no Thom class is stored yet
     g = og.graph
-    checks = []
-    real = cohomology._first_violation
+    checks, solver_checks = [], []
+    real, real_solver = cohomology._first_violation, linalg._check
     monkeypatch.setattr(cohomology, "_first_violation",
                         lambda *args: checks.append(args) or real(*args))
+    monkeypatch.setattr(linalg, "_check",
+                        lambda *args: solver_checks.append(args) or real_solver(*args))
     f = equivariant_symplectic_class(g)
     assert len(checks) == 1
     assert CohomologyElement(g, f.values) == f
     assert len(checks) == 2
     h = thom_class(og, og.vertices_of_index(1)[0], "plus")
-    assert len(checks) == 3
+    assert len(solver_checks) == 1
     thom_class(og, og.vertices_of_index(1)[0], "plus")  # stored, not solved again
     thom_class(og, og.r_vertex(), "minus")
-    assert len(checks) == 4
+    assert len(solver_checks) == 2
+    assert len(basis(g, 1)) == 3 and len(solver_checks) == 5
+    assert len(checks) == 2
     checks.clear()
+    solver_checks.clear()
     p = x1 * x2 + 3 * x2 ** 2
     for result in (f + h, f - h, -f, f * h, 2 * f, Fraction(1, 3) * f, f * p,
                    f ** 2, unity(g), f + x1, x2 - f):
         assert isinstance(result, CohomologyElement)
     with pytest.raises(DegreeError, match="degrees 1 and 0"):
         f + 1
-    assert checks == []
+    assert checks == [] and solver_checks == []
 
 
 def test_equivariant_symplectic_class_and_solver_output_are_checked():
@@ -143,12 +150,21 @@ def test_equivariant_symplectic_class_and_solver_output_are_checked():
                  [Edge("a", "b", Vector((1, 0)))])
     with pytest.raises(NotAClass, match="across a-b: the degree-1 part"):
         equivariant_symplectic_class(g)
+    # x1 at A only, offered as a solver answer: the check in linalg names
+    # the first row it fails, and over every vertex row i is edge i, the
+    # edge _first_violation names too.
     cp3 = corpus("cp3-k4").graph
     system = cohomology._System(cp3, 1, cp3.vertex_ids())
     coeffs = [0] * system.ncols
-    coeffs[system.support.index("A") * 2] = 1  # x1 at A only: row (1, 0)
-    with pytest.raises(NotAClass, match="across A-"):
-        system.element_from(coeffs, 1)
+    coeffs[system.unknowns.index("A") * 2] = 1
+    row = next(i for i, r in enumerate(system.rows) if r[system.unknowns.index("A") * 2])
+    e = cp3.edges[row]
+    zeros = [0] * len(system.rows)
+    with pytest.raises(GkmError, match=f"fails row {row}: "):
+        linalg._check(system.rows, zeros, (coeffs, 1), "x1 at A")
+    element = system.element_from(coeffs, 1)  # trusted: element_from does not check
+    assert cohomology._first_violation(cp3, element.values).startswith(
+        f"edge congruence fails across {e}:")
 
 
 def test_stored_classes_are_read_only(cp3_oriented):
@@ -468,18 +484,34 @@ def test_scalar_multiple_across_edge(cp3_oriented):
 
 
 def test_degree_of_inhomogeneous_assignment_is_a_gkm_error(cp3_oriented):
-    # Ring operations do not check, so a sum of classes with disjoint
-    # supports can mix degrees; the checked constructor refuses it, and a
-    # sum of two forms of different degrees is refused at once.
+    # A class carries its degree, so a sum of classes of two degrees is
+    # refused at once, even with disjoint supports; so is the checked
+    # constructor on their values together, and a sum of two forms of
+    # different degrees.
     og, g = cp3_oriented, cp3_oriented.graph
     p = og.vertices_of_index(1)[0]
-    mixed = thom_class(og, p, "minus") + thom_class(og, og.r_vertex(), "plus")
+    minus, plus = thom_class(og, p, "minus"), thom_class(og, og.r_vertex(), "plus")
+    assert not minus.support() & plus.support()
     with pytest.raises(GkmError, match="mixed degrees"):
-        mixed.degree
+        minus + plus
+    with pytest.raises(DegreeError, match="degrees 3 and 2"):
+        plus - minus
+    mixed = {v: minus.value(v) + plus.value(v) for v in g.vertex_ids()}
     with pytest.raises(DegreeError, match=r"class values have mixed degrees \[2, 3\]"):
-        CohomologyElement(g, mixed.values)
+        CohomologyElement(g, mixed)
     with pytest.raises(DegreeError, match="degrees 0 and 1"):
         unity(g) + equivariant_symplectic_class(g)
+
+
+def test_a_class_keeps_the_degree_it_was_made_with(cp3_oriented):
+    og, g = cp3_oriented, cp3_oriented.graph
+    om, tau = equivariant_symplectic_class(g), thom_class(og, "A", "plus")
+    assert (unity(g).degree, om.degree, tau.degree) == (0, 1, og.down_degree("A"))
+    assert (om * tau).degree == 1 + tau.degree and (-om).degree == 1
+    assert (om + om).degree == 1 and (om ** 3).degree == 3
+    # The zero class has no degree, as the zero form has none.
+    assert (om - om).degree is None and (om * 0).degree is None
+    assert ((om - om) + 1).degree == 0 and (om * (om - om)).degree is None
 
 
 def test_scalar_multiple_of_shifted_symplectic(cp3_oriented):

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from gkm import cohomology, linalg
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError
-from gkm.graph import find_index_increasing_xi, orient
+from gkm.errors import GkmError, Infeasible
+from gkm.graph import GkmGraph, Vertex, find_index_increasing_xi, orient
+from gkm.localization import euler_class
+from gkm.polynomial import Polynomial, Vector
 
 
 def brute_det(m):
@@ -357,9 +359,100 @@ def test_thom_systems_keep_the_solution_contract(name):
     for inst_name, og in _corpus_orientations():
         if inst_name != name:
             continue
-        for vid in og.graph.vertex_ids():
+        g = og.graph
+        for vid in g.vertex_ids():
             for direction in ("plus", "minus"):
-                system, rhs = cohomology._thom_system(og, vid, direction)
+                system = cohomology._thom_system(og, vid, direction)
+                support = (og.ascending_reachable(vid) if direction == "plus"
+                           else og.descending_reachable(vid))
+                # vid's value is known: no columns and no normalization rows.
+                assert system.unknowns == sorted(support - {vid})
+                assert system.ncols == (system.degree + 1) * (len(support) - 1)
+                assert len(system.rows) == len(system.rhs) == sum(
+                    1 for e in g.edges if {e.first, e.second} & support)
                 assert all(type(x) is int for row in system.rows for x in row)
-                assert all(type(b) is int for b in rhs)
-                assert_solution_contract(system.rows, rhs)
+                assert all(type(b) is int for b in system.rhs)
+                assert_solution_contract(system.rows, system.rhs)
+
+
+def test_every_solved_class_passes_the_congruence_check():
+    # The classes element_from builds are not re-checked; the oracle agrees.
+    for _, og in _corpus_orientations():
+        g = og.graph
+        for vid in g.vertex_ids():
+            for direction in ("plus", "minus"):
+                tau = cohomology.thom_class(og, vid, direction)
+                assert cohomology._first_violation(g, tau.values) is None
+                assert tau.value(vid) == euler_class(og, vid, direction)
+        for d in range(g.valence + 1):
+            for element in cohomology.basis(g, d):
+                assert cohomology._first_violation(g, element.values) is None
+                assert element.degree == d
+
+
+def _flip_first_entry(monkeypatch, calls):
+    """Make the next back-substitution return y with y[0] one larger."""
+    real = linalg._back_substitute
+
+    def flipped(ech, ncols, fixed):
+        y, d = real(ech, ncols, fixed)
+        if not calls:
+            y = [y[0] + 1] + y[1:]
+        calls.append(ncols)
+        return y, d
+
+    monkeypatch.setattr(linalg, "_back_substitute", flipped)
+
+
+def test_a_flipped_solver_answer_is_a_gkm_error_naming_its_row(monkeypatch):
+    inst = corpus("cp3-k4")
+    og = orient(inst.graph, inst.xi)  # fresh: no class stored yet
+    vid = og.o_vertex()
+    system = cohomology._thom_system(og, vid, "plus")
+    row = next(i for i, r in enumerate(system.rows) if r[0])
+    calls = []
+    _flip_first_entry(monkeypatch, calls)
+    with pytest.raises(GkmError) as info:
+        cohomology.thom_class(og, vid, "plus")
+    assert type(info.value) is GkmError and calls
+    assert str(info.value).startswith(f"the solution fails row {row}: ")
+    monkeypatch.undo()
+    tau = cohomology.thom_class(og, vid, "plus")  # nothing wrong was stored
+    assert cohomology._first_violation(og.graph, tau.values) is None
+
+    rows = cohomology._System(inst.graph, 1, inst.graph.vertex_ids()).rows
+    row = next(i for i, r in enumerate(rows) if r[0])
+    calls = []
+    _flip_first_entry(monkeypatch, calls)
+    with pytest.raises(GkmError) as info:
+        cohomology.basis(inst.graph, 1)
+    assert type(info.value) is GkmError
+    assert str(info.value).startswith(f"kernel vector 0 fails row {row}: ")
+
+
+def test_a_thom_class_with_no_unknown_solves_or_is_infeasible(monkeypatch):
+    # At the top vertex the plus support is the vertex alone: no columns,
+    # and each edge row only asks the Euler factor to be divisible by its
+    # weight.
+    inst = corpus("cp3-k4")
+    og = orient(inst.graph, inst.xi)
+    r = og.r_vertex()
+    system = cohomology._thom_system(og, r, "plus")
+    assert system.ncols == 0 and len(system.rows) == 3 and system.rhs == [0, 0, 0]
+    tau = cohomology.thom_class(og, r, "plus")
+    assert tau.support() == {r} and tau.value(r) == euler_class(og, r, "plus")
+    # A factor that a weight at r does not divide: that row's right-hand
+    # side pivots.
+    x1, x2 = Polynomial.variable(0), Polynomial.variable(1)
+    og = orient(inst.graph, inst.xi)
+    monkeypatch.setattr(cohomology, "euler_class", lambda *args: x1 ** 3 + x2 ** 3)
+    assert any(cohomology._thom_system(og, r, "plus").rhs)
+    with pytest.raises(Infeasible, match=f"no class with the required support exists for {r}"):
+        cohomology.thom_class(og, r, "plus")
+    # No edge at all: no rows and no columns, and the class is 1.
+    monkeypatch.undo()
+    point = GkmGraph(2, 0, [Vertex("o", Vector((0, 0)))], [])
+    og = orient(point, Vector((1, 3)))
+    system = cohomology._thom_system(og, "o", "plus")
+    assert system.rows == system.rhs == [] and system.ncols == 0
+    assert cohomology.thom_class(og, "o", "minus").value("o") == Polynomial.constant(1)

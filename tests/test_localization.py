@@ -234,6 +234,33 @@ def test_integrands_that_are_not_classes_or_polynomial_maps_are_rejected(
         call(cp3, integrand)
 
 
+@pytest.mark.parametrize("call", [
+    integrate,
+    check_low_degree_vanishing,
+    lambda og, f: sum_at_point(og, f, evaluation_points(og, 1)[0]),
+], ids=["integrate", "check_low_degree_vanishing", "sum_at_point"])
+def test_a_class_of_another_graph_is_a_precondition_error(cp3, call):
+    # cp3-square has vertices A..D too, so its values would be read at cp3-k4's
+    # vertices; integrating its omega^3 there used to be a NonConstant.
+    other = equivariant_symplectic_class(corpus("cp3-square").graph)
+    for f in (other, other ** 3):
+        with pytest.raises(PreconditionError, match="the class lives on another graph"):
+            call(cp3, f)
+
+
+def test_integrate_reads_the_degree_a_class_was_made_with(cp3, monkeypatch):
+    om = equivariant_symplectic_class(cp3.graph)
+    tau = thom_class(cp3, cp3.r_vertex(), "minus") * om ** 3
+    expected = integrate(cp3, dict(tau.values))
+
+    def rescan(values):
+        raise AssertionError("the degree of a class was scanned again")
+
+    monkeypatch.setattr(localization, "class_degree", rescan)
+    assert tau.degree == 3 and integrate(cp3, tau) == expected
+    assert check_low_degree_vanishing(cp3, om ** 2)
+
+
 @pytest.mark.parametrize("point", [(0, 0), (1, 0)])
 def test_a_point_that_kills_an_euler_class_is_a_precondition_error(cp3, point):
     ones = {v: Polynomial.constant(1) for v in cp3.graph.vertex_ids()}
