@@ -47,8 +47,8 @@ from typing import Iterable, Mapping
 from . import linalg
 from .errors import (
     DegreeError,
+    GkmError,
     Infeasible,
-    NonUnique,
     NotAClass,
     NotIndexIncreasing,
     PreconditionError,
@@ -276,7 +276,8 @@ def thom_class(og: OrientedGkmGraph, vid: str,
 
     ``plus``: degree = down-degree of vid, support inside the ascending
     reachable set, value at vid = product of descending weight forms.
-    ``minus`` is the mirror.  NonUnique / Infeasible signal a violated
+    ``minus`` is the mirror.  Infeasible (no such class) or a GkmError
+    naming a positive-dimensional solution family signals a violated
     hypothesis; both are impossible on validated index-increasing data.
     """
     if direction not in ("plus", "minus"):
@@ -313,7 +314,5 @@ def _solve_thom_class(og: OrientedGkmGraph, vid: str,
     if solution is None:
         raise Infeasible(f"no class with the required support exists for {vid}")
     if nullity:
-        raise NonUnique(
-            f"Thom class of {vid} is not unique (nullspace dimension {nullity})"
-        )
+        raise GkmError(f"Thom class of {vid} is not unique (nullspace dimension {nullity})")
     return system.element_from(*solution)

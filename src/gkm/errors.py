@@ -1,8 +1,13 @@
 """Exception hierarchy for the gkm package.
 
-Every failure mode that callers may want to catch individually gets its own
-class; all of them derive from GkmError so ``except GkmError`` catches any
-domain-level failure without swallowing programming errors.
+One rule: every failure the package reports is a GkmError, so ``except
+GkmError`` catches any domain-level failure without swallowing programming
+errors.  A failure gets a class of its own only where some code tells it
+apart (an ``except``, an ``isinstance`` or a test's ``pytest.raises``);
+any other failure is a plain GkmError, and its message says what failed.
+The exceptions outside the rule are the exactness guards, which raise
+TypeError for a float, str or bool where an exact number belongs, and the
+immutable values, which raise AttributeError on assignment.
 """
 
 
@@ -33,10 +38,6 @@ class NotIndexIncreasing(GkmError):
     """Operation requires an index-increasing orientation."""
 
 
-class NonUnique(GkmError):
-    """A solution expected to be unique has a positive-dimensional family."""
-
-
 class Infeasible(GkmError):
     """A linear system expected to be solvable has no solution."""
 
@@ -57,32 +58,12 @@ class NonZero(GkmError):
     """A sum asserted to vanish exactly did not."""
 
 
-class NotParallel(GkmError):
-    """Two vectors expected to be parallel are not."""
-
-
-class AmbiguousBelowNeighbor(GkmError):
-    """The below-neighbor of an index-four vertex is not unique."""
-
-
-class Mismatch(GkmError):
-    """Two independently computed values that must agree exactly differ."""
-
-
 class TypeMismatch(GkmError):
     """Instance has the wrong moment-image type for this operation."""
 
 
 class Degenerate(GkmError):
     """Collinear input outside the tetragon trichotomy's preconditions."""
-
-
-class Unclassifiable(GkmError):
-    """Moment-image data matches no classification row."""
-
-
-class ConditionViolated(GkmError):
-    """A sign condition that must hold on validated instances failed."""
 
 
 class InfeasibleInstance(GkmError):

@@ -14,10 +14,10 @@ from typing import Optional, Sequence
 
 from .errors import (
     Degenerate,
+    GkmError,
     InfeasibleInstance,
     NotIndexIncreasing,
     ScopeError,
-    Unclassifiable,
 )
 from .graph import OrientedGkmGraph
 from .polynomial import Vector
@@ -158,5 +158,5 @@ def classify_type(og: OrientedGkmGraph) -> MomentImageType:
     key = (shape, count, o_adj_r, tetragonal)
     label = _TABLE.get(key)
     if label is None:
-        raise Unclassifiable(f"no classification row matches {key}")
+        raise GkmError(f"no classification row matches {key}")
     return MomentImageType(shape, count, o_adj_r, tetragonal, label)

@@ -21,8 +21,8 @@ from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
-    Mismatch,
-    NonUnique,
+    DegreeError,
+    GkmError,
     NotGeneric,
     NotIndexIncreasing,
     PreconditionError,
@@ -119,42 +119,52 @@ class _Derived:
 class GkmGraph(_Derived):
     """An n-valent moment graph with an axial function.
 
-    Construction enforces structural sanity (rank 2, unique ids, existing
-    distinct endpoints, no multi-edges, nonzero weights) and raises
-    ValueError on malformed input; the mathematical axioms are
-    checked by :meth:`validate`, which reports rather than raises.  What no
-    covector changes is kept behind :meth:`derived`, shared by all orientations.
+    Construction enforces structural sanity (rank 2, a non-negative int
+    valence, Vertex and Edge items with str ids and Vector positions and
+    weights, unique ids, existing distinct endpoints, no multi-edges,
+    nonzero weights) and raises PreconditionError on malformed input; the
+    mathematical axioms are checked by :meth:`validate`, which reports
+    rather than raises.  What no covector changes is kept behind
+    :meth:`derived`, shared by all orientations.
     """
 
     def __init__(self, rank: int, valence: int, vertices: Iterable[Vertex],
                  edges: Iterable[Edge]):
         # ``rank`` only restates the planar scope; the benchmark's workloads
         # still pass ``graph.rank`` here and read it back.
-        if rank != 2:
-            raise ValueError(f"rank must be 2 (a planar torus action), got {rank!r}")
-        if valence < 0:
-            raise ValueError("valence must be >= 0")
+        if type(rank) is not int or rank != 2:
+            raise PreconditionError(f"rank must be 2 (a planar torus action), got {rank!r}")
+        if type(valence) is not int or valence < 0:
+            raise PreconditionError(f"valence must be a non-negative int, got {valence!r}")
         self.rank = rank
         self.valence = valence
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
         self._by_id: dict[str, Vertex] = _ByVertex()
         for v in self.vertices:
+            if not (isinstance(v, Vertex) and isinstance(v.id, str) and v.id
+                    and isinstance(v.mu, Vector)):
+                raise PreconditionError(
+                    f"vertices: {v!r} is not a Vertex with a non-empty str id and a Vector mu")
             if v.id in self._by_id:
-                raise ValueError(f"duplicate vertex id {v.id!r}")
+                raise PreconditionError(f"duplicate vertex id {v.id!r}")
             self._by_id[v.id] = v
         self._adjacent: dict[str, list[Edge]] = _ByVertex((v.id, []) for v in self.vertices)
         seen_pairs = set()
         for e in self.edges:
+            if not (isinstance(e, Edge) and isinstance(e.first, str)
+                    and isinstance(e.second, str) and isinstance(e.weight, Vector)):
+                raise PreconditionError(
+                    f"edges: {e!r} is not an Edge with str endpoints and a Vector weight")
             if e.first not in self._by_id or e.second not in self._by_id:
-                raise ValueError(f"edge {e} references an unknown vertex")
+                raise PreconditionError(f"edge {e} references an unknown vertex")
             if e.first == e.second:
-                raise ValueError(f"edge {e} is a loop")
+                raise PreconditionError(f"edge {e} is a loop")
             if e.pair in seen_pairs:
-                raise ValueError(f"multi-edge between {e.first} and {e.second}")
+                raise PreconditionError(f"multi-edge between {e.first} and {e.second}")
             seen_pairs.add(e.pair)
             if e.weight.is_zero():
-                raise ValueError(f"edge {e} has zero weight")
+                raise PreconditionError(f"edge {e} has zero weight")
             self._adjacent[e.first].append(e)
             self._adjacent[e.second].append(e)
         self._derived: dict = {}
@@ -322,20 +332,23 @@ class OrientedGkmGraph(_Derived):
 
     def betti(self) -> tuple[int, ...]:
         counts = [0] * (self.graph.valence + 1)
-        for downs in self._down.values():
+        for v, downs in self._down.items():
+            if len(downs) >= len(counts):
+                raise DegreeError(f"{v} has down-degree {len(downs)}, above the valence "
+                                  f"{self.graph.valence}")
             counts[len(downs)] += 1
         return tuple(counts)
 
     def o_vertex(self) -> str:
         lows = self.vertices_of_index(0)
         if len(lows) != 1:
-            raise NonUnique(f"expected a unique down-degree-0 vertex, found {lows}")
+            raise GkmError(f"expected a unique down-degree-0 vertex, found {lows}")
         return lows[0]
 
     def r_vertex(self) -> str:
         highs = self.vertices_of_index(self.graph.valence)
         if len(highs) != 1:
-            raise NonUnique(
+            raise GkmError(
                 f"expected a unique down-degree-{self.graph.valence} vertex, found {highs}"
             )
         return highs[0]
@@ -383,7 +396,7 @@ class OrientedGkmGraph(_Derived):
         reach = self.ascending_reachable(p)
         ups = sorted(self.up_neighbors(p), key=lambda v: (self.mu_xi(v), v))
         if len(ups) != 2:
-            raise Mismatch(f"{p} has up-neighbors {ups}; an index-two vertex of a "
+            raise GkmError(f"{p} has up-neighbors {ups}; an index-two vertex of a "
                            "3-valent graph has exactly two")
         if r in ups:
             (q,) = [v for v in ups if v != r]
@@ -392,16 +405,16 @@ class OrientedGkmGraph(_Derived):
             q1, q2 = ups
             cycle = (p, q1, r, q2)
         if set(cycle) != reach:
-            raise Mismatch(
+            raise GkmError(
                 f"ascending cycle of {p} should exhaust its reachable set: "
                 f"{sorted(reach)} vs {cycle}"
             )
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if not self.graph.adjacent(a, b):
-                raise Mismatch(f"cycle edge {a}-{b} missing from the graph")
+                raise GkmError(f"cycle edge {a}-{b} missing from the graph")
         triangular = len(cycle) == 3
         if triangular != self.graph.adjacent(p, r):
-            raise Mismatch("triangular cycle must coincide with adjacency of p and r")
+            raise GkmError("triangular cycle must coincide with adjacency of p and r")
         return cycle
 
 

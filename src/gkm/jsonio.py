@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, PreconditionError, ValidationError
 from .graph import Edge, GkmGraph, ValidationReport, Vertex
 from .polynomial import Vector, ratio_vector
 
@@ -135,7 +135,7 @@ def document_to_graph(doc: dict) -> tuple[GkmGraph, Optional[Vector]]:
 
     try:
         graph = GkmGraph(rank, valence, vertices, edges)
-    except ValueError as exc:
+    except PreconditionError as exc:
         raise ParseError(str(exc)) from None
     return graph, xi
 

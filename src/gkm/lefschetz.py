@@ -24,14 +24,10 @@ from .cohomology import (
     thom_class,
 )
 from .errors import (
-    AmbiguousBelowNeighbor,
-    ConditionViolated,
     DegreeError,
     GkmError,
-    Mismatch,
     NonZero,
     NotDivisible,
-    NotParallel,
     PreconditionError,
     TypeMismatch,
 )
@@ -57,7 +53,7 @@ def moment_ratio(og: OrientedGkmGraph, p: str, q: str) -> Fraction:
         return Fraction(0)
     step, w = og.graph.mu(q) - og.graph.mu(p), edge.weight_from(p)
     if step.cross(w) != 0:
-        raise NotParallel(f"moment difference across {edge} is not parallel to its weight")
+        raise GkmError(f"moment difference across {edge} is not parallel to its weight")
     return Fraction(step.dot(w), w.dot(w))
 
 
@@ -65,9 +61,7 @@ def below_neighbor(og: OrientedGkmGraph, q: str, excluding: str) -> str:
     """The unique neighbor of q below q other than ``excluding``."""
     candidates = [v for v in og.down_neighbors(q) if v != excluding]
     if len(candidates) != 1:
-        raise AmbiguousBelowNeighbor(
-            f"{q} has below-neighbors {candidates} apart from {excluding}"
-        )
+        raise GkmError(f"{q} has below-neighbors {candidates} apart from {excluding}")
     return candidates[0]
 
 
@@ -124,7 +118,7 @@ def coefficient_pairs(og: OrientedGkmGraph) -> list[CoefficientPair]:
                 ratio = moment_ratio(og, p, q)
                 coeff = thom_coefficient(og, p, q)
                 if adjacent != (ratio > 0) or adjacent != (coeff != 0):
-                    raise Mismatch(
+                    raise GkmError(
                         f"pair ({p}, {q}): adjacency {adjacent}, ratio {ratio}, "
                         f"coefficient {coeff} violate the nonzero biconditional"
                     )
@@ -158,7 +152,7 @@ def _mixed_hr2_entries(og: OrientedGkmGraph) -> list[list[Fraction]]:
     ps = og.vertices_of_index(1)
     qs = og.vertices_of_index(2)
     if len(ps) != len(qs):
-        raise Mismatch(f"unequal index-two/index-four counts: {ps} vs {qs}")
+        raise GkmError(f"unequal index-two/index-four counts: {ps} vs {qs}")
     matrix: list[list[Fraction]] = []
     products = {p: _shifted_thom_product(og, p) for p in ps}
     for q in qs:
@@ -169,9 +163,9 @@ def _mixed_hr2_entries(og: OrientedGkmGraph) -> list[list[Fraction]]:
             via_integral = integrate(og, products[p] * tau_q)
             via_shortcut = products[p].value(q).parallel_ratio(nu_q)
             if via_shortcut is None:
-                raise Mismatch(f"entry ({q}, {p}): shortcut value is no multiple of nu_q^+")
+                raise GkmError(f"entry ({q}, {p}): shortcut value is no multiple of nu_q^+")
             if via_integral != via_shortcut:
-                raise Mismatch(
+                raise GkmError(
                     f"entry ({q}, {p}): localization gives {via_integral}, "
                     f"shortcut gives {via_shortcut}"
                 )
@@ -189,12 +183,12 @@ def check_pairing_identity(og: OrientedGkmGraph) -> list[dict]:
     witnesses = []
     for j, q in enumerate(qs):
         if all(matrix[j][k] == 0 for k in range(len(ps))):
-            raise Mismatch(f"row of {q} is identically zero")
+            raise GkmError(f"row of {q} is identically zero")
         for k, p in enumerate(ps):
             c = pairs[(p, q)]
             expected = -c.thom_coefficient * c.moment_ratio
             if matrix[j][k] != expected:
-                raise Mismatch(
+                raise GkmError(
                     f"entry ({q}, {p}) = {matrix[j][k]} but "
                     f"-coefficient*ratio = {expected}"
                 )
@@ -249,19 +243,17 @@ def check_column_independence(og: OrientedGkmGraph) -> dict:
         raise TypeMismatch(f"expected type (d) or (f), got ({table.label})")
     a = mixed_hr2_matrix(og)
     if any(entry == 0 for row in a for entry in row):
-        raise Mismatch("types (d)/(f) must have all pairing entries nonzero")
+        raise GkmError("types (d)/(f) must have all pairing entries nonzero")
     t0 = -a[0][1] / a[0][0]
     second = a[1][1] + t0 * a[1][0]
     if t0 == 0 or second == 0:
-        raise ConditionViolated(
-            f"column operation with t0={t0} leaves second combination {second}"
-        )
+        raise GkmError(f"column operation with t0={t0} leaves second combination {second}")
     g = og.graph
     r = og.r_vertex()
     p1, p2 = og.vertices_of_index(1)
     collinearity = (g.mu(p1) - g.mu(r)).cross(g.mu(p2) - g.mu(r))
     if collinearity == 0:
-        raise ConditionViolated(f"mu({r}), mu({p1}), mu({p2}) are collinear")
+        raise GkmError(f"mu({r}), mu({p1}), mu({p2}) are collinear")
     return {
         "t0": str(t0),
         "second_combination": str(second),
@@ -288,13 +280,11 @@ def check_sign_conditions(og: OrientedGkmGraph) -> list[dict]:
         v0 = alpha_pq.perp()
         product = nu_p_direction.dot(v0) * alpha_qv.dot(v0)
         if product == 0:
-            raise ConditionViolated(
-                f"degenerate side test at pair ({p}, {q}): weights not independent"
-            )
+            raise GkmError(f"degenerate side test at pair ({p}, {q}): weights not independent")
         same = product > 0
         positive = c.thom_coefficient > 0
         if same != positive:
-            raise ConditionViolated(
+            raise GkmError(
                 f"pair ({p}, {q}): same-side={same} but coefficient {c.thom_coefficient}"
             )
         witnesses.append({
@@ -309,9 +299,7 @@ def check_sign_conditions(og: OrientedGkmGraph) -> list[dict]:
                     continue
                 coeff = coefficients[(p, q)]
                 if coeff <= 0:
-                    raise ConditionViolated(
-                        f"convex cycle at {p} but coefficient at {q} is {coeff}"
-                    )
+                    raise GkmError(f"convex cycle at {p} but coefficient at {q} is {coeff}")
                 witnesses.append({
                     "check": "convex-cycle-positivity", "p": p, "q": q,
                     "coefficient": str(coeff),
@@ -319,9 +307,7 @@ def check_sign_conditions(og: OrientedGkmGraph) -> list[dict]:
     if len(g.vertices) == 8:
         for p, shape in shapes.items():
             if shape.kind != "tetragonal" or shape.tetra_class != "convex":
-                raise ConditionViolated(
-                    f"8-vertex instance has a non-convex cycle at {p}: {shape}"
-                )
+                raise GkmError(f"8-vertex instance has a non-convex cycle at {p}: {shape}")
         witnesses.append({"check": "eight-vertex-convexity", "ok": True})
     return witnesses
 
@@ -334,21 +320,21 @@ def _check_type_g_determinant(a: list[list[Fraction]],
     for j, row in enumerate(a):
         zeros = [k for k, entry in enumerate(row) if entry == 0]
         if len(zeros) != 1:
-            raise Mismatch(f"type (g) row {j} has {len(zeros)} zero entries")
+            raise GkmError(f"type (g) row {j} has {len(zeros)} zero entries")
         zero_cols.append(zeros[0])
     if sorted(zero_cols) != [0, 1, 2]:
-        raise Mismatch("type (g) zeros do not hit each column exactly once")
+        raise GkmError("type (g) zeros do not hit each column exactly once")
     # Permute columns so the zero of row j lands on the diagonal.
     b = [[a[j][zero_cols[k]] for k in range(3)] for j in range(3)]
     formula = b[0][1] * b[1][2] * b[2][0] + b[0][2] * b[1][0] * b[2][1]
     if linalg.determinant(b) != formula:
-        raise Mismatch("permuted type (g) determinant does not match the 3-cycle formula")
+        raise GkmError("permuted type (g) determinant does not match the 3-cycle formula")
     if all(s.tetra_class == "convex" for s in shapes.values()):
         negatives = all(
             entry < 0 for j, row in enumerate(b) for k, entry in enumerate(row) if k != j
         )
         if not negatives or formula >= 0:
-            raise ConditionViolated(
+            raise GkmError(
                 "convex type (g) instance must have negative entries and determinant"
             )
 
@@ -589,5 +575,5 @@ def _certify_low_degree_vanishing(og: OrientedGkmGraph) -> bool:
 
 def _require(condition: bool, message: str) -> bool:
     if not condition:
-        raise Mismatch(message)
+        raise GkmError(message)
     return True

@@ -26,7 +26,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .errors import GkmError
+from .errors import GkmError, PreconditionError
 
 Matrix = Sequence[Sequence[Union[int, Fraction]]]
 Solution = tuple[list[int], int]
@@ -129,7 +129,7 @@ def determinant(matrix: Matrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in matrix):
-        raise ValueError("determinant requires a square matrix")
+        raise PreconditionError("determinant requires a square matrix")
     ech = echelon(matrix)
     if ech.rank < n:
         return Fraction(0)
@@ -211,7 +211,7 @@ def solve(matrix: Matrix,
     exists, is unique).  A matrix with no rows is taken to have no columns.
     """
     if len(matrix) != len(rhs):
-        raise ValueError("row count mismatch between matrix and right-hand side")
+        raise PreconditionError("row count mismatch between matrix and right-hand side")
     if not matrix:
         return ([], 1), 0
     ncols = len(matrix[0])

@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DegreeError, NotDivisible, ScopeError
+from .errors import DegreeError, NotDivisible, PreconditionError, ScopeError
 
 Scalar = Union[int, Fraction]
 
@@ -180,7 +180,7 @@ class Polynomial:
         for exps, coeff in (terms or {}).items():
             e = tuple(exps)
             if len(e) != 2 or any(type(x) is not int or x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {exps!r}")
+                raise PreconditionError(f"bad exponent vector {exps!r}")
             clean[e] = clean.get(e, 0) + Fraction(*_ratio(coeff))
         clean = {e: c for e, c in clean.items() if c}
         degrees = sorted({i + j for i, j in clean})
@@ -211,7 +211,7 @@ class Polynomial:
     def variable(cls, index: int) -> "Polynomial":
         """The variable x_{index+1} (0-based index)."""
         if type(index) is not int or not 0 <= index < 2:
-            raise ValueError(f"variable index must be an int in 0..1, got {index!r}")
+            raise PreconditionError(f"variable index must be an int in 0..1, got {index!r}")
         return _make((1, 0) if index == 0 else (0, 1), 1)
 
     # -- inspection --------------------------------------------------------
@@ -277,7 +277,7 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         if type(n) is not int or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+            raise PreconditionError("exponent must be a non-negative integer")
         result = Polynomial.constant(1)
         base = self
         while n:
@@ -307,7 +307,7 @@ class Polynomial:
         of one position where other's numerator is nonzero.
         """
         if not other.numerators:
-            raise ValueError("parallel_ratio against the zero polynomial")
+            raise PreconditionError("parallel_ratio against the zero polynomial")
         if not self.numerators:
             return Fraction(0)
         if len(self.numerators) != len(other.numerators):
@@ -344,7 +344,7 @@ class Polynomial:
         division by a is exact.
         """
         if not isinstance(ell, Polynomial) or ell.homogeneous_degree != 1:
-            raise ValueError("divisor must be a nonzero linear form")
+            raise PreconditionError("divisor must be a nonzero linear form")
         a, b = ell.numerators
         mirror = a == 0
         if mirror:

@@ -7,7 +7,7 @@ import pytest
 
 from gkm import cohomology, lefschetz, localization
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError, NotGeneric, PreconditionError, ScopeError
+from gkm.errors import DegreeError, GkmError, NotGeneric, PreconditionError, ScopeError
 from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.jsonio import document_to_graph, graph_to_document
 from gkm.polynomial import Vector
@@ -45,6 +45,42 @@ def test_construction_rejects_loops_and_zero_weights():
         GkmGraph(2, 1, vs, [Edge("a", "a", Vector((1, 0)))])
     with pytest.raises(ValueError):
         GkmGraph(2, 1, vs, [Edge("a", "b", Vector((0, 0)))])
+
+
+_A = Vertex("a", Vector((0, 0)))
+_B = Vertex("b", Vector((1, 0)))
+_AB = Edge("a", "b", Vector((1, 0)))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, "3", [_A, _B], [_AB]), "valence must be a non-negative int, got '3'"),
+    ((2, True, [_A, _B], [_AB]), "valence must be a non-negative int, got True"),
+    ((2, -1, [_A, _B], [_AB]), "valence must be a non-negative int, got -1"),
+    ((2.0, 1, [_A, _B], [_AB]), "rank must be 2"),
+    ((2, 1, [_A, Vertex(1, Vector((1, 0)))], []), "vertices: Vertex"),
+    ((2, 1, [_A, Vertex("", Vector((1, 0)))], []), "vertices: Vertex"),
+    ((2, 1, [_A, Vertex("b", (1, 0))], [_AB]), "vertices: Vertex"),
+    ((2, 1, [_A, ("b", Vector((1, 0)))], []), "vertices: "),
+    ((2, 1, [_A, _B], [Edge("a", "b", (1, 0))]), "edges: Edge"),
+    ((2, 1, [_A, _B], [Edge("a", ["b"], Vector((1, 0)))]), "edges: Edge"),
+    ((2, 1, [_A, _B], [("a", "b")]), "edges: "),
+], ids=["valence-str", "valence-bool", "valence-negative", "rank-float", "id-int",
+        "id-empty", "mu-tuple", "vertex-tuple", "weight-tuple", "endpoint-list", "edge-tuple"])
+def test_construction_refuses_wrong_types_with_a_precondition_error(args, message):
+    """Each message starts with the argument it refuses."""
+    with pytest.raises(PreconditionError, match="^" + re.escape(message)):
+        GkmGraph(*args)
+
+
+def test_betti_numbers_of_a_vertex_above_the_valence_are_a_degree_error():
+    """An unvalidated document with a smaller valence than its degrees."""
+    inst = corpus("cp3-k4")
+    graph, _ = document_to_graph({**graph_to_document(inst.graph), "valence": 1})
+    og = orient(graph, inst.xi)
+    with pytest.raises(DegreeError, match="^B has down-degree 2, above the valence 1$"):
+        og.betti()
+    with pytest.raises(DegreeError):
+        lefschetz.hard_lefschetz_report(og)
 
 
 # -- validate -------------------------------------------------------------------

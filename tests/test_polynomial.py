@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkm.corpus import corpus
-from gkm.errors import DegreeError, NotDivisible, ParseError, ScopeError
+from gkm.errors import DegreeError, NotDivisible, ParseError, PreconditionError, ScopeError
 from gkm.graph import GkmGraph
 from gkm.jsonio import graph_to_document, loads
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form, power_row
@@ -332,9 +332,9 @@ def _rank_3_document():
     (lambda: Vector([]), ScopeError, r"planar \(rank 2\), got 0 components"),
     (lambda: lin_form((1, 2, 3)), ScopeError, "vectors are planar"),
     (lambda: x1.evaluate((1, 2, 3)), ScopeError, "vectors are planar"),
-    (lambda: GkmGraph(1, 3, _CP3.graph.vertices, _CP3.graph.edges), ValueError,
+    (lambda: GkmGraph(1, 3, _CP3.graph.vertices, _CP3.graph.edges), PreconditionError,
      "rank must be 2"),
-    (lambda: GkmGraph(3, 3, _CP3.graph.vertices, _CP3.graph.edges), ValueError,
+    (lambda: GkmGraph(3, 3, _CP3.graph.vertices, _CP3.graph.edges), PreconditionError,
      "rank must be 2"),
     (lambda: loads(_rank_3_document()), ParseError, "^rank: expected 2"),
 ], ids=["vector-1", "vector-3", "vector-iterator-1", "vector-0", "lin_form", "evaluate",
