@@ -28,11 +28,12 @@ and - at its second, and nothing at an end outside the support.  A degree
 slice is the kernel of these rows over every vertex.  A Thom class takes
 them over a reachability support, moves the base vertex's known value,
 the Euler factor, to the right-hand side, and ``linalg.solve`` reads the
-other values off the kernel of (A | b).  Every system is built in integers,
+other values off the kernel of (A | b).  Every system is built in integers
+and eliminated on primitive rows, each divided by the gcd of its entries,
 and its solution comes back from ``linalg`` as integer numerators over
-one positive denominator, which is how ``Polynomial`` stores
-coefficients; so no rational number is formed between the elimination
-and the class.  The elimination that yields the solution also yields its
+one positive denominator, in lowest terms, which is how ``Polynomial``
+stores coefficients; so no rational number is formed between the
+elimination and the class.  The elimination that yields the solution also yields its
 rank; rank equal to the column count certifies the uniqueness the theory
 promises, so the solve doubles as a verification.
 """

@@ -116,6 +116,14 @@ class _Derived:
         return self._derived[key]
 
 
+def _tuple_of(name: str, items) -> tuple:
+    """``items`` as a tuple, or a PreconditionError naming the argument."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise PreconditionError(f"{name} must be iterable, got {items!r}") from None
+
+
 class GkmGraph(_Derived):
     """An n-valent moment graph with an axial function.
 
@@ -138,8 +146,8 @@ class GkmGraph(_Derived):
             raise PreconditionError(f"valence must be a non-negative int, got {valence!r}")
         self.rank = rank
         self.valence = valence
-        self.vertices: tuple[Vertex, ...] = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        self.vertices: tuple[Vertex, ...] = _tuple_of("vertices", vertices)
+        self.edges: tuple[Edge, ...] = _tuple_of("edges", edges)
         self._by_id: dict[str, Vertex] = _ByVertex()
         for v in self.vertices:
             if not (isinstance(v, Vertex) and isinstance(v.id, str) and v.id

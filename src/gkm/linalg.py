@@ -1,28 +1,33 @@
 """Exact linear algebra over the rationals.
 
-Fraction-free Gaussian elimination (Bareiss): each row enters as integers
+Fraction-free elimination on primitive rows: each row enters as integers
 -- an int row as it is, any other row scaled by the lcm of its
-denominators -- and is eliminated with the two-by-two determinant update
-whose divisions are exact; back-substitution is fraction-free too.
+denominators -- and is divided by its content, the gcd of its entries, on
+entry and after every update.  Each row is the Bareiss row divided by its
+content, up to sign, so the integers stay as small as the system allows.
 Pivoting picks the first row with a nonzero entry -- there is no magnitude
 pivoting to do in exact arithmetic -- which makes echelon forms, and
 everything derived from them, deterministic.
 
 Matrices are plain lists of lists of ints or Fractions; any other entry
-(a float, a string, a bool) is a TypeError naming its cell.  Exact solutions come
-back as integers over one denominator: a pair ``(y, d)`` of int numerators
-and an int ``d > 0`` stands for the rational vector ``y / d``, checked
-before it is returned: ``A·y == d·b`` for ``solve`` and ``A·y == 0`` for
-``nullspace``, else a GkmError naming the failing row.  There is one
-back-substitution, for kernel vectors: ``solve`` eliminates (A | b) and
-reads x off its kernel vector (x, -1), so b pivoting means no solution.
-``determinant`` returns a Fraction.
+(a float, a string, a bool) is a TypeError naming its cell, and a row of
+another length than the first (or than ``ncols``, where it is given) is a
+PreconditionError naming the row.  Exact solutions come back as integers
+over one denominator, in lowest terms: a pair ``(y, d)`` of int numerators
+and an int ``d > 0`` with ``gcd(d, *y) == 1`` stands for the rational
+vector ``y / d``, checked before it is returned: ``A·y == d·b`` for
+``solve`` and ``A·y == 0`` for ``nullspace``, else a GkmError naming the
+failing row.  Both read their answers off one back pass that zeroes each
+pivot column off every other row: ``nullspace`` one per free column, and
+``solve`` eliminates (A | b) and reads x off its kernel vector at b's
+column, so b pivoting means no solution.  ``determinant`` returns a
+Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -30,6 +35,14 @@ from .errors import GkmError, PreconditionError
 
 Matrix = Sequence[Sequence[Union[int, Fraction]]]
 Solution = tuple[list[int], int]
+
+
+def _require_width(matrix: Matrix, ncols: int) -> None:
+    """A PreconditionError naming the first row without ``ncols`` entries."""
+    for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise PreconditionError(
+                f"matrix row {i} has {len(row)} entries, expected {ncols}")
 
 
 def _row_to_int(row, i: int) -> tuple[list[int], int]:
@@ -54,39 +67,63 @@ def _row_to_int(row, i: int) -> tuple[list[int], int]:
 
 
 class Echelon:
-    """Result of fraction-free forward elimination."""
+    """Result of fraction-free forward elimination: primitive int rows.
+
+    ``scale_num / scale_den`` undoes what the content divisions and the row
+    multipliers did to the determinant: for a square matrix of full rank,
+    det = swap_sign · (product of the pivots) · scale_num / scale_den.
+    """
 
     def __init__(self, rows: list[list[int]], pivot_cols: list[int],
-                 swap_sign: int, row_scales: list[int]):
+                 swap_sign: int, scale_num: int, scale_den: int):
         self.rows = rows
         self.pivot_cols = pivot_cols
         self.swap_sign = swap_sign
-        self.row_scales = row_scales
+        self.scale_num = scale_num
+        self.scale_den = scale_den
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
 
+def _eliminate(row: list[int], pivot_row: list[int], start: int, pc: int) -> tuple[int, int]:
+    """Zero ``row[pc]`` with the pivot ``pivot_row[pc]``, in place: from
+    ``start`` on, where ``row`` may be nonzero, it becomes (piv/h)·row -
+    (f/h)·pivot_row, h = gcd(piv, f), divided by its content.  Returns the
+    multiplier piv/h and the content."""
+    piv, f = pivot_row[pc], row[pc]
+    h = gcd(piv, f)
+    p, q = piv // h, f // h
+    new = [p * a - q * b for a, b in zip(row[start:], pivot_row[start:])]
+    g = gcd(*new)
+    row[start:] = [x // g for x in new] if g > 1 else new
+    return p, g
+
+
 def echelon(matrix: Matrix) -> Echelon:
     """Bring a matrix to row echelon form without rational arithmetic.
 
     Below the pivot row, every column left of the pivot column is already
-    zero, so the update runs over the pivot column and to its right only.
-    A row that is zero at the pivot column is just rescaled by piv / prev,
-    which is exact as every Bareiss division is.
+    zero, so the update runs over the pivot column and to its right only,
+    and the updated row is divided by its content.  A row that is zero at
+    the pivot column is left as it is.
     """
+    _require_width(matrix, len(matrix[0]) if matrix else 0)
     rows = []
-    scales = []
+    num = den = 1
     for i, r in enumerate(matrix):
-        ir, s = _row_to_int(r, i)
-        rows.append(ir)
-        scales.append(s)
+        row, s = _row_to_int(r, i)
+        g = gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+            num *= g
+        den *= s
+        rows.append(row)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivot_cols: list[int] = []
     sign = 1
-    prev = 1
     pr = 0
     for pc in range(ncols):
         found = None
@@ -98,25 +135,19 @@ def echelon(matrix: Matrix) -> Echelon:
             continue
         if found != pr:
             rows[pr], rows[found] = rows[found], rows[pr]
-            scales[pr], scales[found] = scales[found], scales[pr]
             sign = -sign
-        pivot_tail = rows[pr][pc + 1:]
-        piv = rows[pr][pc]
-        for i in range(pr + 1, nrows):
-            row = rows[i]
-            factor = row[pc]
-            if factor:
-                row[pc] = 0
-                row[pc + 1:] = [(a * piv - factor * b) // prev
-                                for a, b in zip(row[pc + 1:], pivot_tail)]
-            else:
-                row[pc + 1:] = [a * piv // prev if a else 0 for a in row[pc + 1:]]
-        prev = piv
+        for row in rows[pr + 1:]:
+            if row[pc]:
+                p, g = _eliminate(row, rows[pr], pc, pc)
+                if g > 1:
+                    num *= g
+                if p != 1:
+                    den *= p
         pivot_cols.append(pc)
         pr += 1
         if pr == nrows:
             break
-    return Echelon(rows, pivot_cols, sign, scales)
+    return Echelon(rows, pivot_cols, sign, num, den)
 
 
 def rank(matrix: Matrix) -> int:
@@ -128,43 +159,40 @@ def determinant(matrix: Matrix) -> Fraction:
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    if any(len(r) != n for r in matrix):
-        raise PreconditionError("determinant requires a square matrix")
+    _require_width(matrix, n)
     ech = echelon(matrix)
     if ech.rank < n:
         return Fraction(0)
-    # In Bareiss elimination the last pivot equals the determinant of the
-    # integer matrix; undo the row scalings and swap sign.
-    det_int = ech.rows[n - 1][n - 1]
-    total_scale = 1
-    for s in ech.row_scales:
-        total_scale *= s
-    return Fraction(ech.swap_sign * det_int, total_scale)
+    diagonal = prod(row[i] for i, row in enumerate(ech.rows))
+    return Fraction(ech.swap_sign * diagonal * ech.scale_num, ech.scale_den)
 
 
-def _back_substitute(ech: Echelon, ncols: int, fixed: dict[int, int]) -> Solution:
-    """Solve the echelon system A·x = 0 for the pivot variables, fraction-free.
+def _back_pass(ech: Echelon) -> list[list[int]]:
+    """The reduced echelon form of ``ech``, made in ``ech.rows`` in place:
+    bottom up, each pivot row zeroes its column off every row above it by
+    the forward step's update, and every row is kept primitive."""
+    rows, pivots = ech.rows, ech.pivot_cols
+    for k in range(len(pivots) - 1, 0, -1):
+        pc = pivots[k]
+        for i in range(k):
+            if rows[i][pc]:
+                _eliminate(rows[i], rows[k], pivots[i], pc)
+    return rows
 
-    ``fixed`` assigns integers to the free variables.  With D the last
-    Bareiss pivot, Cramer's rule makes y = D * x integral, so each step is
-    an exact integer division; a remainder is a GkmError naming the row.
-    Returns ``(y, d)`` with ``x = y / d`` and ``d = |D|``.
-    """
-    pivots = ech.pivot_cols
-    d = ech.rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+def _kernel_vector(rows: list[list[int]], pivots: list[int], col: int,
+                   ncols: int) -> Solution:
+    """The kernel vector of the reduced echelon form ``rows`` that is 1 at
+    the free column ``col`` and 0 at the other free columns, as ``(y, d)``
+    in lowest terms with ``d > 0``."""
+    nonzero = [(pc, row[pc], row[col]) for row, pc in zip(rows, pivots) if row[col]]
+    d = 1
+    for _, piv, a in nonzero:
+        d = lcm(d, piv // gcd(piv, a))
     y = [0] * ncols
-    for col, val in fixed.items():
-        y[col] = d * val
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
-        row = ech.rows[i]
-        acc = -sum(map(mul, row[pc + 1:ncols], y[pc + 1:]))
-        y[pc], rem = divmod(acc, row[pc])
-        if rem:
-            raise GkmError(f"back-substitution at pivot row {i} (column {pc}) is not "
-                           f"exact: {acc} is not a multiple of the pivot {row[pc]}")
-    if d < 0:
-        return [-v for v in y], -d
+    y[col] = d
+    for pc, piv, a in nonzero:
+        y[pc] = -a * d // piv
     return y, d
 
 
@@ -183,19 +211,18 @@ def nullspace(matrix: Matrix, ncols: int) -> list[Solution]:
     """Basis of the kernel of a matrix with ``ncols`` columns, one ``(y, d)``
     per free column, deterministic.
 
-    Each basis vector is ``y / d`` with ``A·y == 0`` (checked), ``d > 0``.
+    Each basis vector is ``y / d`` in lowest terms with ``A·y == 0``
+    (checked) and ``d > 0``.
     """
+    _require_width(matrix, ncols)
     ech = echelon(matrix)
-    pivots = set(ech.pivot_cols)
+    pivots = ech.pivot_cols
+    rows = _back_pass(ech)
     zeros = [0] * len(matrix)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        fixed = {c: int(c == free) for c in range(ncols) if c not in pivots}
-        basis.append(_check(matrix, zeros, _back_substitute(ech, ncols, fixed),
-                            f"kernel vector {len(basis)}"))
-    return basis
+    free = sorted(set(range(ncols)) - set(pivots))
+    return [_check(matrix, zeros, _kernel_vector(rows, pivots, col, ncols),
+                   f"kernel vector {k}")
+            for k, col in enumerate(free)]
 
 
 def solve(matrix: Matrix,
@@ -203,23 +230,23 @@ def solve(matrix: Matrix,
     """A particular solution of A x = b and the nullity of A, as a kernel
     vector of (A | b) from one elimination.
 
-    Returns ``(solution, nullity)``.  ``solution`` is ``(y, d)`` with
-    ``A·y == d·b`` (checked) and ``d > 0``, so ``x = y / d``, with the free
-    variables set to 0; it is None when the system is inconsistent, that
-    is when the column of b pivots.  ``nullity`` is ``ncols - rank(A)``,
-    the dimension of the solution family (zero iff a solution, when one
-    exists, is unique).  A matrix with no rows is taken to have no columns.
+    Returns ``(solution, nullity)``.  ``solution`` is ``(y, d)`` in lowest
+    terms with ``A·y == d·b`` (checked) and ``d > 0``, so ``x = y / d``,
+    with the free variables set to 0; it is None when the system is
+    inconsistent, that is when the column of b pivots.  ``nullity`` is
+    ``ncols - rank(A)``, the dimension of the solution family (zero iff a
+    solution, when one exists, is unique).  A matrix with no rows is taken
+    to have no columns.
     """
     if len(matrix) != len(rhs):
         raise PreconditionError("row count mismatch between matrix and right-hand side")
     if not matrix:
         return ([], 1), 0
     ncols = len(matrix[0])
+    _require_width(matrix, ncols)
     ech = echelon([list(r) + [b] for r, b in zip(matrix, rhs)])
     if ncols in ech.pivot_cols:
         return None, ncols + 1 - ech.rank
-    pivots = set(ech.pivot_cols)
-    fixed = {c: 0 for c in range(ncols) if c not in pivots}
-    fixed[ncols] = -1
-    y, d = _back_substitute(ech, ncols + 1, fixed)
-    return _check(matrix, rhs, (y[:ncols], d), "the solution"), ncols - ech.rank
+    y, d = _kernel_vector(_back_pass(ech), ech.pivot_cols, ncols, ncols + 1)
+    return (_check(matrix, rhs, ([-v for v in y[:ncols]], d), "the solution"),
+            ncols - ech.rank)

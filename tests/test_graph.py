@@ -64,8 +64,11 @@ _AB = Edge("a", "b", Vector((1, 0)))
     ((2, 1, [_A, _B], [Edge("a", "b", (1, 0))]), "edges: Edge"),
     ((2, 1, [_A, _B], [Edge("a", ["b"], Vector((1, 0)))]), "edges: Edge"),
     ((2, 1, [_A, _B], [("a", "b")]), "edges: "),
+    ((2, 3, None, []), "vertices must be iterable, got None"),
+    ((2, 3, [], 5), "edges must be iterable, got 5"),
 ], ids=["valence-str", "valence-bool", "valence-negative", "rank-float", "id-int",
-        "id-empty", "mu-tuple", "vertex-tuple", "weight-tuple", "endpoint-list", "edge-tuple"])
+        "id-empty", "mu-tuple", "vertex-tuple", "weight-tuple", "endpoint-list", "edge-tuple",
+        "vertices-none", "edges-int"])
 def test_construction_refuses_wrong_types_with_a_precondition_error(args, message):
     """Each message starts with the argument it refuses."""
     with pytest.raises(PreconditionError, match="^" + re.escape(message)):

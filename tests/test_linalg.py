@@ -1,18 +1,19 @@
 """Fraction-free elimination kernel, property-tested against brute force,
 against the full-row Bareiss loop and against Fraction Gauss-Jordan."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkm import cohomology, linalg
 from gkm.corpus import corpus, corpus_names
-from gkm.errors import GkmError, Infeasible
-from gkm.graph import GkmGraph, Vertex, find_index_increasing_xi, orient
+from gkm.errors import GkmError, Infeasible, PreconditionError
+from gkm.graph import Edge, GkmGraph, Vertex, find_index_increasing_xi, orient
 from gkm.localization import euler_class
 from gkm.polynomial import Polynomial, Vector
 
@@ -143,6 +144,21 @@ def test_inexact_right_hand_side_raises_naming_its_cell():
         linalg.solve([[1, 0], [0, 1]], [1, True])
 
 
+@pytest.mark.parametrize("call, row", [
+    (lambda: linalg.echelon([[1, 2], [3]]), 1),
+    (lambda: linalg.rank([[1], [2, 3]]), 1),
+    (lambda: linalg.nullspace([[1, 2, 3]], 2), 0),
+    (lambda: linalg.nullspace([[1, 2], [3, 4, 5]], 2), 1),
+    (lambda: linalg.solve([[1, 2], [3]], [1, 1]), 1),
+    (lambda: linalg.determinant([[1, 2], [3]]), 1),
+    (lambda: linalg.determinant([[1, 2, 3], [4, 5, 6]]), 0),
+], ids=["echelon", "rank", "nullspace-ncols", "nullspace-ragged", "solve",
+        "determinant-ragged", "determinant-wide"])
+def test_ragged_or_mis_sized_matrices_are_refused_naming_the_row(call, row):
+    with pytest.raises(PreconditionError, match=rf"^matrix row {row} has \d+ entries, expected \d+$"):
+        call()
+
+
 def test_singular_determinant_is_zero():
     assert linalg.determinant([[1, 2], [2, 4]]) == 0
 
@@ -202,13 +218,81 @@ def test_solve_and_nullspace_on_large_integer_matrices(m, data):
         assert all(type(c) is int for c in v + [e])
 
 
-def test_corrupted_echelon_fails_back_substitution_naming_the_row():
+def _moved(graph, xi, seed):
+    """``graph`` with every moment and weight moved by a seeded invertible
+    integer matrix A with entries in ±2^16, and the covector that keeps
+    every edge's orientation: xi' = sign(det A) adj(A)^T xi, so that
+    <A w, xi'> = |det A| <w, xi>."""
+    rng = random.Random(seed)
+    while True:
+        a, b, c, d = (rng.randint(-2**16, 2**16) for _ in range(4))
+        if a * d - b * c:
+            break
+    sign = 1 if a * d - b * c > 0 else -1
+
+    def move(v):
+        return Vector((a * v[0] + b * v[1], c * v[0] + d * v[1]))
+
+    moved = GkmGraph(2, graph.valence, [Vertex(v.id, move(v.mu)) for v in graph.vertices],
+                     [Edge(e.first, e.second, move(e.weight)) for e in graph.edges])
+    return moved, Vector((sign * (d * xi[0] - c * xi[1]),
+                          sign * (a * xi[1] - b * xi[0])))
+
+
+def bareiss_kernel_vector(matrix, col):
+    """The kernel vector that is 1 at the free column ``col`` and 0 at the
+    other free columns, by Fraction back-substitution on the full-row
+    Bareiss form (oracle)."""
+    rows, pivots, _, _ = ref_echelon(matrix)
+    ncols = len(matrix[0])
+    x = [Fraction(int(c == col)) for c in range(ncols)]
+    for i in reversed(range(len(pivots))):
+        pc = pivots[i]
+        x[pc] = -sum(rows[i][j] * x[j] for j in range(pc + 1, ncols)) / rows[i][pc]
+    return x
+
+
+def test_solves_on_a_moved_graph_keep_every_integer_in_lowest_terms():
+    inst = corpus("cube-g")
+    graph, xi = _moved(inst.graph, inst.xi, seed=2023)
+    og = orient(graph, xi)
+    assert og.is_index_increasing()
+    systems = [(cohomology._thom_system(og, vid, direction), True)
+               for vid in graph.vertex_ids() for direction in ("plus", "minus")]
+    systems += [(cohomology._System(graph, d, graph.vertex_ids()), False) for d in range(4)]
+    for system, is_thom in systems:
+        if is_thom:
+            matrix = [row + [b] for row, b in zip(system.rows, system.rhs)]
+            (y, d), nullity = linalg.solve(system.rows, system.rhs)
+            answers = [([-v for v in y] + [d], d, system.ncols)]
+            assert nullity == 0
+        else:
+            matrix = system.rows
+            pivots = linalg.echelon(matrix).pivot_cols
+            free = [c for c in range(system.ncols) if c not in pivots]
+            basis = linalg.nullspace(matrix, system.ncols)
+            answers = [(y, d, col) for (y, d), col in zip(basis, free)]
+            assert len(basis) == len(free)
+        assert all(gcd(*row) == 1 for row in linalg.echelon(matrix).rows if any(row))
+        for y, d, col in answers:
+            assert gcd(d, *y) == 1
+            assert [Fraction(v, d) for v in y] == bareiss_kernel_vector(matrix, col)
+
+
+def test_corrupted_echelon_fails_back_substitution_naming_the_row(monkeypatch):
     # (A | b) for x + y = 1, x - y = 1, read off at its kernel vector (x, y, -1).
     ech = linalg.echelon([[1, 1, 1], [1, -1, 1]])
-    assert ech.rows == [[1, 1, 1], [0, -2, 0]]
-    ech.rows[0][0] = 4  # no longer a Bareiss form: row 0 cannot be solved exactly
-    with pytest.raises(GkmError, match=r"pivot row 0 \(column 0\)"):
-        linalg._back_substitute(ech, 3, {2: -1})
+    assert ech.rows == [[1, 1, 1], [0, -1, 0]]
+    real = linalg.echelon
+
+    def corrupted(matrix):
+        ech = real(matrix)
+        ech.rows[0][0] = 4  # no longer an echelon form of (A | b)
+        return ech
+
+    monkeypatch.setattr(linalg, "echelon", corrupted)
+    with pytest.raises(GkmError, match=r"^the solution fails row 0: A·y is 1, not 4$"):
+        linalg.solve([[1, 1], [1, -1]], [1, 1])
 
 
 # -- the kernel against the full-row Bareiss loop ---------------------------------
@@ -248,6 +332,12 @@ def ref_echelon(matrix):
     return rows, pivot_cols, sign, scales
 
 
+def primitive(row):
+    """``row`` divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g else list(row)
+
+
 # Mostly zeros, so that rows vanish at pivot columns and whole rows vanish.
 sparse_int = st.one_of(st.just(0), st.just(0), st.integers(-6, 6), big)
 sparse_frac = st.one_of(st.just(0), sparse_int, entries)
@@ -265,9 +355,16 @@ def _sparse_matrix(entry):
 def test_echelon_matches_the_full_row_bareiss_loop(m):
     original = [list(r) for r in m]
     ech = linalg.echelon(m)
-    assert (ech.rows, ech.pivot_cols, ech.swap_sign, ech.row_scales) == ref_echelon(m)
+    ref_rows, ref_pivots, ref_sign, ref_scales = ref_echelon(m)
+    assert (ech.pivot_cols, ech.swap_sign) == (ref_pivots, ref_sign)
+    assert len(ech.rows) == len(ref_rows)
+    for row, ref in zip(ech.rows, ref_rows):
+        assert row in (primitive(ref), [-x for x in primitive(ref)])
     assert m == original  # the input is not mutated
     assert all(type(x) is int for row in ech.rows for x in row)
+    if len(m) == len(m[0]):  # the last Bareiss pivot is the scaled determinant
+        det = ref_rows[-1][-1] if len(ref_pivots) == len(m) else 0
+        assert linalg.determinant(m) == Fraction(ref_sign * det, prod(ref_scales))
 
 
 # -- the solution contract against Fraction Gauss-Jordan ---------------------------
@@ -391,17 +488,18 @@ def test_every_solved_class_passes_the_congruence_check():
 
 
 def _flip_first_entry(monkeypatch, calls):
-    """Make the next back-substitution return y with y[0] one larger."""
-    real = linalg._back_substitute
+    """Make the next answer read off a reduced echelon form have y[0] one
+    larger."""
+    real = linalg._kernel_vector
 
-    def flipped(ech, ncols, fixed):
-        y, d = real(ech, ncols, fixed)
+    def flipped(*args):
+        y, d = real(*args)
         if not calls:
             y = [y[0] + 1] + y[1:]
-        calls.append(ncols)
+        calls.append(args)
         return y, d
 
-    monkeypatch.setattr(linalg, "_back_substitute", flipped)
+    monkeypatch.setattr(linalg, "_kernel_vector", flipped)
 
 
 def test_a_flipped_solver_answer_is_a_gkm_error_naming_its_row(monkeypatch):
