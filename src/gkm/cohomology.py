@@ -255,8 +255,14 @@ class _System:
         return _element(self.graph, values, self.degree)
 
 
+def _require_degree(degree) -> None:
+    if type(degree) is not int or degree < 0:  # a bool equals 0 or 1 but is no degree
+        raise DegreeError(f"degree must be an int >= 0, got {degree!r}")
+
+
 def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
     """A basis of the homogeneous degree-d slice, by exact nullspace."""
+    _require_degree(degree)
     system = _System(graph, degree, graph.vertex_ids())
     vectors = linalg.nullspace(system.rows, ncols=system.ncols)
     return [system.element_from(y, d) for y, d in vectors]
@@ -264,6 +270,8 @@ def basis(graph: GkmGraph, degree: int) -> list[CohomologyElement]:
 
 def slice_dimension(graph: GkmGraph, degree: int) -> int:
     """dim of the degree-d slice without basis elements, stored per graph."""
+    _require_degree(degree)  # before the lookup: True would read degree 1's entry
+
     def compute():
         system = _System(graph, degree, graph.vertex_ids())
         return system.ncols - linalg.rank(system.rows)

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ScopeError,
 )
-from .polynomial import Vector
+from .polynomial import Vector, _tuple_of
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,17 @@ class _Derived:
         return self._derived[key]
 
 
-def _tuple_of(name: str, items) -> tuple:
-    """``items`` as a tuple, or a PreconditionError naming the argument."""
-    try:
-        return tuple(items)
-    except TypeError:
-        raise PreconditionError(f"{name} must be iterable, got {items!r}") from None
+def _reach(start: str, step) -> frozenset:
+    """``start`` and every vertex reached from it by repeated ``step(vid)``,
+    the list of a vertex's next vertices."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for w in step(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
 
 
 class GkmGraph(_Derived):
@@ -207,18 +212,11 @@ class GkmGraph(_Derived):
     # -- validation ----------------------------------------------------------
 
     def is_connected(self) -> bool:
-        if len(self.vertices) <= 1:
+        if not self.vertices:
             return True
-        seen = {self.vertices[0].id}
-        frontier = [self.vertices[0].id]
-        while frontier:
-            vid = frontier.pop()
-            for e in self._adjacent[vid]:
-                w = e.other(vid)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+        walk = _reach(self.vertices[0].id,
+                      lambda vid: [e.other(vid) for e in self._adjacent[vid]])
+        return len(walk) == len(self.vertices)
 
     def validate(self) -> ValidationReport:
         checks: list[Check] = []
@@ -366,24 +364,12 @@ class OrientedGkmGraph(_Derived):
 
     # -- reachability and cycles ----------------------------------------------
 
-    def _reachable(self, start: str, forward: bool) -> frozenset:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            vid = frontier.pop()
-            nexts = self.up_neighbors(vid) if forward else self.down_neighbors(vid)
-            for w in nexts:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return frozenset(seen)
-
     def ascending_reachable(self, vid: str) -> frozenset:
         """Vertices reachable from vid along ascending paths, vid included."""
-        return self._reachable(vid, forward=True)
+        return _reach(vid, self.up_neighbors)
 
     def descending_reachable(self, vid: str) -> frozenset:
-        return self._reachable(vid, forward=False)
+        return _reach(vid, self.down_neighbors)
 
     def ascending_cycle(self, p: str) -> tuple[str, ...]:
         """The cycle through an index-two vertex and everything above it.
@@ -428,7 +414,7 @@ class OrientedGkmGraph(_Derived):
 
 def orient(graph: GkmGraph, xi: Vector | Iterable) -> OrientedGkmGraph:
     """Orient every edge by a generic covector; raises NotGeneric otherwise."""
-    v = xi if isinstance(xi, Vector) else Vector(xi)
+    v = xi if isinstance(xi, Vector) else Vector(_tuple_of("xi", xi))
     return OrientedGkmGraph(graph, v)
 
 

@@ -136,18 +136,18 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
     return constant
 
 
-def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> bool:
-    """Assert the exact numerator sum vanishes for a class of degree < n."""
+def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:
+    """Return nothing if the exact numerator sum vanishes for a class of
+    degree < n; raise NonZero, naming the sum, if it does not."""
     values, degree = _values_of(og.graph, f)
     n = og.graph.valence
     if degree is None:
-        return True
+        return
     if degree >= n:
         raise DegreeError(f"expected degree < {n}, got {degree}")
     numerator = _numerator(og, values)
     if not numerator.is_zero():
         raise NonZero(f"numerator sum is {numerator}, expected 0")
-    return True
 
 
 def _primes() -> Iterator[int]:

@@ -51,6 +51,14 @@ def _ratio(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def _tuple_of(name: str, items) -> tuple:
+    """``items`` as a tuple, or a PreconditionError naming the argument."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise PreconditionError(f"{name} must be iterable, got {items!r}") from None
+
+
 class Vector:
     """A rational plane vector: weight, moment position, or covector.
 
@@ -64,7 +72,7 @@ class Vector:
     __slots__ = ("x", "y", "denominator")
 
     def __new__(cls, components: Iterable) -> "Vector":
-        return ratio_vector([_ratio(c) for c in components])
+        return ratio_vector([_ratio(c) for c in _tuple_of("components", components)])
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -171,16 +179,19 @@ class Polynomial:
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
         """Validating constructor for terms from outside the class.
 
-        Every key must be a pair of non-negative ints (exponents of x1 and
-        x2); coefficients must be ints or Fractions.  Terms with equal
-        exponents are summed and zero terms dropped; the rest must share
-        one degree, else DegreeError.
+        ``terms`` must be a mapping or None, every key a tuple of two
+        non-negative ints (exponents of x1 and x2), every coefficient an int
+        or a Fraction.  Terms with equal exponents are summed and zero terms
+        dropped; the rest must share one degree, else DegreeError.
         """
+        if terms is not None and not isinstance(terms, Mapping):
+            raise PreconditionError("terms must be a mapping of exponent pairs to "
+                                    f"coefficients, got {terms!r}")
         clean: dict[tuple, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            e = tuple(exps)
-            if len(e) != 2 or any(type(x) is not int or x < 0 for x in e):
-                raise PreconditionError(f"bad exponent vector {exps!r}")
+        for e, coeff in (terms or {}).items():
+            if (type(e) is not tuple or len(e) != 2
+                    or any(type(x) is not int or x < 0 for x in e)):
+                raise PreconditionError(f"bad exponent vector {e!r}")
             clean[e] = clean.get(e, 0) + Fraction(*_ratio(coeff))
         clean = {e: c for e, c in clean.items() if c}
         degrees = sorted({i + j for i, j in clean})
@@ -326,7 +337,7 @@ class Polynomial:
         A Vector is (a, b) / m with integers a, b, m, so a degree-d form
         takes its value at (a, b) over m^d.
         """
-        p = point if isinstance(point, Vector) else Vector(point)
+        p = point if isinstance(point, Vector) else Vector(_tuple_of("point", point))
         if not self.numerators:
             return Fraction(0)
         d = len(self.numerators) - 1

@@ -1,5 +1,6 @@
 """Graph cohomology: membership, degree slices, Thom classes."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -335,6 +336,17 @@ def test_hilbert_series_dimensions(name):
 def test_cp3_low_degree_dimensions(cp3):
     assert slice_dimension(cp3, 1) == 3
     assert slice_dimension(cp3, 2) == 6
+
+
+@pytest.mark.parametrize("degree", [1.0, "a", True, False, -1, None, Fraction(1)])
+@pytest.mark.parametrize("call", [basis, slice_dimension])
+def test_a_slice_degree_that_is_not_an_int_at_least_0_is_a_degree_error(cp3, call, degree):
+    # True == 1 and hashes alike, so the check comes before the store lookup:
+    # a stored degree-1 dimension must not answer for True.
+    slice_dimension(cp3, 1)
+    message = f"degree must be an int >= 0, got {degree!r}"
+    with pytest.raises(DegreeError, match=re.escape(message)):
+        call(cp3, degree)
 
 
 def test_no_degree_two_class_supported_on_one_vertex():

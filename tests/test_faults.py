@@ -3,15 +3,21 @@ that should catch it, each with a detail naming what broke.
 
 Each case corrupts one stored value or one function on a valid corpus
 orientation.  The failing checks and their details are pinned as text.
-``cycle-shapes``, ``pairing-identity`` and ``low-degree-vanishing`` are
-tripped in ``tests/test_lefschetz.py``.
+The rows here trip ``unique-extrema``, ``classify-type``,
+``sign-conditions``, ``column-independence``, ``type-g-determinant``,
+``kronecker-pairing`` and ``hr2-mixed-equivalence``; the last two are
+north-star cross-checks, and each catches a corruption that every other
+check misses.  ``cycle-shapes``, ``pairing-identity`` and
+``low-degree-vanishing`` are tripped in ``tests/test_lefschetz.py``.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
-from gkm import geometry, linalg
+from gkm import geometry, lefschetz, linalg
+from gkm.cohomology import thom_class
 from gkm.corpus import corpus
 from gkm.graph import orient
 from gkm.lefschetz import coefficient_pairs, hard_lefschetz_report, mixed_hr2_matrix
@@ -42,6 +48,19 @@ def _column_operation_kills_second_column(og, monkeypatch):
     og._derived["mixed_hr2_matrix"] = a
 
 
+def _doubled_bottom_minus_thom_class(og, monkeypatch):
+    """The stored tau_o^-, o the bottom vertex, times 2."""
+    key = ("thom", og.o_vertex(), "minus")
+    og._derived[key] = 2 * thom_class(og, *key[1:])
+
+
+def _zero_degree_two_pairing(og, monkeypatch):
+    """hr_matrix with every degree-2 entry 0: the plus-basis pairing looks singular."""
+    hr_matrix = lefschetz.hr_matrix
+    monkeypatch.setattr(lefschetz, "hr_matrix", lambda og, k: [
+        [Fraction(0)] * len(row) if k == 2 else row for row in hr_matrix(og, k)])
+
+
 def _negated_determinant(og, monkeypatch):
     determinant = linalg.determinant
     monkeypatch.setattr(linalg, "determinant", lambda matrix: -determinant(matrix))
@@ -64,6 +83,13 @@ _CASES = {
     }),
     "type-g-determinant": ("cube-g", _negated_determinant, {
         "type-g-determinant": "permuted type (g) determinant does not match the 3-cycle formula",
+    }),
+    "kronecker-pairing": ("cp3-k4", _doubled_bottom_minus_thom_class, {
+        "kronecker-pairing": "pairing of D, D gave 2",
+    }),
+    "hr2-mixed-equivalence": ("cp3-k4", _zero_degree_two_pairing, {
+        "hr2-mixed-equivalence": "mixed determinant -1 and plus-basis degree-2 "
+                                 "determinant 0 disagree on nonsingularity",
     }),
 }
 

@@ -1,6 +1,8 @@
 """Pairing coefficients, matrices, determinants, and the verdict report."""
 
+import dataclasses
 import gc
+import re
 import weakref
 from fractions import Fraction
 
@@ -166,13 +168,24 @@ def test_flag_mixed_matrix_matches_hand_computation(flag):
     assert linalg.determinant(expected) == Fraction(-3)
 
 
-def test_pairing_identity_on_all_instances():
+def test_pairing_identity_on_all_instances(monkeypatch):
+    # The check passes and returns nothing; adding 1 to any one entry of the
+    # stored mixed matrix fails it, naming that entry (or its row, if the
+    # entry was the row's only nonzero one).  So every one of the b2^2
+    # entries is compared.
     for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
-        witnesses = check_pairing_identity(og)
-        assert witnesses, inst.name
-        b2 = og.betti()[1]
-        assert len(witnesses) == b2 * b2
+        assert check_pairing_identity(og) is None
+        ps, qs = og.vertices_of_index(1), og.vertices_of_index(2)
+        for j, q in enumerate(qs):
+            for k, p in enumerate(ps):
+                a = mixed_hr2_matrix(og)
+                a[j][k] += 1
+                monkeypatch.setitem(og._derived, "mixed_hr2_matrix", a)
+                named = re.escape(f"entry ({q}, {p}) = ") + "|" + re.escape(f"row of {q} ")
+                with pytest.raises(GkmError, match=named):
+                    check_pairing_identity(og)
+                monkeypatch.undo()
 
 
 def test_entry_zero_iff_nonadjacent():
@@ -227,12 +240,21 @@ def test_hr2_and_mixed_nonsingularity_agree():
 
 # -- column independence -------------------------------------------------------------------
 
-def test_column_independence_on_d_and_f():
+def test_column_independence_on_d_and_f(monkeypatch):
+    # The check returns nothing, so t0, the second combination and the
+    # collinearity are nonzero; zeroing any one entry fails it, naming it.
     for name in ("tol-d", "flag-su3"):
-        witness = check_column_independence(oriented(name))
-        assert Fraction(witness["t0"]) != 0
-        assert Fraction(witness["second_combination"]) != 0
-        assert Fraction(witness["collinearity"]) != 0
+        og = oriented(name)
+        assert check_column_independence(og) is None
+        ps, qs = og.vertices_of_index(1), og.vertices_of_index(2)
+        for j, q in enumerate(qs):
+            for k, p in enumerate(ps):
+                a = mixed_hr2_matrix(og)
+                a[j][k] = Fraction(0)
+                monkeypatch.setitem(og._derived, "mixed_hr2_matrix", a)
+                with pytest.raises(GkmError, match=re.escape(f"entry ({q}, {p}) is 0")):
+                    check_column_independence(og)
+                monkeypatch.undo()
 
 
 def test_column_independence_type_mismatch(cp3):
@@ -242,20 +264,34 @@ def test_column_independence_type_mismatch(cp3):
 
 # -- sign conditions --------------------------------------------------------------------------
 
-def test_sign_conditions_hold_everywhere():
+def _with_negated_coefficient(og, monkeypatch, p, q):
+    """Store og's coefficient pairs with the coefficient of (p, q) negated."""
+    pairs = [dataclasses.replace(c, thom_coefficient=-c.thom_coefficient)
+             if (c.p, c.q) == (p, q) else c for c in coefficient_pairs(og)]
+    monkeypatch.setitem(og._derived, "coefficient_pairs", pairs)
+
+
+def test_sign_conditions_hold_everywhere(monkeypatch):
+    # The check passes and returns nothing; negating the stored coefficient
+    # of any one adjacent pair fails it, naming that pair.
     for inst in map(corpus, corpus_names()):
         og = orient(inst.graph, inst.xi)
-        witnesses = check_sign_conditions(og)
-        assert witnesses, inst.name
+        assert check_sign_conditions(og) is None
+        for c in coefficient_pairs(og):
+            if c.adjacent:
+                _with_negated_coefficient(og, monkeypatch, c.p, c.q)
+                with pytest.raises(GkmError, match=re.escape(f"pair ({c.p}, {c.q}): ")):
+                    check_sign_conditions(og)
+                monkeypatch.undo()
 
 
-def test_tol_d_side_criterion_detects_negative(tol):
-    witnesses = check_sign_conditions(tol)
-    interior = [w for w in witnesses
-                if w.get("p") == "p1" and w.get("q") == "q1"
-                and w["check"] == "side-criterion"]
-    assert len(interior) == 1
-    assert interior[0]["same_side"] is False
+def test_tol_d_side_criterion_detects_negative(tol, monkeypatch):
+    # The interior pair's weights lie on different sides of its edge, and its
+    # coefficient is negative: made positive, it contradicts the side test.
+    assert thom_coefficient(tol, "p1", "q1") < 0
+    _with_negated_coefficient(tol, monkeypatch, "p1", "q1")
+    with pytest.raises(GkmError, match=re.escape("pair (p1, q1): same-side=False but")):
+        check_sign_conditions(tol)
 
 
 # -- the report ---------------------------------------------------------------------------------

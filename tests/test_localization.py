@@ -178,12 +178,12 @@ def test_symplectic_cube_magnitudes_match_model_volumes():
 # -- low-degree vanishing --------------------------------------------------------------
 
 def test_unity_vanishes(cp3):
-    assert check_low_degree_vanishing(cp3, unity(cp3.graph))
+    check_low_degree_vanishing(cp3, unity(cp3.graph))
 
 
 def test_symplectic_class_vanishes(cp3):
     om = equivariant_symplectic_class(cp3.graph)
-    assert check_low_degree_vanishing(cp3, om)
+    check_low_degree_vanishing(cp3, om)
 
 
 def test_all_low_degree_basis_elements_vanish():
@@ -191,7 +191,7 @@ def test_all_low_degree_basis_elements_vanish():
         og = orient(inst.graph, inst.xi)
         for d in range(0, inst.graph.valence):
             for el in basis(inst.graph, d):
-                assert check_low_degree_vanishing(og, el), (inst.name, d)
+                check_low_degree_vanishing(og, el)
 
 
 def test_vanishing_rejects_broken_data(cp3):
@@ -258,7 +258,7 @@ def test_integrate_reads_the_degree_a_class_was_made_with(cp3, monkeypatch):
 
     monkeypatch.setattr(localization, "class_degree", rescan)
     assert tau.degree == 3 and integrate(cp3, tau) == expected
-    assert check_low_degree_vanishing(cp3, om ** 2)
+    check_low_degree_vanishing(cp3, om ** 2)
 
 
 @pytest.mark.parametrize("point", [(0, 0), (1, 0)])
@@ -305,7 +305,8 @@ def _under_common_multiple(og, f):
     try:
         if localization.class_degree(values) == og.graph.valence:
             return integrate(og, f)
-        return "vanishes" if check_low_degree_vanishing(og, f) else None
+        check_low_degree_vanishing(og, f)
+        return "vanishes"
     except NonConstant:
         return "nonconstant"
     except NonZero as exc:

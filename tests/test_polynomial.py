@@ -1,6 +1,7 @@
 """Exact binary forms: examples, ring axioms, division properties."""
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkm.corpus import corpus
 from gkm.errors import DegreeError, NotDivisible, ParseError, PreconditionError, ScopeError
-from gkm.graph import GkmGraph
+from gkm.graph import GkmGraph, orient
 from gkm.jsonio import graph_to_document, loads
 from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form, power_row
 
@@ -210,6 +211,23 @@ def test_constructor_rejects_float_coefficient():
 def test_constructor_rejects_bad_exponents(exps):
     with pytest.raises(ValueError):
         Polynomial({exps: 1})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Vector(None), "components must be iterable, got None"),
+    (lambda: Vector(5), "components must be iterable, got 5"),
+    (lambda: orient(corpus("cp3-k4").graph, None), "xi must be iterable, got None"),
+    (lambda: orient(corpus("cp3-k4").graph, 7), "xi must be iterable, got 7"),
+    (lambda: x1.evaluate(None), "point must be iterable, got None"),
+    (lambda: Polynomial([1]), "terms must be a mapping of exponent pairs to coefficients, "
+                              "got [1]"),
+    (lambda: Polynomial({5: 1}), "bad exponent vector 5"),
+], ids=["vector-none", "vector-int", "orient-none", "orient-int", "evaluate-none",
+        "terms-list", "exponents-int"])
+def test_an_argument_of_the_wrong_shape_is_a_precondition_error_naming_it(make, message):
+    # Each used to escape as a bare TypeError or AttributeError.
+    with pytest.raises(PreconditionError, match="^" + re.escape(message) + "$"):
+        make()
 
 
 @pytest.mark.parametrize("exps", [(1.5, 0), (Fraction(3, 2), 0), ("1", 0), (True, 0),
