@@ -28,12 +28,12 @@ and - at its second, and nothing at an end outside the support.  A degree
 slice is the kernel of these rows over every vertex.  A Thom class takes
 them over a reachability support, moves the base vertex's known value,
 the Euler factor, to the right-hand side, and ``linalg.solve`` reads the
-other values off the kernel of (A | b).  Every system is built in integers
-and eliminated on primitive rows, each divided by the gcd of its entries,
-and its solution comes back from ``linalg`` as integer numerators over
-one positive denominator, in lowest terms, which is how ``Polynomial``
-stores coefficients; so no rational number is formed between the
-elimination and the class.  The elimination that yields the solution also yields its
+other values off the echelon form of (A | b) by back-substitution.  Every
+system is built in integers and eliminated on primitive rows, each
+divided by the gcd of its entries, and its solution comes back from
+``linalg`` as integer numerators over one positive denominator, in lowest
+terms, which is how ``Polynomial`` stores coefficients; so no rational
+number is formed between the elimination and the class.  The elimination that yields the solution also yields its
 rank; rank equal to the column count certifies the uniqueness the theory
 promises, so the solve doubles as a verification.
 """
@@ -229,16 +229,18 @@ class _System:
         self.rows: list[list[int]] = []
         self.rhs: list[int] = []
         for e, point in zip(graph.edges, graph.edge_points()):
-            ends = [(offset[v], sign) for v, sign in ((e.first, 1), (e.second, -1))
-                    if v in offset]
+            i, j = offset.get(e.first), offset.get(e.second)
             known = 1 if e.first == vid else -1 if e.second == vid else 0
-            if ends or known:
-                values = power_row(point, degree)
-                row = [0] * self.ncols
-                for k, sign in ends:
-                    row[k:k + n] = [sign * x for x in values]
-                self.rows.append(row)
-                self.rhs.append(-known * sum(map(mul, form.numerators, values)) if known else 0)
+            if i is None and j is None and not known:
+                continue
+            values = power_row(point, degree)
+            row = [0] * self.ncols
+            if i is not None:
+                row[i:i + n] = values
+            if j is not None:
+                row[j:j + n] = [-x for x in values]
+            self.rows.append(row)
+            self.rhs.append(-known * sum(map(mul, form.numerators, values)) if known else 0)
 
     def element_from(self, y: list[int], d: int) -> CohomologyElement:
         """The class with coefficients y / d (int numerators, d > 0) at the

@@ -202,7 +202,9 @@ def hr_matrix(og: OrientedGkmGraph, k: int) -> list[list[Fraction]]:
 
     For k <= n this is the Hodge-Riemann form on the degree-k Thom basis
     with n - k symplectic factors; above the middle the complementary
-    basis is paired with no symplectic factor (Poincare pairing).
+    basis is paired with no symplectic factor (Poincare pairing).  An
+    entry whose integral fails re-raises the error's class with
+    ``degree-{k} entry ({u}, {v}): `` in front of its message.
     """
     n = og.graph.valence
     if type(k) is not int or k % 2 != 0 or not 0 <= k <= 2 * n:
@@ -217,9 +219,14 @@ def hr_matrix(og: OrientedGkmGraph, k: int) -> list[list[Fraction]]:
     matrix = []
     for u in rows:
         tau_u = thom_class(og, u, "plus")
-        matrix.append([
-            integrate(og, tau_u * thom_class(og, v, "plus") * filler) for v in cols
-        ])
+        row = []
+        for v in cols:
+            product = tau_u * thom_class(og, v, "plus") * filler
+            try:
+                row.append(integrate(og, product))
+            except GkmError as exc:
+                raise type(exc)(f"degree-{k} entry ({u}, {v}): {exc}") from exc
+        matrix.append(row)
     return matrix
 
 

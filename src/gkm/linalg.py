@@ -17,11 +17,11 @@ over one denominator, in lowest terms: a pair ``(y, d)`` of int numerators
 and an int ``d > 0`` with ``gcd(d, *y) == 1`` stands for the rational
 vector ``y / d``, checked before it is returned: ``A·y == d·b`` for
 ``solve`` and ``A·y == 0`` for ``nullspace``, else a GkmError naming the
-failing row.  Both read their answers off one back pass that zeroes each
-pivot column off every other row: ``nullspace`` one per free column, and
-``solve`` eliminates (A | b) and reads x off its kernel vector at b's
-column, so b pivoting means no solution.  ``determinant`` returns a
-Fraction.
+failing row.  ``solve`` eliminates (A | b), so b pivoting means no
+solution, and back-substitutes bottom up over the pivot rows with the free
+variables set to 0.  ``nullspace`` reads one kernel vector per free column
+off one back pass that zeroes each pivot column off every other row.
+``determinant`` returns a Fraction.
 """
 
 from __future__ import annotations
@@ -196,6 +196,29 @@ def _kernel_vector(rows: list[list[int]], pivots: list[int], col: int,
     return y, d
 
 
+def _back_substitute(ech: Echelon, ncols: int) -> Solution:
+    """The solution of the consistent echelon system (A | b), b at column
+    ``ncols``, that is 0 at every free column, as ``(y, d)`` in lowest
+    terms with ``d > 0``: bottom up, piv·y[pc] = d·b - (the row's dot
+    product with y right of pc); when piv does not divide that, y and d
+    are first scaled by |piv| / gcd(piv, it)."""
+    y = [0] * ncols
+    d = 1
+    for row, pc in reversed(list(zip(ech.rows, ech.pivot_cols))):
+        piv = row[pc]
+        t = d * row[ncols] - sum(map(mul, row[pc + 1:ncols], y[pc + 1:]))
+        s = abs(piv) // gcd(t, piv)
+        if s > 1:
+            y = [s * v for v in y]
+            d *= s
+            t *= s
+        y[pc] = t // piv
+    g = gcd(d, *y)
+    if g > 1:
+        return [v // g for v in y], d // g
+    return y, d
+
+
 def _check(matrix: Matrix, rhs: Sequence, solution: Solution, what: str) -> Solution:
     """``solution`` once ``A·y == d·b`` holds on every row, else a GkmError
     naming the first row that fails."""
@@ -212,8 +235,11 @@ def nullspace(matrix: Matrix, ncols: int) -> list[Solution]:
     per free column, deterministic.
 
     Each basis vector is ``y / d`` in lowest terms with ``A·y == 0``
-    (checked) and ``d > 0``.
+    (checked) and ``d > 0``.  ``ncols`` must be an int >= 0, else a
+    PreconditionError.
     """
+    if type(ncols) is not int or ncols < 0:  # a bool equals 0 or 1 but is no count
+        raise PreconditionError(f"ncols must be an int >= 0, got {ncols!r}")
     _require_width(matrix, ncols)
     ech = echelon(matrix)
     pivots = ech.pivot_cols
@@ -227,8 +253,8 @@ def nullspace(matrix: Matrix, ncols: int) -> list[Solution]:
 
 def solve(matrix: Matrix,
           rhs: Sequence[Union[int, Fraction]]) -> tuple[Optional[Solution], int]:
-    """A particular solution of A x = b and the nullity of A, as a kernel
-    vector of (A | b) from one elimination.
+    """A particular solution of A x = b and the nullity of A, from one
+    elimination of (A | b) and back-substitution.
 
     Returns ``(solution, nullity)``.  ``solution`` is ``(y, d)`` in lowest
     terms with ``A·y == d·b`` (checked) and ``d > 0``, so ``x = y / d``,
@@ -247,6 +273,5 @@ def solve(matrix: Matrix,
     ech = echelon([list(r) + [b] for r, b in zip(matrix, rhs)])
     if ncols in ech.pivot_cols:
         return None, ncols + 1 - ech.rank
-    y, d = _kernel_vector(_back_pass(ech), ech.pivot_cols, ncols, ncols + 1)
-    return (_check(matrix, rhs, ([-v for v in y[:ncols]], d), "the solution"),
+    return (_check(matrix, rhs, _back_substitute(ech, ncols), "the solution"),
             ncols - ech.rank)

@@ -401,10 +401,12 @@ def _make(numerators: Sequence[int], den: int) -> Polynomial:
     """Trusting constructor for the module's own arithmetic: the form of
     degree len(numerators) - 1 with int ``numerators`` over the positive
     int ``den``; nothing is checked or coerced.  All-zero numerators give
-    the zero form, and one gcd brings the rest to lowest terms."""
-    numerators = tuple(numerators) if any(numerators) else ()
+    the shared zero form, and one gcd brings the rest to lowest terms."""
+    if not any(numerators):
+        return _ZERO
+    numerators = tuple(numerators)
     if den != 1:
-        g = gcd(den, *numerators)  # the zero form: g = den, den -> 1
+        g = gcd(den, *numerators)
         if g != 1:
             numerators = tuple(c // g for c in numerators)
             den //= g
@@ -413,7 +415,8 @@ def _make(numerators: Sequence[int], den: int) -> Polynomial:
     return p
 
 
-_ZERO = _make((), 1)
+_ZERO = object.__new__(Polynomial)
+_init(_ZERO, (), 1)
 
 
 def _convolve(r1: Sequence[int], r2: Sequence[int]) -> list[int]:

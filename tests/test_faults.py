@@ -4,23 +4,27 @@ that should catch it, each with a detail naming what broke.
 Each case corrupts one stored value or one function on a valid corpus
 orientation.  The failing checks and their details are pinned as text.
 The rows here trip ``unique-extrema``, ``classify-type``,
-``sign-conditions``, ``column-independence``, ``type-g-determinant``,
-``kronecker-pairing`` and ``hr2-mixed-equivalence``; the last two are
-north-star cross-checks, and each catches a corruption that every other
-check misses.  ``cycle-shapes``, ``pairing-identity`` and
+``sign-conditions`` (twice: its side-of-line criterion, and alone its
+convex-cycle positivity, on a concave cycle relabelled convex),
+``column-independence``, ``type-g-determinant``, ``hr-determinants``
+(naming the failing entry), ``kronecker-pairing`` and
+``hr2-mixed-equivalence``; the last two are north-star cross-checks, and
+each catches a corruption that every other check misses.  ``cycle-shapes``, ``pairing-identity`` and
 ``low-degree-vanishing`` are tripped in ``tests/test_lefschetz.py``.
 """
 
 import dataclasses
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from gkm import geometry, lefschetz, linalg
-from gkm.cohomology import thom_class
+from gkm.cohomology import equivariant_symplectic_class, thom_class
 from gkm.corpus import corpus
 from gkm.graph import orient
 from gkm.lefschetz import coefficient_pairs, hard_lefschetz_report, mixed_hr2_matrix
+from gkm.polynomial import Polynomial
 
 
 def _first_index_two_vertex_loses_its_down_edge(og, monkeypatch):
@@ -38,6 +42,13 @@ def _flip_first_adjacent_coefficient(og, monkeypatch):
     i = next(k for k, c in enumerate(pairs) if c.adjacent)
     pairs[i] = dataclasses.replace(pairs[i], thom_coefficient=-pairs[i].thom_coefficient)
     og._derived["coefficient_pairs"] = pairs
+
+
+def _concave_cycle_relabelled_convex(og, monkeypatch):
+    """The stored cycle shapes, with p1's concave cycle labelled convex."""
+    shapes = lefschetz._cycle_shapes(og)
+    shapes["p1"] = dataclasses.replace(shapes["p1"], tetra_class="convex")
+    og._derived["cycle_shapes"] = shapes
 
 
 def _column_operation_kills_second_column(og, monkeypatch):
@@ -61,6 +72,14 @@ def _zero_degree_two_pairing(og, monkeypatch):
         [Fraction(0)] * len(row) if k == 2 else row for row in hr_matrix(og, k)])
 
 
+def _moved_symplectic_value_at_top(og, monkeypatch):
+    """The stored values of omega, with x1 added at the top vertex: no
+    longer a class, so its localization sums are not constants."""
+    values = dict(equivariant_symplectic_class(og.graph).values)
+    values[og.r_vertex()] += Polynomial.variable(0)
+    og.graph._derived["omega"] = MappingProxyType(values)
+
+
 def _negated_determinant(og, monkeypatch):
     determinant = linalg.determinant
     monkeypatch.setattr(linalg, "determinant", lambda matrix: -determinant(matrix))
@@ -77,12 +96,19 @@ _CASES = {
         "pairing-identity": "entry (B, A) = -1 but -coefficient*ratio = 1",
         "sign-conditions": "pair (A, B): same-side=True but coefficient -1",
     }),
+    "convex-cycle-positivity": ("tol-d", _concave_cycle_relabelled_convex, {
+        "sign-conditions": "convex cycle at p1 but coefficient at q1 is -3/5",
+    }),
     "column-independence": ("tol-d", _column_operation_kills_second_column, {
         "pairing-identity": "entry (q2, p1) = 8/45 but -coefficient*ratio = -3/5",
         "column-independence": "column operation with t0=1/3 leaves second combination 0",
     }),
     "type-g-determinant": ("cube-g", _negated_determinant, {
         "type-g-determinant": "permuted type (g) determinant does not match the 3-cycle formula",
+    }),
+    "hr-determinants": ("cp3-k4", _moved_symplectic_value_at_top, {
+        "hr-determinants": "degree-0 entry (D, D): localization sum did not reduce "
+                           "to a constant",
     }),
     "kronecker-pairing": ("cp3-k4", _doubled_bottom_minus_thom_class, {
         "kronecker-pairing": "pairing of D, D gave 2",

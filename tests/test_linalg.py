@@ -159,6 +159,19 @@ def test_ragged_or_mis_sized_matrices_are_refused_naming_the_row(call, row):
         call()
 
 
+@pytest.mark.parametrize("matrix, ncols", [
+    ([[1, 2]], 2.0),
+    ([[1, 2]], "2"),
+    ([[1]], True),
+    ([], False),
+    ([], -1),
+    ([[1, 2]], None),
+], ids=["float", "str", "true", "false", "negative", "none"])
+def test_a_column_count_that_is_not_an_int_at_least_0_is_refused(matrix, ncols):
+    with pytest.raises(PreconditionError, match=rf"^ncols must be an int >= 0, got {ncols!r}$"):
+        linalg.nullspace(matrix, ncols)
+
+
 def test_singular_determinant_is_zero():
     assert linalg.determinant([[1, 2], [2, 4]]) == 0
 
@@ -280,7 +293,7 @@ def test_solves_on_a_moved_graph_keep_every_integer_in_lowest_terms():
 
 
 def test_corrupted_echelon_fails_back_substitution_naming_the_row(monkeypatch):
-    # (A | b) for x + y = 1, x - y = 1, read off at its kernel vector (x, y, -1).
+    # (A | b) for x + y = 1, x - y = 1, read off by back-substitution.
     ech = linalg.echelon([[1, 1, 1], [1, -1, 1]])
     assert ech.rows == [[1, 1, 1], [0, -1, 0]]
     real = linalg.echelon
@@ -487,10 +500,11 @@ def test_every_solved_class_passes_the_congruence_check():
                 assert element.degree == d
 
 
-def _flip_first_entry(monkeypatch, calls):
-    """Make the next answer read off a reduced echelon form have y[0] one
-    larger."""
-    real = linalg._kernel_vector
+def _flip_first_entry(monkeypatch, calls, reader):
+    """Make the next answer of the linalg function ``reader`` (the one that
+    reads ``solve``'s or ``nullspace``'s answer off the elimination) have
+    y[0] one larger."""
+    real = getattr(linalg, reader)
 
     def flipped(*args):
         y, d = real(*args)
@@ -499,7 +513,7 @@ def _flip_first_entry(monkeypatch, calls):
         calls.append(args)
         return y, d
 
-    monkeypatch.setattr(linalg, "_kernel_vector", flipped)
+    monkeypatch.setattr(linalg, reader, flipped)
 
 
 def test_a_flipped_solver_answer_is_a_gkm_error_naming_its_row(monkeypatch):
@@ -509,7 +523,7 @@ def test_a_flipped_solver_answer_is_a_gkm_error_naming_its_row(monkeypatch):
     system = cohomology._thom_system(og, vid, "plus")
     row = next(i for i, r in enumerate(system.rows) if r[0])
     calls = []
-    _flip_first_entry(monkeypatch, calls)
+    _flip_first_entry(monkeypatch, calls, "_back_substitute")
     with pytest.raises(GkmError) as info:
         cohomology.thom_class(og, vid, "plus")
     assert type(info.value) is GkmError and calls
@@ -521,7 +535,7 @@ def test_a_flipped_solver_answer_is_a_gkm_error_naming_its_row(monkeypatch):
     rows = cohomology._System(inst.graph, 1, inst.graph.vertex_ids()).rows
     row = next(i for i, r in enumerate(rows) if r[0])
     calls = []
-    _flip_first_entry(monkeypatch, calls)
+    _flip_first_entry(monkeypatch, calls, "_kernel_vector")
     with pytest.raises(GkmError) as info:
         cohomology.basis(inst.graph, 1)
     assert type(info.value) is GkmError

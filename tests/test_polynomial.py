@@ -13,7 +13,8 @@ from gkm.corpus import corpus
 from gkm.errors import DegreeError, NotDivisible, ParseError, PreconditionError, ScopeError
 from gkm.graph import GkmGraph, orient
 from gkm.jsonio import graph_to_document, loads
-from gkm.polynomial import Polynomial, Vector, congruent_mod_linear, lin_form, power_row
+from gkm.polynomial import (
+    Polynomial, Vector, _make, congruent_mod_linear, lin_form, power_row)
 
 
 def terms(p):
@@ -257,6 +258,15 @@ def test_zero_terms_of_another_degree_are_dropped():
     assert x1 + Polynomial.zero() == x1 == Polynomial.zero() + x1
     assert (x1 + 0, 0 - x1) == (x1, -x1)
     assert [p.homogeneous_degree for p in (Polynomial.zero(), x1 ** 0, x1 * x2)] == [None, 0, 2]
+
+
+@pytest.mark.parametrize("numerators", [(), (0,), [0, 0], (0, 0, 0, 0)])
+@pytest.mark.parametrize("den", [1, 2, 7, 2 ** 70])
+def test_all_zero_numerators_make_the_one_shared_zero_form(numerators, den):
+    zero = _make(numerators, den)
+    assert zero is Polynomial.zero()
+    assert (zero.numerators, zero.denominator, zero.homogeneous_degree) == ((), 1, None)
+    assert x1 - x1 is Polynomial.zero() is 0 * (x1 * x2)
 
 
 @pytest.mark.parametrize("index", [True, False, 1.0, "1", -1, 2])
