@@ -21,12 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .cohomology import (
-    CohomologyElement,
-    equivariant_symplectic_class,
-    slice_dimension,
-    thom_class,
-)
+from .cohomology import equivariant_symplectic_class, slice_dimension, thom_class
 from .errors import (
     DegreeError,
     GkmError,
@@ -43,7 +38,8 @@ from .geometry import (
     require_six_dim,
 )
 from .graph import OrientedGkmGraph
-from .localization import check_low_degree_vanishing, euler_class, integrate
+# integrate is unused here; perfbench's tracer self-test expects it.
+from .localization import check_low_degree_vanishing, euler_class, integrate, pairing  # noqa: F401
 from .polynomial import lin_form
 
 
@@ -132,18 +128,12 @@ def coefficient_pairs(og: OrientedGkmGraph) -> list[CoefficientPair]:
     return list(og.derived("coefficient_pairs", compute))
 
 
-def _shifted_thom_product(og: OrientedGkmGraph, p: str) -> CohomologyElement:
-    """tau_p^+ * (omega~ - mu(p)), the degree-2 building block."""
-    omega = equivariant_symplectic_class(og.graph)
-    return thom_class(og, p, "plus") * (omega - omega.value(p))
-
-
 def mixed_hr2_matrix(og: OrientedGkmGraph) -> list[list[Fraction]]:
     """Degree-2 pairing matrix: rows = descending Thom classes of the
     index-four vertices, columns = ascending Thom classes of the index-two
     vertices, paired through one symplectic factor.
 
-    Every entry is computed twice -- full localization and the
+    Every entry is computed twice -- the localization pairing and the
     single-vertex shortcut -- and the two must agree exactly.  The matrix
     is built once per orientation; each call returns a new copy.
     """
@@ -157,25 +147,23 @@ def _mixed_hr2_entries(og: OrientedGkmGraph) -> list[list[Fraction]]:
     qs = og.vertices_of_index(2)
     if len(ps) != len(qs):
         raise GkmError(f"unequal index-two/index-four counts: {ps} vs {qs}")
-    matrix: list[list[Fraction]] = []
-    products = {p: _shifted_thom_product(og, p) for p in ps}
-    for q in qs:
-        row = []
-        tau_q = thom_class(og, q, "minus")
-        nu_q = euler_class(og, q, "plus")
-        for p in ps:
-            via_integral = integrate(og, products[p] * tau_q)
-            via_shortcut = products[p].value(q).parallel_ratio(nu_q)
-            if via_shortcut is None:
-                raise GkmError(f"entry ({q}, {p}): shortcut value is no multiple of nu_q^+")
-            if via_integral != via_shortcut:
-                raise GkmError(
-                    f"entry ({q}, {p}): localization gives {via_integral}, "
-                    f"shortcut gives {via_shortcut}"
-                )
-            row.append(via_integral)
-        matrix.append(row)
-    return matrix
+    omega = equivariant_symplectic_class(og.graph)
+
+    def entry(q, p):
+        tau_p, shift = thom_class(og, p, "plus"), omega.value(p)
+        via_integral = pairing(og, tau_p, thom_class(og, q, "minus"), 1, shift)
+        via_shortcut = (tau_p.value(q) * (omega.value(q) - shift)).parallel_ratio(
+            euler_class(og, q, "plus"))
+        if via_shortcut is None:
+            raise GkmError(f"entry ({q}, {p}): shortcut value is no multiple of nu_q^+")
+        if via_integral != via_shortcut:
+            raise GkmError(
+                f"entry ({q}, {p}): localization gives {via_integral}, "
+                f"shortcut gives {via_shortcut}"
+            )
+        return via_integral
+
+    return [[entry(q, p) for p in ps] for q in qs]
 
 
 def check_pairing_identity(og: OrientedGkmGraph) -> None:
@@ -214,20 +202,15 @@ def hr_matrix(og: OrientedGkmGraph, k: int) -> list[list[Fraction]]:
     power = n - row_d - col_d
     rows = og.vertices_of_index(row_d)
     cols = og.vertices_of_index(col_d)
-    omega = equivariant_symplectic_class(og.graph)
-    filler = omega**power
-    matrix = []
-    for u in rows:
-        tau_u = thom_class(og, u, "plus")
-        row = []
-        for v in cols:
-            product = tau_u * thom_class(og, v, "plus") * filler
-            try:
-                row.append(integrate(og, product))
-            except GkmError as exc:
-                raise type(exc)(f"degree-{k} entry ({u}, {v}): {exc}") from exc
-        matrix.append(row)
-    return matrix
+
+    def entry(u, v):
+        tau_u, tau_v = thom_class(og, u, "plus"), thom_class(og, v, "plus")
+        try:
+            return pairing(og, tau_u, tau_v, power)
+        except GkmError as exc:
+            raise type(exc)(f"degree-{k} entry ({u}, {v}): {exc}") from exc
+
+    return [[entry(u, v) for v in cols] for u in rows]
 
 
 def _moment_image_type(og: OrientedGkmGraph) -> MomentImageType:
@@ -524,15 +507,9 @@ def hard_lefschetz_report(og: OrientedGkmGraph) -> LefschetzReport:
 
     def kronecker():
         ids = og.graph.vertex_ids()
-        for v in ids:
-            for w in ids:
-                if og.down_degree(v) != og.down_degree(w):
-                    continue
-                value = integrate(
-                    og, thom_class(og, v, "plus") * thom_class(og, w, "minus")
-                )
-                _require(value == (1 if v == w else 0),
-                         f"pairing of {v}, {w} gave {value}")
+        for v, w in ((v, w) for v in ids for w in ids if og.down_degree(v) == og.down_degree(w)):
+            value = pairing(og, thom_class(og, v, "plus"), thom_class(og, w, "minus"), 0)
+            _require(value == (1 if v == w else 0), f"pairing of {v}, {w} gave {value}")
 
     run("kronecker-pairing", kronecker)
 

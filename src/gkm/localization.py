@@ -1,19 +1,22 @@
 """Exact fixed-point localization over an oriented moment graph.
 
-The Euler class of a vertex is the product of the linear forms of all its
-outward edge weights; its descending ("plus") and ascending ("minus")
-factors multiply to it.  A homogeneous class of top polynomial degree n
-integrates to the constant value of sum_v f(v) / nu_v, the exact ratio of
-its numerator to the common denominator L, the least common multiple of
-the nu_v: in rank 2 one linear form per weight direction.  Classes of lower
-degree must make the numerator vanish identically, and both facts are
-cross-checkable by evaluating the sum at generic rational points.
+The Euler class nu_v of a vertex is the product of the linear forms of all
+its outward edge weights; its descending ("plus") and ascending ("minus")
+factors multiply to it.  A class f of top polynomial degree n integrates
+to the constant sum_v f(v) / nu_v: its numerator sum_v f(v) * Q_v, with
+Q_v = L / nu_v and L the least common multiple of the nu_v (one linear
+form per weight direction), is that constant times L.  In lower degrees
+the numerator vanishes.  The report's integrals pair two classes through
+omega^p, omega the symplectic class; a term is zero off supp f & supp g,
+so ``pairing`` sums f(v) * g(v) * t[v][p] there alone, with no product
+class, from one table t[v][p] = omega(v)^p * Q_v per graph, built from the
+stored omega.  Evaluation at generic rational points cross-checks it all.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from math import isqrt
 from types import MappingProxyType
@@ -108,32 +111,61 @@ def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polyn
     return og.graph.derived("localization_common_multiple", compute)
 
 
-def _numerator(og: OrientedGkmGraph, values: Mapping[str, Polynomial]) -> Polynomial:
-    """sum_v f(v) * Q_v, the localization sum times L."""
-    quotients, _ = _common_multiple(og)
-    return sum((values[v] * q for v, q in quotients.items()
-                if v in values and not values[v].is_zero()), Polynomial.zero())
+def _omega_powers(og: OrientedGkmGraph, p: int) -> Mapping[str, Polynomial]:
+    """Column p of the table t[v][p] = omega(v)^p * Q_v, stored per graph."""
+    if not p:
+        return _common_multiple(og)[0]
+
+    def compute():
+        from .cohomology import equivariant_symplectic_class  # cohomology imports this module
+        omega = equivariant_symplectic_class(og.graph).values
+        return {v: t * omega[v] for v, t in _omega_powers(og, p - 1).items()}
+
+    return og.graph.derived(("omega_powers", p), compute)
 
 
-def integrate(og: OrientedGkmGraph, f) -> Fraction:
-    """Exact value of sum_v f(v)/nu_v for a top-degree homogeneous class,
-    the ratio of sum_v f(v) * (L / nu_v) to the common multiple L of the nu_v.
+def _numerator(og: OrientedGkmGraph, values: Mapping[str, Polynomial], p: int = 0) -> Polynomial:
+    """sum_v f(v) * t[v][p] over the v where f is nonzero: the localization
+    sum of f * omega^p times L."""
+    t = _omega_powers(og, p)
+    return sum((f * t[v] for v, f in values.items() if f.numerators), Polynomial.zero())
 
-    The zero class integrates to 0.  Raises DegreeError when the class
-    degree is not the valence, NonConstant when the sum fails to reduce to
-    a rational number (impossible for genuine classes).
-    """
-    values, degree = _values_of(og.graph, f)
+
+def _constant(og: OrientedGkmGraph, degree: int | None, numerator: Polynomial) -> Fraction:
+    """The integral of a class of ``degree`` (None for zero) with this numerator."""
     n = og.graph.valence
-    if degree is None:
-        return Fraction(0)
-    if degree != n:
+    if degree not in (None, n):
         raise DegreeError(f"integrand has polynomial degree {degree}, expected {n}")
-    _, denominator = _common_multiple(og)
-    constant = _numerator(og, values).parallel_ratio(denominator)
+    constant = numerator.parallel_ratio(_common_multiple(og)[1])
     if constant is None:
         raise NonConstant("localization sum did not reduce to a constant")
     return constant
+
+
+def integrate(og: OrientedGkmGraph, f) -> Fraction:
+    """Exact sum_v f(v)/nu_v of a class of top degree n; 0 for the zero class.
+
+    Raises DegreeError for another degree, NonConstant when the sum fails
+    to reduce to a rational number (impossible for genuine classes)."""
+    values, degree = _values_of(og.graph, f)
+    return _constant(og, degree, _numerator(og, values))
+
+
+def pairing(og: OrientedGkmGraph, f, g, power: int, shift: Polynomial | None = None) -> Fraction:
+    """``integrate(og, f * g * omega**power)``, or with one factor omega
+    replaced by omega - ``shift``, a linear form, summed over supp f & supp g
+    alone.  A power outside 0..n (1..n with a shift) is a PreconditionError."""
+    n = og.graph.valence
+    if type(power) is not int or not (shift is not None) <= power <= n:
+        raise PreconditionError(f"power {power!r} is not an int in {shift is not None:d}..{n}")
+    (f_values, f_degree), (g_values, g_degree) = _values_of(og.graph, f), _values_of(og.graph, g)
+    products = {v: fv * g_values[v] for v, fv in f_values.items()
+                if fv.numerators and v in g_values and g_values[v].numerators}
+    numerator = _numerator(og, products, power)
+    if shift is not None:
+        numerator -= shift * _numerator(og, products, power - 1)
+    degree = None if None in (f_degree, g_degree) else f_degree + g_degree + power
+    return _constant(og, degree, numerator)
 
 
 def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:
@@ -141,21 +173,11 @@ def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:
     degree < n; raise NonZero, naming the sum, if it does not."""
     values, degree = _values_of(og.graph, f)
     n = og.graph.valence
-    if degree is None:
-        return
-    if degree >= n:
+    if degree is not None and degree >= n:
         raise DegreeError(f"expected degree < {n}, got {degree}")
     numerator = _numerator(og, values)
     if not numerator.is_zero():
         raise NonZero(f"numerator sum is {numerator}, expected 0")
-
-
-def _primes() -> Iterator[int]:
-    candidate = 2
-    while True:
-        if all(candidate % p for p in range(2, isqrt(candidate) + 1)):
-            yield candidate
-        candidate += 1
 
 
 def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
@@ -170,12 +192,13 @@ def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
         raise PreconditionError(f"count must be >= 0, got {count}")
     eulers = [euler_class(og, v) for v in og.graph.vertex_ids()]
     found: list[Vector] = []
-    for t in _primes():
-        if len(found) >= count:
-            return found
+    t = 1
+    while len(found) < count:
+        t += 1
         point = Vector((1, t))
-        if all(nu.evaluate(point) != 0 for nu in eulers):
+        if all(t % p for p in range(2, isqrt(t) + 1)) and all(nu.evaluate(point) for nu in eulers):
             found.append(point)
+    return found
 
 
 def sum_at_point(og: OrientedGkmGraph, f, point: Vector) -> Fraction:

@@ -11,6 +11,8 @@ convex-cycle positivity, on a concave cycle relabelled convex),
 ``hr2-mixed-equivalence``; the last two are north-star cross-checks, and
 each catches a corruption that every other check misses.  ``cycle-shapes``, ``pairing-identity`` and
 ``low-degree-vanishing`` are tripped in ``tests/test_lefschetz.py``.
+``six-dim-scope`` needs no corruption: tol-d has generic covectors that
+are not index-increasing, and the report stops at that check.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ from gkm.cohomology import equivariant_symplectic_class, thom_class
 from gkm.corpus import corpus
 from gkm.graph import orient
 from gkm.lefschetz import coefficient_pairs, hard_lefschetz_report, mixed_hr2_matrix
-from gkm.polynomial import Polynomial
+from gkm.polynomial import Polynomial, Vector
 
 
 def _first_index_two_vertex_loses_its_down_edge(og, monkeypatch):
@@ -129,3 +131,11 @@ def test_a_corruption_fails_exactly_the_checks_that_catch_it(case, monkeypatch):
     report = hard_lefschetz_report(og)
     assert {c["name"]: c["detail"] for c in report.checks if not c["ok"]} == expected
     assert not report.ok
+
+
+def test_a_covector_that_is_not_index_increasing_stops_the_report_at_six_dim_scope():
+    og = orient(corpus("tol-d").graph, Vector((-7, -6)))
+    report = hard_lefschetz_report(og)
+    assert report.checks == [{"name": "six-dim-scope", "ok": False,
+                              "detail": "orientation is not index-increasing"}]
+    assert not report.index_increasing and not report.ok

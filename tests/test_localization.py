@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkm import lefschetz, localization
 from gkm.cohomology import (
+    CohomologyElement,
     basis,
     equivariant_symplectic_class,
     thom_class,
@@ -28,6 +29,7 @@ from gkm.localization import (
     euler_class,
     evaluation_points,
     integrate,
+    pairing,
     sum_at_point,
 )
 from gkm.polynomial import Polynomial, Vector, lin_form
@@ -323,32 +325,112 @@ def _corpus_orientations():
             yield name, orient(inst.graph, xi)
 
 
-def _report_integrands(og, monkeypatch):
-    """Every class the report integrates or checks for vanishing."""
-    seen = []
-    for name in ("integrate", "check_low_degree_vanishing"):
-        real = getattr(lefschetz, name)
-        monkeypatch.setattr(lefschetz, name,
-                            lambda og, f, real=real: seen.append(f) or real(og, f))
+def _report_calls(og, monkeypatch):
+    """The arguments of every pairing the report computes and of every
+    class it checks for vanishing."""
+    pairings, vanishing = [], []
+    monkeypatch.setattr(lefschetz, "pairing", lambda *args, real=lefschetz.pairing: (
+        pairings.append(args) or real(*args)))
+    monkeypatch.setattr(lefschetz, "check_low_degree_vanishing",
+                        lambda og, f, real=lefschetz.check_low_degree_vanishing: (
+                            vanishing.append(f) or real(og, f)))
     assert lefschetz.hard_lefschetz_report(og).ok
     monkeypatch.undo()
-    return seen
+    return pairings, vanishing
+
+
+def _full_product(og, f, g, power, shift=None):
+    """The class f * g * omega^power, one factor omega - shift with a shift."""
+    omega = equivariant_symplectic_class(og.graph)
+    if shift is None:
+        return f * g * omega ** power
+    return f * g * omega ** (power - 1) * (omega - shift)
 
 
 def test_common_multiple_gives_the_full_product_answers_on_every_corpus_orientation(
         monkeypatch):
-    # hr_matrix, mixed-matrix, Kronecker and Thom-class vanishing integrands
-    # from each report, and every basis element of degree below the valence.
+    # Each pairing of the report (hr_matrix, mixed-matrix and Kronecker
+    # entries) is its full product class's integral, and each Thom class it
+    # checks for vanishing, like every basis element of degree below the
+    # valence, gives the full-product denominator's answer.
+    captured = 0
     for name, og in _corpus_orientations():
         point = evaluation_points(og, 1)[0]
+        pairings, vanishing = _report_calls(og, monkeypatch)
+        assert pairings and vanishing
+        captured += len(pairings) + len(vanishing)
+        for og_, *args in pairings:
+            assert og_ is og
+            product = _full_product(og, *args)
+            value = pairing(og, *args)
+            expected = _reference(og, product)  # "vanishes" for a zero product
+            expected = 0 if expected == "vanishes" else expected
+            assert value == integrate(og, product) == expected, (name, args)
+            assert sum_at_point(og, product, point) == value, (name, args)
         low = [el for d in range(og.graph.valence) for el in basis(og.graph, d)]
-        integrands = _report_integrands(og, monkeypatch) + low
-        assert len(integrands) > len(low)
-        for f in integrands:
+        for f in vanishing + low:
             expected = _reference(og, f)
             assert _under_common_multiple(og, f) == expected, (name, og.xi)
             at_point = sum_at_point(og, f, point)
             assert at_point == (0 if expected == "vanishes" else expected), (name, og.xi)
+    # As many integrands as the reports had when each built its product class.
+    assert captured >= 513
+
+
+def test_the_report_forms_no_class_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the report formed a class product or power")
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(CohomologyElement, name, refuse)
+    for name, og in _corpus_orientations():
+        assert lefschetz.hard_lefschetz_report(og).ok, (name, og.xi)
+
+
+def test_a_kronecker_pairing_meets_one_vertex_at_most():
+    # supp tau_v^+ & supp tau_w^- is {v} when v == w and empty otherwise, for
+    # v and w of one down-degree: so each Kronecker entry has one term or none.
+    pairs = 0
+    for name, og in _corpus_orientations():
+        ids = og.graph.vertex_ids()
+        for v in ids:
+            for w in ids:
+                if og.down_degree(v) == og.down_degree(w):
+                    meet = (thom_class(og, v, "plus").support()
+                            & thom_class(og, w, "minus").support())
+                    assert meet == ({v} if v == w else set()), (name, og.xi, v, w)
+                    pairs += 1
+    assert pairs == 178
+
+
+@pytest.mark.parametrize("power, shift, message", [
+    (-1, None, "power -1 is not an int in 0..3"),
+    (4, None, "power 4 is not an int in 0..3"),
+    (True, None, "power True is not an int in 0..3"),
+    (0, Polynomial.variable(0), "power 0 is not an int in 1..3"),
+])
+def test_a_power_outside_the_table_is_a_precondition_error(cp3, power, shift, message):
+    tau = thom_class(cp3, cp3.o_vertex(), "plus")
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        pairing(cp3, tau, tau, power, shift)
+
+
+def test_a_shift_replaces_one_factor_omega(cp3):
+    # On genuine classes the shift's own term sums to 0 (its integrand has
+    # degree below the valence), so it is pinned here on values at one
+    # vertex: with l1, l2, l3 the outward weight forms at A and the shift
+    # omega(A) - l1, the integrand l2 * l3 * (omega - shift) is nu_A there.
+    l1, l2, l3 = (lin_form(e.weight_from("A")) for e in cp3.graph.edges_at("A"))
+    shift = lin_form(cp3.graph.mu("A")) - l1
+    value = pairing(cp3, {"A": l2 * l3}, {"A": Polynomial.constant(1)}, 1, shift)
+    assert value == integrate(cp3, {"A": l1 * l2 * l3}) == 1
+
+
+def test_pairing_reads_the_degree_of_its_classes(cp3):
+    tau = thom_class(cp3, cp3.o_vertex(), "plus")
+    with pytest.raises(DegreeError, match="integrand has polynomial degree 2, expected 3"):
+        pairing(cp3, tau, tau, 2)
+    assert pairing(cp3, tau, 0 * tau, 3) == 0
 
 
 def test_perturbed_integrands_still_fail_loudly(cp3):
