@@ -2,28 +2,27 @@
 
 The Euler class nu_v of a vertex is the product of the linear forms of all
 its outward edge weights; its descending ("plus") and ascending ("minus")
-factors multiply to it.  A class f of top polynomial degree n integrates
-to the constant sum_v f(v) / nu_v: its numerator sum_v f(v) * Q_v, with
-Q_v = L / nu_v and L the least common multiple of the nu_v (one linear
-form per weight direction), is that constant times L.  In lower degrees
-the numerator vanishes.  The report's integrals pair two classes through
-omega^p, omega the symplectic class; a term is zero off supp f & supp g,
-so ``pairing`` sums f(v) * g(v) * t[v][p] there alone, with no product
-class, from one table t[v][p] = omega(v)^p * Q_v per graph, built from the
-stored omega.  Evaluation at generic rational points cross-checks it all.
+factors multiply to it.  With L the least common multiple of the nu_v (one
+linear form per weight direction) and one table t[v][p] = omega(v)^p * L / nu_v
+per graph, from the stored symplectic class omega, a class f of top degree n
+integrates to sum_v f(v) / nu_v = sum_v f(v) * t[v][0] / L; in lower degrees
+that numerator vanishes.  ``pairing`` sums f(v) * g(v) * t[v][p] over
+supp f & supp g.  Each numerator is one integer row over one common
+denominator, summed from convolutions of integer rows, and one form is made
+at the end.  Evaluation at generic rational points cross-checks it all.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from types import MappingProxyType
 
 from .errors import DegreeError, NonConstant, NonZero, PreconditionError
 from .graph import GkmGraph, OrientedGkmGraph
-from .polynomial import Polynomial, Vector, form_product
+from .polynomial import Polynomial, Vector, _convolve, _make, form_product
 
 _VARIANTS = ("full", "plus", "minus")
 
@@ -111,24 +110,50 @@ def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polyn
     return og.graph.derived("localization_common_multiple", compute)
 
 
-def _omega_powers(og: OrientedGkmGraph, p: int) -> Mapping[str, Polynomial]:
-    """Column p of the table t[v][p] = omega(v)^p * Q_v, stored per graph."""
-    if not p:
-        return _common_multiple(og)[0]
-
+def _omega_powers(og: OrientedGkmGraph, p: int) -> Mapping[str, tuple[Sequence[int], int]]:
+    """Column p of t[v][p] = omega(v)^p * Q_v as (row, denominator) pairs, stored per graph."""
     def compute():
+        if not p:
+            return {v: (q.numerators, q.denominator) for v, q in _common_multiple(og)[0].items()}
         from .cohomology import equivariant_symplectic_class  # cohomology imports this module
         omega = equivariant_symplectic_class(og.graph).values
-        return {v: t * omega[v] for v, t in _omega_powers(og, p - 1).items()}
+        return {v: _product_sum([(t, (omega[v].numerators, omega[v].denominator))])
+                for v, t in _omega_powers(og, p - 1).items()}
 
     return og.graph.derived(("omega_powers", p), compute)
 
 
-def _numerator(og: OrientedGkmGraph, values: Mapping[str, Polynomial], p: int = 0) -> Polynomial:
-    """sum_v f(v) * t[v][p] over the v where f is nonzero: the localization
-    sum of f * omega^p times L."""
+def _product_sum(terms: Iterable[Sequence[tuple[Sequence[int], int]]]) -> tuple[Sequence[int], int]:
+    """The sum of the products of ``terms``, sequences of factors, each an integer
+    row and its positive denominator, as one row over the lcm of the term
+    denominators.  A term with a zero (empty) factor is skipped; two others of
+    different degrees are a DegreeError."""
+    total, common = (), 1
+    for (row, den), *rest in terms:
+        for r, d in rest:
+            row, den = (_convolve(row, r), den * d) if row and r else ((), 1)
+        if not total:
+            total, common = row, den
+        elif row:
+            if len(row) != len(total):
+                raise DegreeError(f"cannot add forms of degrees {len(total) - 1} "
+                                  f"and {len(row) - 1}")
+            scale = lcm(common, den)
+            a, b = scale // common, scale // den
+            total, common = [s * a + x * b for s, x in zip(total, row)], scale
+    return total, common
+
+
+def _numerator(og: OrientedGkmGraph, rows: list, p: int,
+               shift: Polynomial | None = None) -> Polynomial:
+    """sum_v r_v * t[v][p] over ``rows`` (v, r_v), with omega - shift for one omega if shifted."""
     t = _omega_powers(og, p)
-    return sum((f * t[v] for v, f in values.items() if f.numerators), Polynomial.zero())
+    summands = [(r, t[v]) for v, r in rows]
+    if shift is not None:
+        t = _omega_powers(og, p - 1)
+        summands.append(((tuple(-c for c in shift.numerators), shift.denominator),
+                         _product_sum([(r, t[v]) for v, r in rows])))
+    return _make(*_product_sum(summands))
 
 
 def _constant(og: OrientedGkmGraph, degree: int | None, numerator: Polynomial) -> Fraction:
@@ -148,7 +173,8 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
     Raises DegreeError for another degree, NonConstant when the sum fails
     to reduce to a rational number (impossible for genuine classes)."""
     values, degree = _values_of(og.graph, f)
-    return _constant(og, degree, _numerator(og, values))
+    rows = [(v, (fv.numerators, fv.denominator)) for v, fv in values.items() if fv.numerators]
+    return _constant(og, degree, _numerator(og, rows, 0))
 
 
 def pairing(og: OrientedGkmGraph, f, g, power: int, shift: Polynomial | None = None) -> Fraction:
@@ -159,13 +185,11 @@ def pairing(og: OrientedGkmGraph, f, g, power: int, shift: Polynomial | None = N
     if type(power) is not int or not (shift is not None) <= power <= n:
         raise PreconditionError(f"power {power!r} is not an int in {shift is not None:d}..{n}")
     (f_values, f_degree), (g_values, g_degree) = _values_of(og.graph, f), _values_of(og.graph, g)
-    products = {v: fv * g_values[v] for v, fv in f_values.items()
-                if fv.numerators and v in g_values and g_values[v].numerators}
-    numerator = _numerator(og, products, power)
-    if shift is not None:
-        numerator -= shift * _numerator(og, products, power - 1)
+    products = [(v, (_convolve(fv.numerators, gv.numerators), fv.denominator * gv.denominator))
+                for v, fv in f_values.items()
+                if fv.numerators and (gv := g_values.get(v)) is not None and gv.numerators]
     degree = None if None in (f_degree, g_degree) else f_degree + g_degree + power
-    return _constant(og, degree, numerator)
+    return _constant(og, degree, _numerator(og, products, power, shift))
 
 
 def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:
@@ -175,7 +199,8 @@ def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:
     n = og.graph.valence
     if degree is not None and degree >= n:
         raise DegreeError(f"expected degree < {n}, got {degree}")
-    numerator = _numerator(og, values)
+    rows = [(v, (fv.numerators, fv.denominator)) for v, fv in values.items() if fv.numerators]
+    numerator = _numerator(og, rows, 0)
     if not numerator.is_zero():
         raise NonZero(f"numerator sum is {numerator}, expected 0")
 

@@ -2,6 +2,8 @@
 
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ from gkm.localization import (
     pairing,
     sum_at_point,
 )
-from gkm.polynomial import Polynomial, Vector, lin_form
+from gkm.polynomial import Polynomial, Vector, _make, lin_form
 
 
 def oriented(name):
@@ -424,6 +426,91 @@ def test_a_shift_replaces_one_factor_omega(cp3):
     shift = lin_form(cp3.graph.mu("A")) - l1
     value = pairing(cp3, {"A": l2 * l3}, {"A": Polynomial.constant(1)}, 1, shift)
     assert value == integrate(cp3, {"A": l1 * l2 * l3}) == 1
+
+
+def test_no_localization_sum_makes_an_intermediate_form(monkeypatch):
+    # Each numerator is one integer row, made into one form at the end.  A
+    # first report builds the Thom classes and the table t[v][p]; then every
+    # pairing it computed (hr_matrix, mixed-matrix with its shift, Kronecker)
+    # and every class it checked for vanishing runs again with Polynomial
+    # arithmetic refused.  The mixed matrix's single-vertex shortcut, the
+    # independent second way, keeps its Polynomial arithmetic and is not rerun.
+    recorded = []
+    for name, og in _corpus_orientations():
+        pairings, vanishing = _report_calls(og, monkeypatch)
+        recorded.append((name, og, [(args, pairing(*args)) for args in pairings], vanishing))
+
+    def refuse(*args):
+        raise AssertionError("a localization sum made an intermediate form")
+
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(Polynomial, op, refuse)
+    with pytest.raises(AssertionError, match="intermediate form"):
+        Polynomial.variable(0) + Polynomial.variable(1)
+    shifted = 0
+    for name, og, pairings, vanishing in recorded:
+        for args, value in pairings:
+            assert pairing(*args) == value, (name, og.xi, args[3:])
+            shifted += len(args) == 5
+        for f in vanishing:
+            check_low_degree_vanishing(og, f)
+    assert shifted
+
+
+def test_a_zero_table_entry_is_skipped():
+    # omega is 0 at A, the vertex of cp3-k4 whose moment is the origin, so
+    # t[A][p] is the zero form for p >= 1: its term is skipped, not convolved
+    # into a row of another degree.  D is the minimum at (1, 3), so tau_D^+ = 1.
+    og = orient(corpus("cp3-k4").graph, Vector((1, 3)))
+    omega = equivariant_symplectic_class(og.graph)
+    tau = thom_class(og, "D", "plus")
+    assert omega.value("A").is_zero() and tau.value("A") == 1
+    assert pairing(og, tau, tau, 3) == integrate(og, omega * omega * omega) == -1
+
+
+@st.composite
+def _form(draw, degree, zero=True):
+    """A form of ``degree``, small integer numerators over a denominator in
+    1..12; the zero form now and then when ``zero``, never without it."""
+    if zero and draw(st.integers(0, 5)) == 0:
+        return Polynomial.zero()
+    den = draw(st.integers(1, 12))
+    numerators = draw(st.lists(st.integers(-4, 4), min_size=degree + 1, max_size=degree + 1))
+    if not (zero or any(numerators)):
+        numerators[0] = 1
+    return Polynomial({(degree - i, i): Fraction(c, den) for i, c in enumerate(numerators)})
+
+
+@st.composite
+def _term(draw, degree, zero=True):
+    """One to four forms whose degrees add up to ``degree``."""
+    cuts = sorted(draw(st.lists(st.integers(0, degree), max_size=3)))
+    return [draw(_form(b - a, zero)) for a, b in zip([0, *cuts], [*cuts, degree])]
+
+
+def _product_sum(terms):
+    rows = [[(f.numerators, f.denominator) for f in term] for term in terms]
+    return _make(*localization._product_sum(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: st.lists(_term(d), max_size=5)))
+def test_the_product_sum_is_the_sum_of_the_products(terms):
+    assert _product_sum(terms) == reduce(add, (reduce(mul, t) for t in terms), Polynomial.zero())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 2), st.booleans(), st.data())
+def test_terms_of_two_degrees_are_a_degree_error_even_after_a_cancellation(
+        degree, step, cancel, data):
+    first = data.draw(_term(degree, zero=False))
+    other = data.draw(_term(degree + step, zero=False))
+    terms = [first, [-first[0], *first[1:]], other] if cancel else [first, other]
+    message = f"cannot add forms of degrees {degree} and {degree + step}"
+    with pytest.raises(DegreeError, match=message):
+        _product_sum(terms)
+    if cancel:  # a running sum of forms is zero before ``other`` and passes it
+        assert reduce(add, (reduce(mul, t) for t in terms)) == reduce(mul, other)
 
 
 def test_pairing_reads_the_degree_of_its_classes(cp3):
