@@ -10,7 +10,9 @@ w's primitive perpendicular, the integer point ``GkmGraph.edge_points``
 keeps per edge.  A degree-d form's value there is the dot product of its
 numerators with ``power_row(point, d)``.  So a congruence is tested by
 evaluating both values there, and in a linear system it is one integer
-row, the power row of the system's degree.
+row, the power row of the system's degree.  Thom systems read these rows
+from one table per degree, kept on the orientation; a slice system
+computes its own.
 
 A class has one degree, fixed when it is made.  Classes are checked
 once, where values enter: the constructor, ``linalg`` (which checks each
@@ -43,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import (
@@ -214,10 +216,13 @@ class _System:
     ``base`` (vertex, form) of the support has a known value: its end of a
     row moves to ``rhs``, the unknowns are the other values times the
     form's denominator, and a row left with no unknown tests the form.
+    ``powers`` gives the edges' power rows, in ``graph.edges`` order, from
+    a table the caller keeps; without it they are computed here.
     """
 
     def __init__(self, graph: GkmGraph, degree: int, support: Iterable[str],
-                 base: tuple[str, Polynomial] | None = None):
+                 base: tuple[str, Polynomial] | None = None,
+                 powers: Sequence[Sequence[int]] | None = None):
         self.graph = graph
         self.degree = degree
         self.base = base
@@ -228,12 +233,13 @@ class _System:
         offset = {v: k * n for k, v in enumerate(self.unknowns)}
         self.rows: list[list[int]] = []
         self.rhs: list[int] = []
-        for e, point in zip(graph.edges, graph.edge_points()):
+        if powers is None:
+            powers = [power_row(point, degree) for point in graph.edge_points()]
+        for e, values in zip(graph.edges, powers):
             i, j = offset.get(e.first), offset.get(e.second)
             known = 1 if e.first == vid else -1 if e.second == vid else 0
             if i is None and j is None and not known:
                 continue
-            values = power_row(point, degree)
             row = [0] * self.ncols
             if i is not None:
                 row[i:i + n] = values
@@ -315,7 +321,9 @@ def _thom_system(og: OrientedGkmGraph, vid: str, direction: str) -> _System:
     if factor.homogeneous_degree != degree:
         raise DegreeError(f"the {direction} Euler factor at {vid} has degree "
                           f"{factor.homogeneous_degree}, but its Thom class has degree {degree}")
-    return _System(og.graph, degree, support, base=(vid, factor))
+    powers = og.derived(("power_rows", degree), lambda: [
+        power_row(point, degree) for point in og.graph.edge_points()])
+    return _System(og.graph, degree, support, (vid, factor), powers)
 
 
 def _solve_thom_class(og: OrientedGkmGraph, vid: str,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
@@ -260,19 +260,15 @@ class GkmGraph(_Derived):
     def _has_weight_matching(self, e: Edge) -> bool:
         """Can the other weights at the two ends be paired congruently mod e?
 
-        Exhaustive search over the (n-1)! bijections.
+        In rank 2, a ≡ b mod w exactly when a×w == b×w, so a matching
+        exists exactly when the two ends have equal sorted lists of cross
+        products with w.  Each weight is read outward: its edge's own
+        weight, times -1 at the edge's second end.
         """
-        left = [f.weight_from(e.first) for f in self._adjacent[e.first] if f is not e]
-        right = [f.weight_from(e.second) for f in self._adjacent[e.second] if f is not e]
-        if len(left) != len(right):
-            return False
-        if not left:
-            return True
-        for perm in permutations(range(len(right))):
-            if all((left[i] - right[perm[i]]).cross(e.weight) == 0
-                   for i in range(len(left))):
-                return True
-        return False
+        left, right = (sorted((1 if f.first == v else -1) * f.weight.cross(e.weight)
+                              for f in self._adjacent[v] if f is not e)
+                       for v in (e.first, e.second))
+        return left == right
 
 
 # -- orientation --------------------------------------------------------------

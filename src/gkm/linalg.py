@@ -270,7 +270,7 @@ def solve(matrix: Matrix,
         return ([], 1), 0
     ncols = len(matrix[0])
     _require_width(matrix, ncols)
-    ech = echelon([list(r) + [b] for r, b in zip(matrix, rhs)])
+    ech = echelon([[*r, b] for r, b in zip(matrix, rhs)])
     if ncols in ech.pivot_cols:
         return None, ncols + 1 - ech.rank
     return (_check(matrix, rhs, _back_substitute(ech, ncols), "the solution"),

@@ -14,7 +14,6 @@ at the end.  Evaluation at generic rational points cross-checks it all.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import isqrt, lcm
@@ -22,7 +21,7 @@ from types import MappingProxyType
 
 from .errors import DegreeError, NonConstant, NonZero, PreconditionError
 from .graph import GkmGraph, OrientedGkmGraph
-from .polynomial import Polynomial, Vector, _convolve, _make, form_product
+from .polynomial import Polynomial, Vector, _convolve, _make, _vector, form_product
 
 _VARIANTS = ("full", "plus", "minus")
 
@@ -81,31 +80,35 @@ def class_degree(values: Mapping[str, Polynomial]) -> int | None:
 def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polynomial]:
     """Q_v = L / nu_v for each v, and L = prod_d ell_d^{m_d}, stored per graph.
 
-    An edge's primitive perpendicular (a, b), signed to be > (0, 0), gives
-    its weight direction d = (-b, a) and ell_d its form; m_d is the most
-    edges of direction d at one vertex.  Each outward weight at v is some
-    s_e * d, so Q_v is the forms v lacks over prod_e s_e: no nu_v is expanded.
-    The scale prod_e s_e is kept as an integer numerator and denominator.
+    An edge's primitive perpendicular (a, b), signed to be > (0, 0), keys its
+    weight direction d = (-b, a), and ell_d is d's form; m_d is the most edges
+    of direction d at one vertex.  Each outward weight at v is some s_e * d, so
+    Q_v is the forms v lacks over prod_e s_e: no nu_v is expanded.  The scale
+    prod_e s_e is kept as an integer numerator and denominator.
     """
     def compute():
         graph = og.graph
-        counts = {v: Counter() for v in graph.vertex_ids()}
+        counts = {v: {} for v in graph.vertex_ids()}
         num = dict.fromkeys(graph.vertex_ids(), 1)
         den = dict.fromkeys(graph.vertex_ids(), 1)
         for e, (a, b) in zip(graph.edges, graph.edge_points()):
-            d = Vector((-b, a) if (a, b) > (0, 0) else (b, -a))
+            if (a, b) < (0, 0):
+                a, b = -a, -b
             w = e.weight  # s_e = w / d from e.first, -s_e from e.second
-            top, bottom = (w.x, d.x) if d.x else (w.y, d.y)
+            top, bottom = (w.x, -b) if b else (w.y, a)
             for v, sign in ((e.first, 1), (e.second, -1)):
-                counts[v][d] += 1
+                counts[v][a, b] = counts[v].get((a, b), 0) + 1
                 num[v] *= sign * top
                 den[v] *= w.denominator * bottom
-        most = Counter()
+        most = {}
         for c in counts.values():
-            most |= c
-        quotients = {v: form_product((most - c).elements(), den[v], num[v])
+            for d, m in c.items():
+                most[d] = max(most.get(d, 0), m)
+        forms = {(a, b): _vector(-b, a, 1) for a, b in most}
+        quotients = {v: form_product([f for d, f in forms.items()
+                                      for _ in range(most[d] - c.get(d, 0))], den[v], num[v])
                      for v, c in counts.items()}
-        return quotients, form_product(most.elements())
+        return quotients, form_product([f for d, f in forms.items() for _ in range(most[d])])
 
     return og.graph.derived("localization_common_multiple", compute)
 

@@ -1,6 +1,7 @@
 """Graph cohomology: membership, degree slices, Thom classes."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -407,6 +408,30 @@ def test_thom_postconditions_everywhere():
                 assert tau.value(vid) == euler_class(
                     og, vid, "plus" if direction == "plus" else "minus"
                 )
+
+
+def test_thom_systems_read_one_power_row_table_per_orientation(monkeypatch):
+    # All 2|V| Thom classes of a fresh orientation compute each edge's power
+    # row at most once per degree.  A second orientation of the same graph
+    # builds its own table, and the graph keeps none.
+    calls = []
+    real = cohomology.power_row
+    monkeypatch.setattr(cohomology, "power_row",
+                        lambda point, d: calls.append((point, d)) or real(point, d))
+    for inst in map(corpus, corpus_names()):
+        edges_at = Counter(inst.graph.edge_points())
+        rounds = []
+        for _ in range(2):
+            calls.clear()
+            og = orient(inst.graph, inst.xi)
+            for vid in inst.graph.vertex_ids():
+                for direction in ("plus", "minus"):
+                    thom_class(og, vid, direction)
+            counted = Counter(calls)
+            assert all(k <= edges_at[point] for (point, _), k in counted.items()), inst.name
+            rounds.append(counted)
+        assert rounds[0] and rounds[0] == rounds[1], inst.name
+        assert not [key for key in inst.graph._derived if "power_rows" in key], inst.name
 
 
 def test_thom_duality_under_reversed_covector():

@@ -2,8 +2,10 @@
 
 import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gkm import cohomology, lefschetz, localization
 from gkm.corpus import corpus, corpus_names
@@ -200,6 +202,54 @@ def test_failing_validation_output_is_pinned(broken):
     assert report.to_jsonable() == [
         {"check": name, "ok": name not in failed, "detail": failed.get(name, "")}
         for name in _CHECK_NAMES]
+
+
+def _matching_by_search(graph, e):
+    """The exhaustive bijection search the cross-product rule replaced: the
+    oracle that the rule must agree with."""
+    left = [f.weight_from(e.first) for f in graph.edges_at(e.first) if f is not e]
+    right = [f.weight_from(e.second) for f in graph.edges_at(e.second) if f is not e]
+    return len(left) == len(right) and any(
+        all((a - right[j]).cross(e.weight) == 0 for a, j in zip(left, perm))
+        for perm in permutations(range(len(right))))
+
+
+_COMPONENTS = st.one_of(st.integers(-3, 3),
+                        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+_WEIGHTS = st.tuples(_COMPONENTS, _COMPONENTS).filter(any).map(Vector)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_cross_product_matching_rule_agrees_with_the_bijection_search(data):
+    # One edge u-v of valence n = 3 or 4, its other weights at each end on
+    # edges to leaves; every edge, u-v included, is stored either way round,
+    # so each weight is read with either sign.  Half the cases have a
+    # matching by construction, some of them broken at one weight.
+    n = data.draw(st.sampled_from([3, 4]), label="valence")
+    w = data.draw(_WEIGHTS, label="weight of u-v")
+    others = st.lists(_WEIGHTS, min_size=n - 1, max_size=n - 1)
+    left = data.draw(others, label="weights at u")
+    if data.draw(st.booleans(), label="matched"):
+        shifts = data.draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        right = [a + k * w for a, k in zip(data.draw(st.permutations(left)), shifts)]
+        if data.draw(st.booleans(), label="broken"):
+            right[0] = data.draw(_WEIGHTS)
+        assume(not any(b.is_zero() for b in right))
+    else:
+        right = data.draw(others, label="weights at v")
+    flips = data.draw(st.lists(st.booleans(), min_size=2 * n - 1, max_size=2 * n - 1))
+
+    def edge(u, v, weight, flip):
+        return Edge(v, u, -weight) if flip else Edge(u, v, weight)
+
+    e = edge("u", "v", w, flips[0])
+    edges = [e] + [edge(end, f"{end}{i}", a, flip)
+                   for end, weights, fs in (("u", left, flips[1:n]), ("v", right, flips[n:]))
+                   for i, (a, flip) in enumerate(zip(weights, fs))]
+    ids = {x for f in edges for x in (f.first, f.second)}
+    graph = GkmGraph(2, n, [Vertex(x, Vector((0, 0))) for x in sorted(ids)], edges)
+    assert graph._has_weight_matching(e) == _matching_by_search(graph, e)
 
 
 # -- orientation -----------------------------------------------------------------

@@ -550,6 +550,38 @@ def test_common_multiple_has_one_form_per_weight_direction(name, directions):
             assert q.homogeneous_degree == 0, v
 
 
+# Invertible integer matrices with entries up to 2^16 in size, as the
+# benchmark's moved instances have.
+_MOVES = [((65536, -3), (7, 2)), ((-40961, 65535), (12345, -65536)), ((2, 1), (-65536, 1))]
+
+
+def _moved(name, matrix):
+    """The corpus instance with every moment and weight multiplied by
+    ``matrix``, oriented by xi' = adj(A)^T xi, so <A w, xi'> = det A <w, xi>."""
+    inst = corpus(name)
+    (a, b), (c, d) = matrix
+
+    def apply(v):
+        return Vector((a * v[0] + b * v[1], c * v[0] + d * v[1]))
+
+    graph = GkmGraph(2, inst.graph.valence,
+                     [Vertex(v.id, apply(v.mu)) for v in inst.graph.vertices],
+                     [Edge(e.first, e.second, apply(e.weight)) for e in inst.graph.edges])
+    x, y = inst.xi
+    return orient(graph, Vector((d * x - c * y, a * y - b * x)))
+
+
+@pytest.mark.parametrize("matrix", _MOVES)
+@pytest.mark.parametrize("name", corpus_names())
+def test_each_quotient_times_its_euler_class_is_the_common_multiple_on_moved_graphs(
+        name, matrix):
+    og = _moved(name, matrix)
+    assert og.graph.validate().ok and og.is_index_increasing()
+    quotients, common = localization._common_multiple(og)
+    for v, q in quotients.items():
+        assert euler_class(og, v) * q == common, (name, matrix, v)
+
+
 @pytest.fixture(scope="module")
 def parallel():
     """K4 in rank 2 whose weights at A include (1, 0) and (2, 0): it fails
