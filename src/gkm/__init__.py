@@ -8,12 +8,12 @@ The package re-exports the names the demos use; everything else is
 imported from its module (``gkm.cohomology``, ``gkm.geometry``, ...).
 """
 
-from .cohomology import equivariant_symplectic_class, thom_class
+from .cohomology import equivariant_symplectic_class, euler_class, thom_class
 from .corpus import corpus, corpus_names
 from .errors import GkmError
 from .graph import Edge, GkmGraph, Vertex, orient
 from .lefschetz import hard_lefschetz_report
-from .localization import euler_class, evaluation_points, integrate, sum_at_point
+from .localization import evaluation_points, integrate, sum_at_point
 from .polynomial import Polynomial, Vector, congruent_mod_linear, lin_form
 from .render import render_svg
 

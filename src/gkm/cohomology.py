@@ -14,7 +14,9 @@ row, the power row of the system's degree.  Thom systems read these rows
 from one table per degree, kept on the orientation; a slice system
 computes its own.
 
-A class has one degree, fixed when it is made.  Classes are checked
+A class has one degree, fixed when it is made.  This module owns class
+values (``_values_of``, ``class_degree``) and ``euler_class``, which
+``localization`` imports from here.  Classes are checked
 once, where values enter: the constructor, ``linalg`` (which checks each
 solver answer against its rows, every edge congruence not 0 = 0) and
 ``equivariant_symplectic_class``, whose checked values are kept once per
@@ -57,10 +59,11 @@ from .errors import (
     PreconditionError,
 )
 from .graph import GkmGraph, OrientedGkmGraph
-from .localization import _values_of, euler_class
 # congruent_mod_linear is unused here; perfbench's tracer self-test expects it.
 from .polynomial import (  # noqa: F401
-    Polynomial, _make, congruent_mod_linear, lin_form, power_row)
+    Polynomial, _make, congruent_mod_linear, form_product, lin_form, power_row)
+
+_VARIANTS = ("full", "plus", "minus")
 
 
 class CohomologyElement:
@@ -183,6 +186,36 @@ def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
     return None
 
 
+def _values_of(graph: GkmGraph, f) -> tuple[Mapping[str, Polynomial], int | None]:
+    """The values and the degree of a class of ``graph``, or of the mapping
+    ``f`` once it is checked to map known vertex ids to Polynomials of one
+    degree; a class of another graph, or anything else, is a
+    PreconditionError."""
+    if isinstance(f, CohomologyElement):
+        if f.graph is not graph:
+            raise PreconditionError("the class lives on another graph")
+        return f.values, f.degree
+    if not isinstance(f, Mapping):
+        raise PreconditionError("expected a class or a mapping of vertex ids "
+                                f"to polynomials, got {type(f).__name__}")
+    extra = set(f).difference(graph.vertex_ids())
+    if extra:
+        raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
+    for vid, p in f.items():
+        if not isinstance(p, Polynomial):
+            raise PreconditionError(
+                f"the value at {vid} has type {type(p).__name__}, not Polynomial")
+    return f, class_degree(f)
+
+
+def class_degree(values: Mapping[str, Polynomial]) -> int | None:
+    """Common degree of the nonzero values; None if all zero."""
+    degrees = sorted({p.homogeneous_degree for p in values.values()} - {None})
+    if len(degrees) > 1:
+        raise DegreeError(f"class values have mixed degrees {degrees}")
+    return degrees[0] if degrees else None
+
+
 def unity(graph: GkmGraph) -> CohomologyElement:
     one = Polynomial.constant(1)
     return _element(graph, {v: one for v in graph.vertex_ids()}, 0)
@@ -198,6 +231,27 @@ def equivariant_symplectic_class(graph: GkmGraph) -> CohomologyElement:
     values = graph.derived("omega", lambda: CohomologyElement(
         graph, {v: lin_form(graph.mu(v)) for v in graph.vertex_ids()}).values)
     return _element(graph, values, 1)
+
+
+def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polynomial:
+    """Product of outward weight forms at vid.
+
+    ``plus`` multiplies over descending edges only, ``minus`` over ascending
+    edges only; the full class is their product, stored per graph.
+    """
+    if variant not in _VARIANTS:
+        raise PreconditionError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+
+    def compute():
+        if variant == "full":
+            edges = og.graph.edges_at(vid)
+        elif variant == "plus":
+            edges = og.down_edges(vid)
+        else:
+            edges = og.up_edges(vid)
+        return form_product(e.weight_from(vid) for e in edges)
+
+    return (og.graph if variant == "full" else og).derived(("euler", vid, variant), compute)
 
 
 # -- linear-system construction -------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .cohomology import equivariant_symplectic_class, slice_dimension, thom_class
+from .cohomology import equivariant_symplectic_class, euler_class, slice_dimension, thom_class
 from .errors import (
     DegreeError,
     GkmError,
@@ -39,7 +39,7 @@ from .geometry import (
 )
 from .graph import OrientedGkmGraph
 # integrate is unused here; perfbench's tracer self-test expects it.
-from .localization import check_low_degree_vanishing, euler_class, integrate, pairing  # noqa: F401
+from .localization import check_low_degree_vanishing, integrate, pairing  # noqa: F401
 from .polynomial import lin_form
 
 
@@ -150,9 +150,9 @@ def _mixed_hr2_entries(og: OrientedGkmGraph) -> list[list[Fraction]]:
     omega = equivariant_symplectic_class(og.graph)
 
     def entry(q, p):
-        tau_p, shift = thom_class(og, p, "plus"), omega.value(p)
-        via_integral = pairing(og, tau_p, thom_class(og, q, "minus"), 1, shift)
-        via_shortcut = (tau_p.value(q) * (omega.value(q) - shift)).parallel_ratio(
+        tau_p = thom_class(og, p, "plus")
+        via_integral = pairing(og, tau_p, thom_class(og, q, "minus"), 1)
+        via_shortcut = (tau_p.value(q) * (omega.value(q) - omega.value(p))).parallel_ratio(
             euler_class(og, q, "plus"))
         if via_shortcut is None:
             raise GkmError(f"entry ({q}, {p}): shortcut value is no multiple of nu_q^+")

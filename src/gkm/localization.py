@@ -2,11 +2,13 @@
 
 The Euler class nu_v of a vertex is the product of the linear forms of all
 its outward edge weights; its descending ("plus") and ascending ("minus")
-factors multiply to it.  With L the least common multiple of the nu_v (one
-linear form per weight direction) and one table t[v][p] = omega(v)^p * L / nu_v
-per graph, from the stored symplectic class omega, a class f of top degree n
-integrates to sum_v f(v) / nu_v = sum_v f(v) * t[v][0] / L; in lower degrees
-that numerator vanishes.  ``pairing`` sums f(v) * g(v) * t[v][p] over
+factors multiply to it.  ``euler_class`` and class values are owned by
+``cohomology``, which imports nothing from here.  With L the least common
+multiple of the nu_v (one linear form per weight direction) and one table
+t[v][p] = omega(v)^p * L / nu_v per graph, from the stored symplectic
+class omega, a class f of top degree n integrates to
+sum_v f(v) / nu_v = sum_v f(v) * t[v][0] / L; in lower degrees that
+numerator vanishes.  ``pairing`` sums f(v) * g(v) * t[v][p] over
 supp f & supp g.  Each numerator is one integer row over one common
 denominator, summed from convolutions of integer rows, and one form is made
 at the end.  Evaluation at generic rational points cross-checks it all.
@@ -17,65 +19,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import isqrt, lcm
-from types import MappingProxyType
 
+from .cohomology import _values_of, equivariant_symplectic_class, euler_class
 from .errors import DegreeError, NonConstant, NonZero, PreconditionError
-from .graph import GkmGraph, OrientedGkmGraph
+from .graph import OrientedGkmGraph
 from .polynomial import Polynomial, Vector, _convolve, _make, _vector, form_product
-
-_VARIANTS = ("full", "plus", "minus")
-
-
-def euler_class(og: OrientedGkmGraph, vid: str, variant: str = "full") -> Polynomial:
-    """Product of outward weight forms at vid.
-
-    ``plus`` multiplies over descending edges only, ``minus`` over ascending
-    edges only; the full class is their product, stored per graph.
-    """
-    if variant not in _VARIANTS:
-        raise PreconditionError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
-    def compute():
-        if variant == "full":
-            edges = og.graph.edges_at(vid)
-        elif variant == "plus":
-            edges = og.down_edges(vid)
-        else:
-            edges = og.up_edges(vid)
-        return form_product(e.weight_from(vid) for e in edges)
-
-    return (og.graph if variant == "full" else og).derived(("euler", vid, variant), compute)
-
-
-def _values_of(graph: GkmGraph, f) -> tuple[Mapping[str, Polynomial], int | None]:
-    """The values and the degree of a class of ``graph``, or of the mapping
-    ``f`` once it is checked to map known vertex ids to Polynomials of one
-    degree; a class of another graph, or anything else, is a
-    PreconditionError."""
-    if not isinstance(f, Mapping):
-        if type(getattr(f, "values", None)) is not MappingProxyType:  # not a class
-            raise PreconditionError("expected a class or a mapping of vertex ids "
-                                    f"to polynomials, got {type(f).__name__}")
-        if f.graph is not graph:
-            raise PreconditionError("the class lives on another graph")
-        return f.values, f.degree
-    extra = set(f).difference(graph.vertex_ids())
-    if extra:
-        raise PreconditionError(f"values for unknown vertices: {sorted(extra)}")
-    for vid, p in f.items():
-        if not isinstance(p, Polynomial):
-            raise PreconditionError(
-                f"the value at {vid} has type {type(p).__name__}, not Polynomial")
-    return f, class_degree(f)
-
-
-def class_degree(values: Mapping[str, Polynomial]) -> int | None:
-    """Common degree of the nonzero values; None if all zero."""
-    degrees = sorted({p.homogeneous_degree for p in values.values()} - {None})
-    if len(degrees) > 1:
-        raise DegreeError(f"class values have mixed degrees {degrees}")
-    return degrees[0] if degrees else None
-
 
 def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polynomial]:
     """Q_v = L / nu_v for each v, and L = prod_d ell_d^{m_d}, stored per graph.
@@ -118,7 +66,6 @@ def _omega_powers(og: OrientedGkmGraph, p: int) -> Mapping[str, tuple[Sequence[i
     def compute():
         if not p:
             return {v: (q.numerators, q.denominator) for v, q in _common_multiple(og)[0].items()}
-        from .cohomology import equivariant_symplectic_class  # cohomology imports this module
         omega = equivariant_symplectic_class(og.graph).values
         return {v: _product_sum([(t, (omega[v].numerators, omega[v].denominator))])
                 for v, t in _omega_powers(og, p - 1).items()}
@@ -147,16 +94,10 @@ def _product_sum(terms: Iterable[Sequence[tuple[Sequence[int], int]]]) -> tuple[
     return total, common
 
 
-def _numerator(og: OrientedGkmGraph, rows: list, p: int,
-               shift: Polynomial | None = None) -> Polynomial:
-    """sum_v r_v * t[v][p] over ``rows`` (v, r_v), with omega - shift for one omega if shifted."""
+def _numerator(og: OrientedGkmGraph, rows: list, p: int) -> Polynomial:
+    """sum_v r_v * t[v][p] over ``rows`` (v, r_v)."""
     t = _omega_powers(og, p)
-    summands = [(r, t[v]) for v, r in rows]
-    if shift is not None:
-        t = _omega_powers(og, p - 1)
-        summands.append(((tuple(-c for c in shift.numerators), shift.denominator),
-                         _product_sum([(r, t[v]) for v, r in rows])))
-    return _make(*_product_sum(summands))
+    return _make(*_product_sum([(r, t[v]) for v, r in rows]))
 
 
 def _constant(og: OrientedGkmGraph, degree: int | None, numerator: Polynomial) -> Fraction:
@@ -180,19 +121,18 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
     return _constant(og, degree, _numerator(og, rows, 0))
 
 
-def pairing(og: OrientedGkmGraph, f, g, power: int, shift: Polynomial | None = None) -> Fraction:
-    """``integrate(og, f * g * omega**power)``, or with one factor omega
-    replaced by omega - ``shift``, a linear form, summed over supp f & supp g
-    alone.  A power outside 0..n (1..n with a shift) is a PreconditionError."""
+def pairing(og: OrientedGkmGraph, f, g, power: int) -> Fraction:
+    """``integrate(og, f * g * omega**power)``, summed over supp f & supp g
+    alone.  A power outside 0..n is a PreconditionError."""
     n = og.graph.valence
-    if type(power) is not int or not (shift is not None) <= power <= n:
-        raise PreconditionError(f"power {power!r} is not an int in {shift is not None:d}..{n}")
+    if type(power) is not int or not 0 <= power <= n:
+        raise PreconditionError(f"power {power!r} is not an int in 0..{n}")
     (f_values, f_degree), (g_values, g_degree) = _values_of(og.graph, f), _values_of(og.graph, g)
     products = [(v, (_convolve(fv.numerators, gv.numerators), fv.denominator * gv.denominator))
                 for v, fv in f_values.items()
                 if fv.numerators and (gv := g_values.get(v)) is not None and gv.numerators]
     degree = None if None in (f_degree, g_degree) else f_degree + g_degree + power
-    return _constant(og, degree, _numerator(og, products, power, shift))
+    return _constant(og, degree, _numerator(og, products, power))
 
 
 def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:

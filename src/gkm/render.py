@@ -28,8 +28,8 @@ _ROOT_SCALE = 10 ** 6
 def _transform(points):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
+    min_x, max_x = min(xs, default=0), max(xs, default=0)  # an empty graph draws no points
+    min_y, max_y = min(ys, default=0), max(ys, default=0)
     span = max(max_x - min_x, max_y - min_y) or Fraction(1)
     scale = (_SIZE - 2 * _MARGIN) / span
     off_x = (_SIZE - scale * (max_x - min_x)) / 2

@@ -294,6 +294,20 @@ def test_unreadable_document_exits_1(command, kind, tmp_path, capsys):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, code", [("validate", 0), ("report", 1), ("render", 0)])
+def test_a_document_with_no_vertices_exits_without_raising(command, code, tmp_path, capsys):
+    """validate calls it valid, report fails at unique-extrema and render
+    draws a picture with no points."""
+    path = tmp_path / "empty.json"
+    path.write_text('{"rank": 2, "valence": 3, "vertices": [], "edges": []}', encoding="utf-8")
+    extra = ["-o", str(tmp_path / "empty.svg")] if command == "render" else []
+    assert main([command, str(path), *extra]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if command == "render":  # one circle, the tip of the covector's margin arrow
+        assert (tmp_path / "empty.svg").read_text(encoding="utf-8").count("<circle") == 1
+
+
 def test_render_unwritable_output_exits_1(cp3_file, tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "x.svg"
     assert main(["render", str(cp3_file), "-o", str(target)]) == 1

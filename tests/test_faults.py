@@ -3,16 +3,25 @@ that should catch it, each with a detail naming what broke.
 
 Each case corrupts one stored value or one function on a valid corpus
 orientation.  The failing checks and their details are pinned as text.
-The rows here trip ``unique-extrema``, ``classify-type``,
-``sign-conditions`` (twice: its side-of-line criterion, and alone its
-convex-cycle positivity, on a concave cycle relabelled convex),
-``column-independence``, ``type-g-determinant``, ``hr-determinants``
-(naming the failing entry), ``kronecker-pairing`` and
+The rows here trip ``unique-extrema``, ``betti-structure``,
+``index-two-adjacent-o``, ``index-four-adjacent-r``, ``classify-type``,
+``coefficient-pairs``, ``sign-conditions`` (twice: its side-of-line
+criterion, and alone its convex-cycle positivity, on a concave cycle
+relabelled convex), ``column-independence``, ``type-g-determinant``,
+``hr-determinants`` (naming the failing entry), ``kronecker-pairing`` and
 ``hr2-mixed-equivalence``; the last two are north-star cross-checks, and
 each catches a corruption that every other check misses.  ``cycle-shapes``, ``pairing-identity`` and
 ``low-degree-vanishing`` are tripped in ``tests/test_lefschetz.py``.
 ``six-dim-scope`` needs no corruption: tol-d has generic covectors that
 are not index-increasing, and the report stops at that check.
+
+On consistent data the two adjacency checks are implied by the checks
+that stop the report before them.  On an index-increasing orientation an
+index-two vertex has one down-neighbour, of index 0, which is o once
+``unique-extrema`` holds; likewise an index-four vertex's one up-neighbour
+is r.  So their rows corrupt the graph's adjacency lookup for one edge.
+The edge from r lies on an ascending cycle, so the cycle checks fail with
+``index-four-adjacent-r``: nothing trips it alone.
 """
 
 import dataclasses
@@ -32,6 +41,34 @@ from gkm.polynomial import Polynomial, Vector
 def _first_index_two_vertex_loses_its_down_edge(og, monkeypatch):
     """The stored orientation gets a second vertex of down-degree 0."""
     og._down[og.vertices_of_index(1)[0]].clear()
+
+
+def _unequal_middle_betti_numbers(og, monkeypatch):
+    b0, b1, b2, b3 = og.betti()
+    monkeypatch.setattr(og, "betti", lambda: (b0, b1, b2 + 1, b3))
+
+
+def _adjacency_lookup_misses(og, monkeypatch, u, v):
+    """The graph's adjacency lookup, with the edge u-v missing."""
+    adjacent = og.graph.adjacent
+    monkeypatch.setattr(og.graph, "adjacent", lambda a, b: {a, b} != {u, v} and adjacent(a, b))
+
+
+def _first_index_two_vertex_misses_o(og, monkeypatch):
+    _adjacency_lookup_misses(og, monkeypatch, og.vertices_of_index(1)[0], og.o_vertex())
+
+
+def _first_index_four_vertex_misses_r(og, monkeypatch):
+    _adjacency_lookup_misses(og, monkeypatch, og.vertices_of_index(2)[0], og.r_vertex())
+
+
+def _nonzero_coefficient_on_a_pair_not_adjacent(og, monkeypatch):
+    """thom_coefficient, 1 on the first (index-two, index-four) pair that is not adjacent."""
+    pair = next((p, q) for p in og.vertices_of_index(1) for q in og.vertices_of_index(2)
+                if not og.graph.adjacent(p, q))
+    thom_coefficient = lefschetz.thom_coefficient
+    monkeypatch.setattr(lefschetz, "thom_coefficient", lambda og, p, q: (
+        Fraction(1) if (p, q) == pair else thom_coefficient(og, p, q)))
 
 
 def _no_classification_row(og, monkeypatch):
@@ -90,6 +127,26 @@ def _negated_determinant(og, monkeypatch):
 _CASES = {
     "unique-extrema": ("cp3-k4", _first_index_two_vertex_loses_its_down_edge, {
         "unique-extrema": "expected a unique down-degree-0 vertex, found ['D', 'A']",
+    }),
+    "betti-structure": ("cp3-k4", _unequal_middle_betti_numbers, {
+        "betti-structure": "betti (1, 1, 2, 1) incompatible with vertex count",
+    }),
+    "index-two-adjacent-o": ("cp3-k4", _first_index_two_vertex_misses_o, {
+        "index-two-adjacent-o": "an index-two vertex misses the bottom vertex",
+    }),
+    "index-four-adjacent-r": ("cp3-k4", _first_index_four_vertex_misses_r, {
+        "index-four-adjacent-r": "an index-four vertex misses the top vertex",
+        "classify-type": "cycle edge B-C missing from the graph",
+        "cycle-shapes": "cycle edge B-C missing from the graph",
+        "sign-conditions": "cycle edge B-C missing from the graph",
+    }),
+    "coefficient-pairs": ("cp1xcp2", _nonzero_coefficient_on_a_pair_not_adjacent, {
+        "coefficient-pairs": "pair (100, 001): adjacency False, ratio 0, coefficient 1 "
+                             "violate the nonzero biconditional",
+        "pairing-identity": "pair (100, 001): adjacency False, ratio 0, coefficient 1 "
+                            "violate the nonzero biconditional",
+        "sign-conditions": "pair (100, 001): adjacency False, ratio 0, coefficient 1 "
+                           "violate the nonzero biconditional",
     }),
     "classify-type": ("cp3-k4", _no_classification_row, {
         "classify-type": "no classification row matches ('triangle', 4, True, 0)",

@@ -8,7 +8,7 @@ from operator import add, mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkm import lefschetz, localization
+from gkm import cohomology, lefschetz, localization
 from gkm.cohomology import (
     CohomologyElement,
     basis,
@@ -260,7 +260,7 @@ def test_integrate_reads_the_degree_a_class_was_made_with(cp3, monkeypatch):
     def rescan(values):
         raise AssertionError("the degree of a class was scanned again")
 
-    monkeypatch.setattr(localization, "class_degree", rescan)
+    monkeypatch.setattr(cohomology, "class_degree", rescan)
     assert tau.degree == 3 and integrate(cp3, tau) == expected
     check_low_degree_vanishing(cp3, om ** 2)
 
@@ -298,7 +298,7 @@ def _reference(og, f):
     numerator = Polynomial.zero()
     for v, p in products.items():
         numerator = numerator + values.get(v, Polynomial.zero()) * p
-    if localization.class_degree(values) == og.graph.valence:
+    if cohomology.class_degree(values) == og.graph.valence:
         ratio = numerator.parallel_ratio(denominator)
         return "nonconstant" if ratio is None else ratio
     return "vanishes" if numerator.is_zero() else "nonzero"
@@ -307,7 +307,7 @@ def _reference(og, f):
 def _under_common_multiple(og, f):
     values = f if isinstance(f, dict) else f.values
     try:
-        if localization.class_degree(values) == og.graph.valence:
+        if cohomology.class_degree(values) == og.graph.valence:
             return integrate(og, f)
         check_low_degree_vanishing(og, f)
         return "vanishes"
@@ -341,12 +341,9 @@ def _report_calls(og, monkeypatch):
     return pairings, vanishing
 
 
-def _full_product(og, f, g, power, shift=None):
-    """The class f * g * omega^power, one factor omega - shift with a shift."""
-    omega = equivariant_symplectic_class(og.graph)
-    if shift is None:
-        return f * g * omega ** power
-    return f * g * omega ** (power - 1) * (omega - shift)
+def _full_product(og, f, g, power):
+    """The class f * g * omega^power."""
+    return f * g * equivariant_symplectic_class(og.graph) ** power
 
 
 def test_common_multiple_gives_the_full_product_answers_on_every_corpus_orientation(
@@ -405,33 +402,38 @@ def test_a_kronecker_pairing_meets_one_vertex_at_most():
     assert pairs == 178
 
 
-@pytest.mark.parametrize("power, shift, message", [
-    (-1, None, "power -1 is not an int in 0..3"),
-    (4, None, "power 4 is not an int in 0..3"),
-    (True, None, "power True is not an int in 0..3"),
-    (0, Polynomial.variable(0), "power 0 is not an int in 1..3"),
+@pytest.mark.parametrize("power, message", [
+    (-1, "power -1 is not an int in 0..3"),
+    (4, "power 4 is not an int in 0..3"),
+    (True, "power True is not an int in 0..3"),
 ])
-def test_a_power_outside_the_table_is_a_precondition_error(cp3, power, shift, message):
+def test_a_power_outside_the_table_is_a_precondition_error(cp3, power, message):
     tau = thom_class(cp3, cp3.o_vertex(), "plus")
     with pytest.raises(PreconditionError, match=re.escape(message)):
-        pairing(cp3, tau, tau, power, shift)
+        pairing(cp3, tau, tau, power)
 
 
-def test_a_shift_replaces_one_factor_omega(cp3):
-    # On genuine classes the shift's own term sums to 0 (its integrand has
-    # degree below the valence), so it is pinned here on values at one
-    # vertex: with l1, l2, l3 the outward weight forms at A and the shift
-    # omega(A) - l1, the integrand l2 * l3 * (omega - shift) is nu_A there.
-    l1, l2, l3 = (lin_form(e.weight_from("A")) for e in cp3.graph.edges_at("A"))
-    shift = lin_form(cp3.graph.mu("A")) - l1
-    value = pairing(cp3, {"A": l2 * l3}, {"A": Polynomial.constant(1)}, 1, shift)
-    assert value == integrate(cp3, {"A": l1 * l2 * l3}) == 1
+def test_each_mixed_entry_is_its_shifted_product_integral_on_every_corpus_orientation():
+    # The mixed entry integrates tau_p^+ * tau_q^- * (omega - omega(p)).  The
+    # shift adds omega(p) times the integral of tau_p^+ * tau_q^-, a class of
+    # degree 2 < n, which is 0: so the pairing through one plain omega is it.
+    entries = 0
+    for name, og in _corpus_orientations():
+        omega = equivariant_symplectic_class(og.graph)
+        for p in og.vertices_of_index(1):
+            tau_p = thom_class(og, p, "plus")
+            for q in og.vertices_of_index(2):
+                tau_q = thom_class(og, q, "minus")
+                product = tau_p * tau_q * (omega - omega.value(p))
+                assert pairing(og, tau_p, tau_q, 1) == integrate(og, product), (name, og.xi, p, q)
+                entries += 1
+    assert entries == 70
 
 
 def test_no_localization_sum_makes_an_intermediate_form(monkeypatch):
     # Each numerator is one integer row, made into one form at the end.  A
     # first report builds the Thom classes and the table t[v][p]; then every
-    # pairing it computed (hr_matrix, mixed-matrix with its shift, Kronecker)
+    # pairing it computed (hr_matrix, mixed matrix, Kronecker)
     # and every class it checked for vanishing runs again with Polynomial
     # arithmetic refused.  The mixed matrix's single-vertex shortcut, the
     # independent second way, keeps its Polynomial arithmetic and is not rerun.
@@ -447,14 +449,11 @@ def test_no_localization_sum_makes_an_intermediate_form(monkeypatch):
         monkeypatch.setattr(Polynomial, op, refuse)
     with pytest.raises(AssertionError, match="intermediate form"):
         Polynomial.variable(0) + Polynomial.variable(1)
-    shifted = 0
     for name, og, pairings, vanishing in recorded:
         for args, value in pairings:
             assert pairing(*args) == value, (name, og.xi, args[3:])
-            shifted += len(args) == 5
         for f in vanishing:
             check_low_degree_vanishing(og, f)
-    assert shifted
 
 
 def test_a_zero_table_entry_is_skipped():
@@ -624,7 +623,7 @@ def test_parallel_weights_integrate_like_the_full_product(parallel, form, scales
         if degree == 3:
             arbitrary = c * euler_class(parallel, v) + (arbitrary if perturbed else 0)
         values[v] = arbitrary
-    if localization.class_degree(values) is None:
+    if cohomology.class_degree(values) is None:
         return
     expected = _reference(parallel, values)
     assert _under_common_multiple(parallel, values) == expected
