@@ -24,7 +24,10 @@ graph in its store (as the slice dimensions are).  Pointwise sums and
 products of classes are classes, as
 f(u)g(u) - f(v)g(v) = f(u)(g(u) - g(v)) + g(v)(f(u) - f(v)), so ring
 operations do not re-check; tests prove it.  A sum keeps the degree or is
-a DegreeError, and a product adds the degrees.
+a DegreeError, and a product adds the degrees.  A class records the
+vertices where it is nonzero, in vertex order, when it is made; a product
+starts every vertex at the shared zero and multiplies only over that
+support, and ``f ** n`` makes n - 1 products.
 
 Every system has one row rule: over a support, one integer row per edge
 that meets it, the power row of the edge's point with + at its first end
@@ -70,14 +73,13 @@ class CohomologyElement:
     """Polynomials of one degree at the vertices, satisfying every edge
     congruence, checked on construction; ring operations and solvers build
     theirs by ``_element``.  ``values`` is read-only, so a stored class
-    cannot change; ``degree`` is fixed when it is made, None if zero."""
+    cannot change; its support and ``degree`` (None if zero) are set when made."""
 
     def __init__(self, graph: GkmGraph, values: Mapping[str, Polynomial]):
         self.graph = graph
-        values, self.degree = _values_of(graph, values)
-        zero = Polynomial.zero()
-        self.values = MappingProxyType({vid: values.get(vid, zero)
-                                        for vid in graph.vertex_ids()})
+        values, self._support, self.degree = _values_of(graph, values)
+        self.values = MappingProxyType(dict.fromkeys(graph.vertex_ids(), Polynomial.zero())
+                                       | {v: values[v] for v in self._support})
         bad = _first_violation(graph, self.values)
         if bad is not None:
             raise NotAClass(bad)
@@ -86,7 +88,7 @@ class CohomologyElement:
         return self.values[vid]
 
     def support(self) -> frozenset:
-        return frozenset(v for v, p in self.values.items() if not p.is_zero())
+        return frozenset(self._support)
 
     # -- ring operations (pointwise; closure is tested, not re-checked) -------
 
@@ -132,16 +134,23 @@ class CohomologyElement:
         if o is None:
             return NotImplemented
         degree = None if None in (self.degree, o.degree) else self.degree + o.degree
-        return _element(self.graph, {v: self.values[v] * o.values[v] for v in self.values},
-                        degree)
+        values = dict.fromkeys(self.values, Polynomial.zero())
+        support = []  # a product of nonzero forms is nonzero
+        for v in self._support:
+            if (q := o.values[v]).numerators:
+                values[v] = self.values[v] * q
+                support.append(v)
+        return _element(self.graph, values, degree, tuple(support))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CohomologyElement":
         if type(n) is not int or n < 0:
             raise PreconditionError(f"exponent must be an int >= 0, got {n!r}")
-        result = unity(self.graph)
-        for _ in range(n):
+        if not n:
+            return unity(self.graph)
+        result = self
+        for _ in range(n - 1):
             result = result * self
         return result
 
@@ -157,15 +166,17 @@ class CohomologyElement:
         return f"CohomologyElement({inner})"
 
 
-def _element(graph: GkmGraph, values: Mapping[str, Polynomial],
-             degree: int | None) -> CohomologyElement:
+def _element(graph: GkmGraph, values: Mapping[str, Polynomial], degree: int | None,
+             support: tuple[str, ...] | None = None) -> CohomologyElement:
     """A class of ``degree`` from complete values the ring or a checked
     solve produced: no check; all-zero values have no degree.  A dict is
-    wrapped read-only; a read-only view is shared as it is."""
+    wrapped read-only; a read-only view is shared as it is.  The support,
+    nonzero vertices in vertex order, is read off the values if not given."""
     element = object.__new__(CohomologyElement)
     element.graph = graph
     element.values = values if type(values) is MappingProxyType else MappingProxyType(values)
-    element.degree = degree if any(p.numerators for p in values.values()) else None
+    element._support = support or tuple([v for v, p in values.items() if p.numerators])
+    element.degree = degree if element._support else None
     return element
 
 
@@ -186,15 +197,17 @@ def _first_violation(graph: GkmGraph, values: Mapping[str, Polynomial]):
     return None
 
 
-def _values_of(graph: GkmGraph, f) -> tuple[Mapping[str, Polynomial], int | None]:
-    """The values and the degree of a class of ``graph``, or of the mapping
+def _values_of(graph: GkmGraph, f) -> tuple[Mapping[str, Polynomial], tuple[str, ...],
+                                             int | None]:
+    """The values, the support (the vertices of the nonzero values, in
+    vertex order) and the degree of a class of ``graph``, or of the mapping
     ``f`` once it is checked to map known vertex ids to Polynomials of one
     degree; a class of another graph, or anything else, is a
     PreconditionError."""
     if isinstance(f, CohomologyElement):
         if f.graph is not graph:
             raise PreconditionError("the class lives on another graph")
-        return f.values, f.degree
+        return f.values, f._support, f.degree
     if not isinstance(f, Mapping):
         raise PreconditionError("expected a class or a mapping of vertex ids "
                                 f"to polynomials, got {type(f).__name__}")
@@ -205,7 +218,8 @@ def _values_of(graph: GkmGraph, f) -> tuple[Mapping[str, Polynomial], int | None
         if not isinstance(p, Polynomial):
             raise PreconditionError(
                 f"the value at {vid} has type {type(p).__name__}, not Polynomial")
-    return f, class_degree(f)
+    degree = class_degree(f)
+    return f, tuple([v for v in graph.vertex_ids() if v in f and f[v].numerators]), degree
 
 
 def class_degree(values: Mapping[str, Polynomial]) -> int | None:

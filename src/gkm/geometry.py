@@ -131,16 +131,17 @@ class MomentImageType:
 
 
 def require_six_dim(og: OrientedGkmGraph) -> None:
-    """Common scope gate: 3-valent, index-increasing, at most 8 vertices."""
+    """Common scope gate: 3-valent, index-increasing, 4 to 8 vertices."""
     if og.graph.valence != 3:
         raise ScopeError(f"six-dimensional scope requires valence 3, got {og.graph.valence}")
     if not og.is_index_increasing():
         raise NotIndexIncreasing("orientation is not index-increasing")
-    if len(og.graph.vertices) > 8:
+    count = len(og.graph.vertices)
+    if count < 4:
+        raise InfeasibleInstance(f"{count} vertices; a 3-valent moment graph has at least 4")
+    if count > 8:
         raise InfeasibleInstance(
-            f"{len(og.graph.vertices)} vertices; index-increasing six-dimensional "
-            "instances have at most 8"
-        )
+            f"{count} vertices; index-increasing six-dimensional instances have at most 8")
 
 
 def classify_type(og: OrientedGkmGraph) -> MomentImageType:

@@ -9,9 +9,10 @@ t[v][p] = omega(v)^p * L / nu_v per graph, from the stored symplectic
 class omega, a class f of top degree n integrates to
 sum_v f(v) / nu_v = sum_v f(v) * t[v][0] / L; in lower degrees that
 numerator vanishes.  ``pairing`` sums f(v) * g(v) * t[v][p] over
-supp f & supp g.  Each numerator is one integer row over one common
-denominator, summed from convolutions of integer rows, and one form is made
-at the end.  Evaluation at generic rational points cross-checks it all.
+supp f & supp g.  Every sum reads its rows at the support its class
+recorded when it was made.  Each numerator is one integer row over one
+common denominator, summed from convolutions of integer rows, and one form
+is made at the end.  Evaluation at generic rational points cross-checks it.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
 
     Raises DegreeError for another degree, NonConstant when the sum fails
     to reduce to a rational number (impossible for genuine classes)."""
-    values, degree = _values_of(og.graph, f)
-    rows = [(v, (fv.numerators, fv.denominator)) for v, fv in values.items() if fv.numerators]
+    values, support, degree = _values_of(og.graph, f)
+    rows = [(v, (values[v].numerators, values[v].denominator)) for v in support]
     return _constant(og, degree, _numerator(og, rows, 0))
 
 
@@ -127,10 +128,11 @@ def pairing(og: OrientedGkmGraph, f, g, power: int) -> Fraction:
     n = og.graph.valence
     if type(power) is not int or not 0 <= power <= n:
         raise PreconditionError(f"power {power!r} is not an int in 0..{n}")
-    (f_values, f_degree), (g_values, g_degree) = _values_of(og.graph, f), _values_of(og.graph, g)
-    products = [(v, (_convolve(fv.numerators, gv.numerators), fv.denominator * gv.denominator))
-                for v, fv in f_values.items()
-                if fv.numerators and (gv := g_values.get(v)) is not None and gv.numerators]
+    f_values, f_support, f_degree = _values_of(og.graph, f)
+    g_values, _, g_degree = _values_of(og.graph, g)
+    products = [(v, (_convolve(f_values[v].numerators, gv.numerators),
+                     f_values[v].denominator * gv.denominator))
+                for v in f_support if (gv := g_values.get(v)) is not None and gv.numerators]
     degree = None if None in (f_degree, g_degree) else f_degree + g_degree + power
     return _constant(og, degree, _numerator(og, products, power))
 
@@ -138,11 +140,11 @@ def pairing(og: OrientedGkmGraph, f, g, power: int) -> Fraction:
 def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:
     """Return nothing if the exact numerator sum vanishes for a class of
     degree < n; raise NonZero, naming the sum, if it does not."""
-    values, degree = _values_of(og.graph, f)
+    values, support, degree = _values_of(og.graph, f)
     n = og.graph.valence
     if degree is not None and degree >= n:
         raise DegreeError(f"expected degree < {n}, got {degree}")
-    rows = [(v, (fv.numerators, fv.denominator)) for v, fv in values.items() if fv.numerators]
+    rows = [(v, (values[v].numerators, values[v].denominator)) for v in support]
     numerator = _numerator(og, rows, 0)
     if not numerator.is_zero():
         raise NonZero(f"numerator sum is {numerator}, expected 0")
@@ -171,12 +173,10 @@ def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:
 
 def sum_at_point(og: OrientedGkmGraph, f, point: Vector) -> Fraction:
     """Evaluate sum_v f(v)/nu_v at a rational point (cross-check oracle)."""
-    values, _ = _values_of(og.graph, f)
+    values, support, _ = _values_of(og.graph, f)
     total = Fraction(0)
-    for vid in og.graph.vertex_ids():
-        fv = values.get(vid)
-        if fv is None or fv.is_zero():
-            continue
+    for vid in support:
+        fv = values[vid]
         nu = euler_class(og, vid).evaluate(point)
         if nu == 0:
             raise PreconditionError(f"evaluation point kills the Euler class at {vid}")

@@ -296,8 +296,9 @@ def test_unreadable_document_exits_1(command, kind, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, code", [("validate", 0), ("report", 1), ("render", 0)])
 def test_a_document_with_no_vertices_exits_without_raising(command, code, tmp_path, capsys):
-    """validate calls it valid, report fails at unique-extrema and render
-    draws a picture with no points."""
+    """validate calls it valid; report fails at six-dim-scope and nowhere
+    else, as a 3-valent moment graph has at least 4 vertices; render draws a
+    picture with no points."""
     path = tmp_path / "empty.json"
     path.write_text('{"rank": 2, "valence": 3, "vertices": [], "edges": []}', encoding="utf-8")
     extra = ["-o", str(tmp_path / "empty.svg")] if command == "render" else []
@@ -306,6 +307,11 @@ def test_a_document_with_no_vertices_exits_without_raising(command, code, tmp_pa
     assert "Traceback" not in captured.out + captured.err
     if command == "render":  # one circle, the tip of the covector's margin arrow
         assert (tmp_path / "empty.svg").read_text(encoding="utf-8").count("<circle") == 1
+    if command == "report":
+        assert main(["report", str(path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["report"]["checks"] == [
+            {"name": "six-dim-scope", "ok": False,
+             "detail": "0 vertices; a 3-valent moment graph has at least 4"}]
 
 
 def test_render_unwritable_output_exits_1(cp3_file, tmp_path, capsys):

@@ -402,6 +402,95 @@ def test_a_kronecker_pairing_meets_one_vertex_at_most():
     assert pairs == 178
 
 
+# -- class products and sums visit only the support ------------------------------
+
+def _thom_classes(og):
+    return [thom_class(og, v, d) for v in og.graph.vertex_ids() for d in ("plus", "minus")]
+
+
+def _counting(monkeypatch, cls, name):
+    """A one-item list counting the calls of ``cls.name`` from now on."""
+    calls, real = [0], getattr(cls, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_product_of_thom_classes_is_pointwise_on_every_corpus_orientation():
+    products = 0
+    for name, og in _corpus_orientations():
+        classes = _thom_classes(og)
+        for f in classes:
+            for g in classes:
+                h = f * g
+                assert h.support() == f.support() & g.support(), (name, og.xi)
+                for v in og.graph.vertex_ids():
+                    assert h.value(v) == f.value(v) * g.value(v), (name, og.xi, v)
+                products += 1
+    assert products == 2512
+
+
+def test_a_class_product_multiplies_forms_only_where_both_are_nonzero(monkeypatch):
+    # One Polynomial product per vertex of supp f & supp g, not one per vertex.
+    calls = _counting(monkeypatch, Polynomial, "__mul__")
+    for name, og in _corpus_orientations():
+        classes = _thom_classes(og)
+        for f in classes:
+            for g in classes:
+                meet = len(f.support() & g.support())
+                before = calls[0]
+                f * g
+                assert calls[0] - before == meet, (name, og.xi)
+
+
+def test_a_power_starts_from_the_class_itself(cp3, monkeypatch):
+    om = equivariant_symplectic_class(cp3.graph)
+    repeated = [unity(cp3.graph), om, om * om, om * om * om]
+    calls = _counting(monkeypatch, CohomologyElement, "__mul__")
+    for n, expected in enumerate(repeated):
+        before = calls[0]
+        power = om ** n
+        assert calls[0] - before == max(n - 1, 0), n
+        assert power == expected and power.degree == n, n
+    assert om ** 0 == unity(cp3.graph)
+
+
+def test_a_plain_dict_sums_like_the_class_built_from_it():
+    # A full dict, and one in reverse vertex order without its zero values.
+    def dicts(f):
+        return (dict(f.values),
+                {v: p for v, p in reversed(f.values.items()) if not p.is_zero()})
+
+    for name, og in _corpus_orientations():
+        graph = og.graph
+        omega = equivariant_symplectic_class(graph)
+        for f in _thom_classes(og):
+            for values in dicts(f):
+                assert CohomologyElement(graph, values) == f, (name, og.xi)
+        for p in graph.vertex_ids():
+            f = thom_class(og, p, "plus")
+            for q in graph.vertex_ids():
+                g = thom_class(og, q, "minus")
+                power = graph.valence - f.degree - g.degree
+                if power < 0:
+                    continue
+                expected = pairing(og, f, g, power)
+                top = integrate(og, f * g * omega ** power)
+                assert top == expected, (name, og.xi, p, q)
+                for f_values, g_values in zip(dicts(f), dicts(g)):
+                    assert pairing(og, f_values, g_values, power) == expected, (name, p, q)
+                for values in dicts(f * g * omega ** power):
+                    assert integrate(og, values) == top, (name, og.xi, p, q)
+        for element in (el for d in range(graph.valence) for el in basis(graph, d)):
+            assert check_low_degree_vanishing(og, element) is None
+            for values in dicts(element):
+                assert check_low_degree_vanishing(og, values) is None
+
+
 @pytest.mark.parametrize("power, message", [
     (-1, "power -1 is not an int in 0..3"),
     (4, "power 4 is not an int in 0..3"),
