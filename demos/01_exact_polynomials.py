@@ -2,9 +2,10 @@
 
 Every decision downstream is exact, with no tolerance knob anywhere. Edge
 congruences are tested by evaluation at each weight's primitive
-perpendicular; integrals, pairing shortcuts and weight multiples are read
-with ``parallel_ratio``; exact division by a linear form stays as the
-reference that ``congruent_mod_linear`` uses.
+perpendicular; pairing shortcuts and weight multiples are read with
+``parallel_ratio``, and integrals with its rule on integer rows; exact
+division by a linear form stays as the reference that
+``congruent_mod_linear`` uses.
 """
 
 from fractions import Fraction

@@ -8,11 +8,13 @@ multiple of the nu_v (one linear form per weight direction) and one table
 t[v][p] = omega(v)^p * L / nu_v per graph, from the stored symplectic
 class omega, a class f of top degree n integrates to
 sum_v f(v) / nu_v = sum_v f(v) * t[v][0] / L; in lower degrees that
-numerator vanishes.  ``pairing`` sums f(v) * g(v) * t[v][p] over
-supp f & supp g.  Every sum reads its rows at the support its class
-recorded when it was made.  Each numerator is one integer row over one
-common denominator, summed from convolutions of integer rows, and one form
-is made at the end.  Evaluation at generic rational points cross-checks it.
+numerator vanishes.  ``pairing`` sums the three-factor terms
+f(v) * g(v) * t[v][p] over supp f & supp g.  Every sum reads its rows at
+the support its class recorded when it was made.  Each numerator is one
+integer row over one common denominator, summed from convolutions of
+integer rows; an integral is its ratio to L by cross-multiplication, and a
+vanishing test asks if it is all zero, so no form is made.  Evaluation at
+generic rational points cross-checks it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import add
 
 from .cohomology import _values_of, equivariant_symplectic_class, euler_class
 from .errors import DegreeError, NonConstant, NonZero, PreconditionError
 from .graph import OrientedGkmGraph
-from .polynomial import Polynomial, Vector, _convolve, _make, _vector, form_product
+from .polynomial import Polynomial, Vector, _convolve, _make, _row_ratio, _vector, form_product
 
 def _common_multiple(og: OrientedGkmGraph) -> tuple[dict[str, Polynomial], Polynomial]:
     """Q_v = L / nu_v for each v, and L = prod_d ell_d^{m_d}, stored per graph.
@@ -89,24 +92,27 @@ def _product_sum(terms: Iterable[Sequence[tuple[Sequence[int], int]]]) -> tuple[
             if len(row) != len(total):
                 raise DegreeError(f"cannot add forms of degrees {len(total) - 1} "
                                   f"and {len(row) - 1}")
-            scale = lcm(common, den)
-            a, b = scale // common, scale // den
-            total, common = [s * a + x * b for s, x in zip(total, row)], scale
+            if den == common:
+                total = list(map(add, total, row))
+            else:
+                scale = lcm(common, den)
+                a, b = scale // common, scale // den
+                total, common = [s * a + x * b for s, x in zip(total, row)], scale
     return total, common
 
 
-def _numerator(og: OrientedGkmGraph, rows: list, p: int) -> Polynomial:
-    """sum_v r_v * t[v][p] over ``rows`` (v, r_v)."""
-    t = _omega_powers(og, p)
-    return _make(*_product_sum([(r, t[v]) for v, r in rows]))
-
-
-def _constant(og: OrientedGkmGraph, degree: int | None, numerator: Polynomial) -> Fraction:
-    """The integral of a class of ``degree`` (None for zero) with this numerator."""
+def _table(og: OrientedGkmGraph, degree: int | None, p: int) -> Mapping[str, tuple]:
+    """Column p of t, once an integrand's ``degree`` (None for zero) is found to be n."""
     n = og.graph.valence
     if degree not in (None, n):
         raise DegreeError(f"integrand has polynomial degree {degree}, expected {n}")
-    constant = numerator.parallel_ratio(_common_multiple(og)[1])
+    return _omega_powers(og, p)
+
+
+def _constant(og: OrientedGkmGraph, row: Sequence[int], den: int) -> Fraction:
+    """The integral whose numerator sum is row / den: its ratio to L."""
+    ell = _common_multiple(og)[1]
+    constant = _row_ratio(row, den, ell.numerators, ell.denominator)
     if constant is None:
         raise NonConstant("localization sum did not reduce to a constant")
     return constant
@@ -118,8 +124,9 @@ def integrate(og: OrientedGkmGraph, f) -> Fraction:
     Raises DegreeError for another degree, NonConstant when the sum fails
     to reduce to a rational number (impossible for genuine classes)."""
     values, support, degree = _values_of(og.graph, f)
-    rows = [(v, (values[v].numerators, values[v].denominator)) for v in support]
-    return _constant(og, degree, _numerator(og, rows, 0))
+    t = _table(og, degree, 0)
+    return _constant(og, *_product_sum([((values[v].numerators, values[v].denominator), t[v])
+                                        for v in support]))
 
 
 def pairing(og: OrientedGkmGraph, f, g, power: int) -> Fraction:
@@ -130,11 +137,10 @@ def pairing(og: OrientedGkmGraph, f, g, power: int) -> Fraction:
         raise PreconditionError(f"power {power!r} is not an int in 0..{n}")
     f_values, f_support, f_degree = _values_of(og.graph, f)
     g_values, _, g_degree = _values_of(og.graph, g)
-    products = [(v, (_convolve(f_values[v].numerators, gv.numerators),
-                     f_values[v].denominator * gv.denominator))
-                for v in f_support if (gv := g_values.get(v)) is not None and gv.numerators]
-    degree = None if None in (f_degree, g_degree) else f_degree + g_degree + power
-    return _constant(og, degree, _numerator(og, products, power))
+    t = _table(og, None if None in (f_degree, g_degree) else f_degree + g_degree + power, power)
+    return _constant(og, *_product_sum([
+        (((fv := f_values[v]).numerators, fv.denominator), (gv.numerators, gv.denominator), t[v])
+        for v in f_support if (gv := g_values.get(v)) is not None]))
 
 
 def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:
@@ -144,10 +150,11 @@ def check_low_degree_vanishing(og: OrientedGkmGraph, f) -> None:
     n = og.graph.valence
     if degree is not None and degree >= n:
         raise DegreeError(f"expected degree < {n}, got {degree}")
-    rows = [(v, (values[v].numerators, values[v].denominator)) for v in support]
-    numerator = _numerator(og, rows, 0)
-    if not numerator.is_zero():
-        raise NonZero(f"numerator sum is {numerator}, expected 0")
+    t = _omega_powers(og, 0)
+    row, den = _product_sum([((values[v].numerators, values[v].denominator), t[v])
+                             for v in support])
+    if any(row):
+        raise NonZero(f"numerator sum is {_make(row, den)}, expected 0")
 
 
 def evaluation_points(og: OrientedGkmGraph, count: int = 2) -> list[Vector]:

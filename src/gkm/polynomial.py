@@ -311,23 +311,10 @@ class Polynomial:
         return hash((self.numerators, self.denominator))
 
     def parallel_ratio(self, other: "Polynomial") -> Fraction | None:
-        """Return r with self == r * other, or None if no such rational exists.
-
-        ``other`` must be nonzero.  The two must have the same degree, and
-        each pair of numerators s, o must satisfy s*b == a*o, a and b those
-        of one position where other's numerator is nonzero.
-        """
+        """r with self == r * other, or None (``_row_ratio``); ``other`` is nonzero."""
         if not other.numerators:
             raise PreconditionError("parallel_ratio against the zero polynomial")
-        if not self.numerators:
-            return Fraction(0)
-        if len(self.numerators) != len(other.numerators):
-            return None
-        pairs = list(zip(self.numerators, other.numerators))
-        a, b = next((s, o) for s, o in pairs if o)
-        if any(s * b != a * o for s, o in pairs):
-            return None
-        return Fraction(a * other.denominator, b * self.denominator)
+        return _row_ratio(self.numerators, self.denominator, other.numerators, other.denominator)
 
     # -- evaluation and division -------------------------------------------
 
@@ -417,6 +404,22 @@ def _make(numerators: Sequence[int], den: int) -> Polynomial:
 
 _ZERO = object.__new__(Polynomial)
 _init(_ZERO, (), 1)
+
+
+def _row_ratio(row: Sequence[int], den: int, other: Sequence[int],
+               other_den: int) -> Fraction | None:
+    """r with row / den == r * other / other_den, or None, for rows in any terms
+    and ``other`` not all zero: 0 for an all-zero row, else rows of one length
+    with s*b == a*o for each pair s, o, (a, b) the pair at the first nonzero o."""
+    if not any(row):
+        return Fraction(0)
+    if len(row) != len(other):
+        return None
+    pairs = list(zip(row, other))
+    a, b = next((s, o) for s, o in pairs if o)
+    if any(s * b != a * o for s, o in pairs):
+        return None
+    return Fraction(a * other_den, b * den)
 
 
 def _convolve(r1: Sequence[int], r2: Sequence[int]) -> list[int]:

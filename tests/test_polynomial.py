@@ -14,7 +14,7 @@ from gkm.errors import DegreeError, NotDivisible, ParseError, PreconditionError,
 from gkm.graph import GkmGraph, orient
 from gkm.jsonio import graph_to_document, loads
 from gkm.polynomial import (
-    Polynomial, Vector, _make, congruent_mod_linear, lin_form, power_row)
+    Polynomial, Vector, _make, _row_ratio, congruent_mod_linear, lin_form, power_row)
 
 
 def terms(p):
@@ -510,13 +510,13 @@ def oracle_cases(draw):
     return (ref_clean(a), ref_clean(b), ref_clean(q), r, w,
             draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4))),
             draw(st.tuples(rationals, rationals)),
-            draw(st.integers(0, 3)), draw(rationals))
+            draw(st.integers(0, 3)), draw(rationals), draw(st.integers(1, 6)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(oracle_cases())
 def test_every_operation_matches_the_fraction_reference(case):
-    a, b, q, r, w, int_point, point, n, s = case
+    a, b, q, r, w, int_point, point, n, s, g = case
     pa, pb = Polynomial(a), Polynomial(b)
     assert_matches(pa, a)
     assert_matches(Polynomial.zero(), {})
@@ -543,14 +543,23 @@ def test_every_operation_matches_the_fraction_reference(case):
 
     # parallel_ratio against b: a itself, s * b, s * b with one coefficient
     # moved (same support and no multiple when b has two terms and s != -1),
-    # and zero.
+    # and zero.  The row rule it calls, _row_ratio, reads the same ratio off
+    # each of those rows with every numerator and the denominator times g,
+    # 0 off an all-zero row and None off a nonzero row of another length.
     if b:
         multiple = ref_mul(b, {(0, 0): s})
         moved = ref_add(multiple, dict([next(iter(b.items()))]))
         for left in (a, multiple, moved, {}):
-            ratio = Polynomial(left).parallel_ratio(pb)
+            pl = Polynomial(left)
+            ratio = pl.parallel_ratio(pb)
             assert ratio == ref_ratio(left, b)
             assert ratio is None or type(ratio) is Fraction  # never a float
+            row = [c * g for c in pl.numerators]
+            assert _row_ratio(row, pl.denominator * g, pb.numerators, pb.denominator) == ratio
+        zero, longer = [0] * len(pb.numerators), [g, *pb.numerators]
+        for row, expected in ((zero, 0), (longer, None)):
+            assert _make(row, g).parallel_ratio(pb) == expected
+            assert _row_ratio(row, g, pb.numerators, pb.denominator) == expected
     with pytest.raises(ValueError):
         pa.parallel_ratio(Polynomial.zero())
 
